@@ -131,7 +131,7 @@ def cmd_run(args) -> int:
     spec = induced_walk(desc.walk, desc.pmap, phi)
     final = evolve(spec, projected, args.steps)
     logger.info(
-        "ran %s for %d steps: %d support positions", desc.name, args.steps, len(final.support)
+        "ran %s for %d steps: %d support positions", desc.name, args.steps, len(final.coins)
     )
     if args.out_state:
         _write_text(args.out_state, hilbert.state_to_json(final))

@@ -2,27 +2,36 @@
 
 A state assigns a complex coin vector to finitely many positions of a
 :class:`~qwproj.spaces.PositionSpace`; positions not listed carry the zero
-vector.  States are immutable values: every operation returns a new state
-and never mutates its inputs, so states can be shared freely across threads.
-Coin vectors are stored as ``complex128`` arrays whose length equals the
-number of displacements of the owning space, with entries ordered like the
-space's displacement family.
+vector.  A state is held packed: an ``(n, d)`` int64 coordinate block
+(:attr:`WalkState.coords`, one row per position) and an ``(n, dim)``
+complex128 coin block (:attr:`WalkState.coins`) whose entries are ordered
+like the space's displacement family, with rows in lexicographic order of
+the positions.  :attr:`WalkState.support` is a read-only dict view from
+position tuples to the rows of the coin block, built on first use.
+
+States are immutable values: every operation returns a new state and never
+mutates its inputs, so states can be shared freely across threads.  A state
+built from a mapping may hold positions beyond int64 (the dict-based
+recurrence engine produces them); asking such a state for its coordinate
+block raises InvalidPosition naming the position.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPosition, SpaceMismatch
-from .spaces import Position, PositionSpace
+from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound
 
 __all__ = [
     "WalkState",
+    "group_rows",
+    "pack_positions",
     "state_new",
     "norm",
     "inner",
@@ -41,25 +50,118 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class WalkState:
     """A finitely supported vector in the position (x) coin space.
 
-    ``support`` maps position tuples to coin-vector arrays.  Treat both the
-    dict and the arrays as read-only; all module functions do.  Compare
-    states numerically (:func:`diff_norm`, :func:`max_abs_difference`), not
-    with ``==``.
+    ``WalkState(space, {position: coin vector})`` copies the mapping into
+    the packed layout; kernels build states directly from blocks with
+    :meth:`from_blocks`.  ``coords``, ``coins`` and ``support`` are
+    read-only.  Explicit zero vectors are kept until :func:`prune`.
+    Compare states numerically (:func:`diff_norm`,
+    :func:`max_abs_difference`), not with ``==``.
     """
 
-    space: PositionSpace
-    support: dict[Position, np.ndarray]
+    __slots__ = ("_space", "_coins", "_coords", "_positions", "_support")
+
+    def __init__(self, space: PositionSpace, support: Mapping[Position, Iterable[complex]]):
+        positions = sorted(support)
+        dim = space.coin_dimension
+        coins = np.array([support[p] for p in positions], dtype=np.complex128)
+        if coins.shape != (len(positions), dim):
+            if positions:
+                raise DimensionMismatch(
+                    f"coin block has shape {coins.shape}, space needs {dim} entries per site"
+                )
+            coins = np.empty((0, dim), dtype=np.complex128)
+        self._init(space, coins, None, positions)
+
+    def _init(self, space, coins, coords, positions) -> None:
+        coins.flags.writeable = False
+        if coords is not None:
+            coords.flags.writeable = False
+        self._space = space
+        self._coins = coins
+        self._coords = coords
+        self._positions = positions
+        self._support = None
+
+    @classmethod
+    def from_blocks(
+        cls, space: PositionSpace, coords: np.ndarray, coins: np.ndarray
+    ) -> "WalkState":
+        """Wrap packed blocks without copying: distinct int64 rows in
+        lexicographic order, and one coin row each.  Both become read-only."""
+        state = cls.__new__(cls)
+        state._init(space, coins, coords, None)
+        return state
+
+    def with_coins(self, coins: np.ndarray) -> "WalkState":
+        """A state on the same positions with a new ``(n, dim)`` coin block."""
+        state = WalkState.__new__(WalkState)
+        state._init(self._space, coins, self._coords, self._positions)
+        return state
+
+    @property
+    def space(self) -> PositionSpace:
+        return self._space
+
+    @property
+    def coins(self) -> np.ndarray:
+        return self._coins
+
+    @property
+    def coords(self) -> np.ndarray:
+        if self._coords is None:
+            self._coords = pack_positions(self._positions, self.space.dimension)
+            self._coords.flags.writeable = False
+        return self._coords
+
+    @property
+    def support(self) -> Mapping[Position, np.ndarray]:
+        if self._support is None:
+            if self._positions is None:
+                self._positions = list(map(tuple, self._coords.tolist()))
+            self._support = MappingProxyType(dict(zip(self._positions, self._coins)))
+        return self._support
 
     @property
     def coin_dimension(self) -> int:
         return self.space.coin_dimension
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WalkState on {self.space.name}: {len(self.support)} positions, norm={norm(self):.6g}>"
+        return f"<WalkState on {self.space.name}: {len(self._coins)} positions, norm={norm(self):.6g}>"
+
+
+def pack_positions(positions: list[Position], d: int) -> np.ndarray:
+    """The ``(len(positions), d)`` int64 block of the position tuples, in
+    their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
+    try:
+        coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
+    except OverflowError:
+        bad = next(p for p in positions if any(abs(c) > COORD_LIMIT for c in p))
+        raise InvalidPosition(
+            f"position {bad} does not fit the int64 coordinate block of a packed state"
+        ) from None
+    check_coordinate_bound(coords, COORD_LIMIT)
+    return coords
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``(m, d)`` int64 block, and where each row went.
+
+    Returns the distinct rows in lexicographic order and, for every input
+    row, the index of its distinct row: what ``np.unique(rows, axis=0,
+    return_inverse=True)`` returns, computed by one ``lexsort`` and a
+    run-boundary diff instead of a sort on a void view.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ranked[starts], inverse
 
 
 def _check_compatible(a: WalkState, b: WalkState) -> None:
@@ -102,10 +204,7 @@ def state_new(
 
 def norm(state: WalkState) -> float:
     """The 2-norm, sqrt of the summed squared moduli of all amplitudes."""
-    total = 0.0
-    for vec in state.support.values():
-        total += float(np.vdot(vec, vec).real)
-    return math.sqrt(total)
+    return math.sqrt(float(np.vdot(state.coins, state.coins).real))
 
 
 def inner(a: WalkState, b: WalkState) -> complex:
@@ -147,7 +246,7 @@ def prune(state: WalkState, eps: float = 0.0) -> WalkState:
 
 
 def scale(z: complex, state: WalkState) -> WalkState:
-    return WalkState(state.space, {p: z * v for p, v in state.support.items()})
+    return state.with_coins(z * state.coins)
 
 
 def add(a: WalkState, b: WalkState) -> WalkState:
@@ -164,7 +263,11 @@ def sub(a: WalkState, b: WalkState) -> WalkState:
 
 def diff_norm(a: WalkState, b: WalkState) -> float:
     """2-norm of the difference a - b."""
-    return norm(sub(a, b))
+    _check_compatible(a, b)
+    sites, inverse = group_rows(np.concatenate([a.coords, b.coords]))
+    diff = np.zeros((len(sites), a.coin_dimension), dtype=np.complex128)
+    np.add.at(diff, inverse, np.concatenate([a.coins, -b.coins]))
+    return math.sqrt(float(np.vdot(diff, diff).real))
 
 
 def max_abs_difference(a: WalkState, b: WalkState) -> float:

@@ -11,7 +11,8 @@ which :func:`verify_commutation` checks numerically step by step.
 Projection is linear but not norm-preserving: fibers can interfere
 constructively or destructively.  A state whose fibers cancel exactly
 projects to the zero vector, which is not a quantum walk state; this is
-reported as :class:`~qwproj.errors.NullProjection`.  The operator is defined
+reported as :class:`~qwproj.errors.NullProjection` whenever the projected
+norm is at most ``NULL_TOL`` times the input norm.  The operator is defined
 here only for finitely supported states, where the fiber sums are always
 finite.  (On states with infinite support inside one fiber the sum is only
 conditionally convergent for square-summable but not absolutely summable
@@ -20,7 +21,6 @@ amplitude sequences, so no such states are representable.)
 
 from __future__ import annotations
 
-import cmath
 import logging
 from dataclasses import dataclass
 from typing import Iterable
@@ -34,7 +34,7 @@ from .errors import (
     NullProjection,
     SpaceMismatch,
 )
-from .hilbert import WalkState, diff_norm, norm, scale
+from .hilbert import WalkState, diff_norm, group_rows, norm, pack_positions, scale
 from .spaces import Position, ProjectionMap, reachable_window
 from .walk import CoinAssignment, StepPhase, WalkSpec, evolve
 
@@ -93,8 +93,13 @@ def project_state(
     For phi != 0 each term is weighted by exp(i*phi*sigma(x)), requiring the
     map to carry sigma (MissingSigma otherwise).  The result lives on the
     map's target space and is returned unnormalized unless ``normalize`` is
-    set.  Raises NullProjection when the projected norm falls below
-    ``NULL_TOL``, the numerically-exact-cancellation regime.
+    set.  Raises NullProjection when the projected norm is at most
+    ``NULL_TOL`` times the norm of the input, the regime of exact
+    cancellation (an all-zero or empty input always raises).
+
+    The map's array forms ``rho_array``/``sigma_array`` act on the state's
+    coordinate block; a map without them has its scalar ``rho``/``sigma``
+    evaluated once per site.
     """
     if state.space.signature != pmap.source.signature:
         raise SpaceMismatch(
@@ -107,16 +112,27 @@ def project_state(
         )
     if phi != 0.0 and pmap.sigma is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    out: dict[Position, np.ndarray] = {}
-    for pos, vec in state.support.items():
-        term = vec if phi == 0.0 else cmath.exp(1j * phi * pmap.sigma(pos)) * vec
-        target = pmap.rho(pos)
-        out[target] = out[target] + term if target in out else term
-    projected = WalkState(pmap.target, out)
+    terms = state.coins
+    if pmap.rho_array is not None:
+        targets = pmap.rho_array(state.coords)
+    else:
+        targets = pack_positions([pmap.rho(p) for p in state.support], pmap.target.dimension)
+    if phi != 0.0:
+        if pmap.sigma_array is not None:
+            sigma = pmap.sigma_array(state.coords)
+        else:
+            sigma = np.array([float(pmap.sigma(p)) for p in state.support])
+        terms = terms * np.exp(1j * phi * sigma)[:, None]
+    sites, inverse = group_rows(targets)
+    out = np.zeros((len(sites), state.coin_dimension), dtype=np.complex128)
+    np.add.at(out, inverse, terms)
+    projected = WalkState.from_blocks(pmap.target, sites, out)
     total = norm(projected)
-    if total < NULL_TOL:
+    source_norm = norm(state)
+    if total <= NULL_TOL * source_norm:
         raise NullProjection(
-            f"projection through {pmap.name!r} cancelled to norm {total:.3e}"
+            f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
+            f"(input norm {source_norm:.3e})"
         )
     if normalize:
         projected = scale(1.0 / total, projected)

@@ -27,6 +27,25 @@ from .errors import (
 
 Position = tuple[int, ...]
 
+COORD_LIMIT = 2**63 - 1
+"""Largest |coordinate| held in an int64 coordinate block.  The range is
+kept symmetric so that negating a coordinate never wraps."""
+
+
+def check_coordinate_bound(coords: np.ndarray, bound: int) -> None:
+    """Raise InvalidPosition unless every |coordinate| of the block is <= bound.
+
+    Array kernels call this before int64 arithmetic that stays exact only
+    within ``bound``; the error names the first offending position.
+    """
+    if len(coords) and max(int(coords.max()), -int(coords.min())) > bound:
+        row = coords[((coords > bound) | (coords < -bound)).any(axis=1)][0]
+        raise InvalidPosition(
+            f"position {tuple(row.tolist())} is out of range for int64 array "
+            f"arithmetic (|coordinate| must be <= {bound}); "
+            "evolve_recurrence keeps exact integers"
+        )
+
 
 @dataclass(frozen=True)
 class Displacement:
@@ -34,15 +53,27 @@ class Displacement:
 
     ``apply`` moves a position forward, ``unapply`` is the inverse on the
     image (total for all catalog spaces, whose displacements are bijections).
-    ``delta`` is set for pure integer translations and ``apply_array`` is a
-    vectorized form acting on an ``(n, dim)`` int64 coordinate array.
+    ``apply_array`` is the same map acting row-wise on an ``(n, dim)`` int64
+    coordinate block; the packed evolution engine steps with it.
+    ``delta`` is set for pure integer translations.  ``reach`` bounds how far
+    one application moves any coordinate; it defaults to the largest
+    ``|delta|`` entry and must be given for displacements without a delta.
     """
 
     label: str
     apply: Callable[[Position], Position]
     unapply: Callable[[Position], Position]
+    apply_array: Callable[[np.ndarray], np.ndarray]
     delta: tuple[int, ...] | None = None
-    apply_array: Callable[[np.ndarray], np.ndarray] | None = None
+    reach: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.reach is None:
+            if self.delta is None:
+                raise InvalidParameter(
+                    f"displacement {self.label!r} needs a delta or a reach"
+                )
+            object.__setattr__(self, "reach", max(abs(v) for v in self.delta))
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,12 @@ class ProjectionMap:
 
     The target space carries the induced displacement family under the same
     labels as the source, so projected states keep their coin dimension.
+
+    ``rho_array`` and ``sigma_array`` are ``rho`` and ``sigma`` acting on an
+    ``(n, d)`` int64 coordinate block, returning the ``(n, d')`` target
+    coordinates and the ``(n,)`` weights.  The quotient constructors set
+    them; for a map without them the projection evaluates the scalar forms
+    site by site.
     """
 
     source: PositionSpace
@@ -115,6 +152,8 @@ class ProjectionMap:
     invert_rs: Callable[[int, int], Position] | None = None
     name: str = ""
     bezout: BezoutPair | None = None
+    rho_array: Callable[[np.ndarray], np.ndarray] | None = None
+    sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def induced(self, label: str) -> Displacement:
         """The displacement induced on the target for a source label."""
@@ -153,11 +192,31 @@ def _modular(label: str, delta: int, n: int) -> Displacement:
     )
 
 
+def _is_coordinate(c) -> bool:
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+
+
 def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
     def contains(p: Position) -> bool:
-        return len(p) == dim and all(isinstance(c, (int, np.integer)) for c in p)
+        return len(p) == dim and all(_is_coordinate(c) for c in p)
 
     return contains
+
+
+def _linear_form(coeffs: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The map c -> sum_i coeffs[i] * c[:, i] on an int64 coordinate block.
+
+    Refuses (InvalidPosition, naming the position) a block on which the
+    value could leave the int64 range, instead of wrapping around.
+    """
+    weights = np.asarray(coeffs, dtype=np.int64)
+    bound = COORD_LIMIT // max(1, sum(abs(a) for a in coeffs))
+
+    def form(c: np.ndarray) -> np.ndarray:
+        check_coordinate_bound(c, bound)
+        return c @ weights
+
+    return form
 
 
 def lattice_2d() -> PositionSpace:
@@ -186,11 +245,7 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> 
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
     def contains(p: Position) -> bool:
-        return (
-            len(p) == 1
-            and isinstance(p[0], (int, np.integer))
-            and 0 <= p[0] < n
-        )
+        return len(p) == 1 and _is_coordinate(p[0]) and 0 <= p[0] < n
 
     return PositionSpace(
         f"circle{n}",
@@ -219,7 +274,7 @@ def _llattice_a() -> Displacement:
         out[~even, 1] += 1
         return out
 
-    return Displacement("a", apply, unapply, None, apply_array)
+    return Displacement("a", apply, unapply, apply_array, reach=1)
 
 
 def _llattice_b() -> Displacement:
@@ -239,7 +294,7 @@ def _llattice_b() -> Displacement:
         out[~even, 1] -= 1
         return out
 
-    return Displacement("b", apply, unapply, None, apply_array)
+    return Displacement("b", apply, unapply, apply_array, reach=1)
 
 
 def llattice() -> PositionSpace:
@@ -314,6 +369,7 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
     u, v = pair.u, pair.v
     source = lattice_2d()
     target = line(jumps=(("R", k), ("L", -k), ("U", l), ("D", -l)))
+    rho_form = _linear_form((k, l))
     return ProjectionMap(
         source=source,
         target=target,
@@ -324,6 +380,8 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
         invert_rs=lambda r, s: (u * r - l * s, v * r + k * s),
         name=f"lattice(k={k},l={l})",
         bezout=pair,
+        rho_array=lambda c: rho_form(c)[:, None],
+        sigma_array=_linear_form((-v, u)),
     )
 
 
@@ -350,6 +408,8 @@ def cyclic_quotient(n: int, source: PositionSpace | None = None) -> ProjectionMa
         sigma_c={lbl: d for lbl, d in jumps},
         section=lambda q: (q[0],),
         name=f"mod{n}",
+        rho_array=lambda c: c % n,
+        sigma_array=lambda c: c[:, 0],
     )
 
 
@@ -361,6 +421,7 @@ def llattice_quotient() -> ProjectionMap:
     """
     source = llattice()
     target = line(jumps=(("a", 1), ("b", -1)))
+    diagonal = _linear_form((1, 1))
     return ProjectionMap(
         source=source,
         target=target,
@@ -369,6 +430,8 @@ def llattice_quotient() -> ProjectionMap:
         sigma_c={"a": 1, "b": -1},
         section=lambda q: (q[0], 0),
         name="llattice-diag",
+        rho_array=lambda c: diagonal(c)[:, None],
+        sigma_array=diagonal,
     )
 
 

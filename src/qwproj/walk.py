@@ -2,10 +2,11 @@
 
 Two independent engines advance a state by one step:
 
-* :func:`evolve` applies the coin operator to every occupied position and
-  then scatters each coin component along its displacement (multiplying in
-  the optional per-direction step phase).  The scatter is vectorized over
-  the support.
+* :func:`evolve` works on the packed blocks of the state: the coin is one
+  matrix product over the coin block, and the step moves the coordinate
+  block along every displacement at once, merges coinciding images with a
+  lexicographic sort and scatters each coin component to its image
+  (multiplying in the optional per-direction step phase).
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -32,8 +33,8 @@ from .errors import (
     NotUnitary,
     SpaceMismatch,
 )
-from .hilbert import WalkState
-from .spaces import Position, PositionSpace
+from .hilbert import WalkState, group_rows
+from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound
 
 UNITARY_TOL = 1e-12
 
@@ -155,15 +156,13 @@ def _check_state(spec: WalkSpec, state: WalkState) -> None:
 def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
     """Multiply each coin vector by the coin matrix of its position."""
     _check_state(spec, state)
-    if not state.support:
+    if not len(state.coins):
         return state
-    positions = list(state.support)
-    stacked = np.array([state.support[p] for p in positions])
     if spec.coin.is_homogeneous:
-        out = stacked @ spec.coin.matrix.T
+        out = state.coins @ spec.coin.matrix.T
     else:
-        out = np.array([spec.coin.at(p) @ state.support[p] for p in positions])
-    return WalkState(spec.space, dict(zip(positions, out)))
+        out = np.array([spec.coin.at(p) @ v for p, v in state.support.items()])
+    return state.with_coins(out)
 
 
 def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
@@ -171,53 +170,38 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
 
     When the walk carries step phases, the moved component is multiplied by
     exp(i*phi*sigma_c).  Positions receiving cancelling contributions keep
-    an explicit zero vector (no implicit pruning).
+    an explicit zero vector (no implicit pruning).  Raises InvalidPosition,
+    naming the position, when a step could leave the int64 coordinate range.
     """
     _check_state(spec, state)
-    if not state.support:
+    n = len(state.coins)
+    if not n:
         return state
     disps = spec.space.displacements
+    dim = len(disps)
+    coords = state.coords
+    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
+    sites, inverse = group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
     phases = spec.step_phases()
-    if all(d.apply_array is not None for d in disps):
-        return _apply_step_vectorized(spec, state, phases)
-    # generic fallback for displacement families without a vectorized action
-    dim = len(disps)
-    out: dict[Position, np.ndarray] = {}
-    for pos, vec in state.support.items():
-        for ci, disp in enumerate(disps):
-            amp = vec[ci] if phases is None else vec[ci] * phases[ci]
-            target = disp.apply(pos)
-            if target not in out:
-                out[target] = np.zeros(dim, dtype=np.complex128)
-            out[target][ci] += amp
-    return WalkState(spec.space, out)
+    amps = state.coins if phases is None else state.coins * phases
+    out = np.zeros((len(sites), dim), dtype=np.complex128)
+    # Image rows are grouped by displacement, and a displacement is
+    # injective, so every (site, component) slot receives one amplitude.
+    out[inverse, np.repeat(np.arange(dim), n)] = amps.T.ravel()
+    return WalkState.from_blocks(spec.space, sites, out)
 
 
-def _apply_step_vectorized(
-    spec: WalkSpec, state: WalkState, phases: np.ndarray | None
-) -> WalkState:
-    disps = spec.space.displacements
-    dim = len(disps)
-    positions = list(state.support)
-    n = len(positions)
-    coords = np.array(positions, dtype=np.int64)
-    values = np.array([state.support[p] for p in positions])
-    all_coords = np.concatenate([d.apply_array(coords) for d in disps])
-    uniq, inverse = np.unique(all_coords, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    out = np.zeros((len(uniq), dim), dtype=np.complex128)
-    for ci in range(dim):
-        amps = values[:, ci] if phases is None else values[:, ci] * phases[ci]
-        np.add.at(out[:, ci], inverse[ci * n : (ci + 1) * n], amps)
-    support = dict(zip(map(tuple, uniq.tolist()), out))
-    return WalkState(spec.space, support)
+def _step_count(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidParameter(f"step count must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidParameter(f"step count must be >= 0, got {n}")
+    return int(n)
 
 
 def evolve(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
     """Apply n steps of U = (step . coin) to the state."""
-    if n < 0:
-        raise InvalidParameter(f"step count must be >= 0, got {n}")
-    for _ in range(n):
+    for _ in range(_step_count(n)):
         state = apply_step(spec, apply_coin(spec, state))
     return state
 
@@ -228,9 +212,9 @@ def evolve_recurrence(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
     The new coin vector at x has c-th entry (C_y alpha_y)_c where y is the
     unique preimage of x under displacement c, times the step phase of c.
     Results agree with :func:`evolve` elementwise to machine precision.
+    Positions are exact Python integers of any size.
     """
-    if n < 0:
-        raise InvalidParameter(f"step count must be >= 0, got {n}")
+    n = _step_count(n)
     _check_state(spec, state)
     for _ in range(n):
         state = _recurrence_step(spec, state)

@@ -18,18 +18,27 @@ from qwproj import (
 )
 
 
-def random_sparse_state(space, rng, points=4, radius=6, normalized=True):
-    """A random finitely supported state with complex Gaussian amplitudes."""
+def random_sparse_state(
+    space, rng, points=4, radius=6, normalized=True, offset=(0, 0), zeros=0
+):
+    """A random finitely supported state with complex Gaussian amplitudes.
+
+    Off the circle, positions are drawn around ``offset``; the first
+    ``zeros`` points carry explicit zero vectors.
+    """
     dim = space.coin_dimension
     assignments = []
-    for _ in range(points):
+    for i in range(points):
         if space.name.startswith("circle"):
             n = space.positions and len(space.positions)
             pos = (int(rng.integers(0, n)),)
         else:
-            pos = tuple(int(c) for c in rng.integers(-radius, radius + 1, size=space.dimension))
+            pos = tuple(
+                int(c) + o
+                for c, o in zip(rng.integers(-radius, radius + 1, size=space.dimension), offset)
+            )
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        assignments.append((pos, vec))
+        assignments.append((pos, vec if i >= zeros else np.zeros(dim)))
     state = state_new(space, assignments)
     if normalized:
         from qwproj import norm, scale

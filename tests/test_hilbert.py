@@ -52,6 +52,8 @@ class TestStateNew:
             state_new(Z2, [((0,), R4)])
         with pytest.raises(InvalidPosition):
             state_new(Z2, [((0.5, 0), R4)])
+        with pytest.raises(InvalidPosition):
+            state_new(Z2, [((True, 0), R4)])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from qwproj import (
     CoinAssignment,
     InhomogeneousCoin,
     InvalidParameter,
+    InvalidPosition,
     MissingSigma,
     NullProjection,
     ProjectionMap,
@@ -73,6 +74,34 @@ class TestProjectState:
         psi = state_new(Z2, [((0, 0), (1, 0, 0, 0)), ((0, 1), (-1, 0, 0, 0))])
         with pytest.raises(NullProjection):
             project_state(lattice_quotient(1, 0), 0.0, psi)
+
+    def test_null_test_is_scale_relative(self, rng):
+        psi = scale(1e-13, random_sparse_state(Z2, rng))
+        pm = lattice_quotient(2, 1)
+        tiny = project_state(pm, 0.4, psi)
+        full = project_state(pm, 0.4, scale(1e13, psi))
+        assert max_abs_difference(scale(1e13, tiny), full) < 1e-12
+        out = project_state(pm, 0.0, psi, normalize=True)
+        from qwproj import norm
+
+        assert norm(out) == pytest.approx(1.0, abs=1e-13)
+
+    def test_zero_and_empty_inputs_raise(self):
+        pm = lattice_quotient(1, 0)
+        zero = state_new(Z2, [((0, 0), (0, 0, 0, 0)), ((3, 1), (0, 0, 0, 0))])
+        with pytest.raises(NullProjection):
+            project_state(pm, 0.0, zero)
+        with pytest.raises(NullProjection):
+            project_state(pm, 0.0, state_new(Z2, []))
+
+    def test_int64_overflow_is_typed(self):
+        edge = 2**62
+        psi = state_new(Z2, [((edge, edge), GENERIC4)])
+        with pytest.raises(InvalidPosition, match=str(edge)):
+            project_state(lattice_quotient(2, 1), 0.0, psi)
+        with pytest.raises(InvalidPosition, match=str(edge)):
+            project_state(llattice_quotient(), 0.0, state_new(
+                llattice_quotient().source, [((edge, edge), (1, 0))]))
 
     def test_phase_weights(self):
         pm = cyclic_quotient(4)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwproj import (
+    Displacement,
     InvalidModulus,
+    InvalidParameter,
     InvalidPosition,
     NotCoprime,
     ProjectionMap,
@@ -58,6 +60,28 @@ class TestDisplacementApply:
     def test_unknown_label(self):
         with pytest.raises(UnknownDisplacement):
             displacement_apply(lattice_2d(), (0, 0), "Q")
+
+    def test_displacement_needs_delta_or_reach(self):
+        same = lambda p: p  # noqa: E731
+        with pytest.raises(InvalidParameter):
+            Displacement("x", same, same, lambda c: c)
+        assert Displacement("x", same, same, lambda c: c, reach=0).reach == 0
+        assert Displacement("x", same, same, lambda c: c, delta=(2, -3)).reach == 3
+
+    @pytest.mark.parametrize(
+        "space, pos",
+        [
+            (lattice_2d(), (True, 0)),
+            (lattice_2d(), (0, np.bool_(False))),
+            (line(), (False,)),
+            (llattice(), (1, True)),
+            (circle(4), (True,)),
+        ],
+    )
+    def test_bool_coordinates_rejected(self, space, pos):
+        assert not space.contains(pos)
+        with pytest.raises(InvalidPosition):
+            displacement_apply(space, pos, space.labels[0])
 
 
 class TestDisplacementStructure:

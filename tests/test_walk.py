@@ -9,6 +9,7 @@ from qwproj import (
     CoinAssignment,
     DimensionMismatch,
     InvalidParameter,
+    InvalidPosition,
     NotUnitary,
     StepPhase,
     WalkSpec,
@@ -118,6 +119,19 @@ class TestEvolve:
         with pytest.raises(InvalidParameter):
             evolve(GROVER2D, random_sparse_state(Z2, rng), -1)
 
+    @pytest.mark.parametrize("engine", [evolve, evolve_recurrence])
+    @pytest.mark.parametrize("n", [2.0, 1.5, True, "3", None])
+    def test_non_integral_steps_rejected(self, engine, n):
+        psi = state_new(line(), [((0,), (1, 0))])
+        with pytest.raises(InvalidParameter):
+            engine(HADAMARD_LINE, psi, n)
+
+    def test_numpy_integer_steps_accepted(self):
+        psi = state_new(line(), [((0,), (1, 0))])
+        assert max_abs_difference(
+            evolve(HADAMARD_LINE, psi, np.int64(3)), evolve(HADAMARD_LINE, psi, 3)
+        ) == 0.0
+
     def test_hadamard_single_step(self):
         psi = state_new(line(), [((0,), (1, 0))])
         out = evolve(HADAMARD_LINE, psi, 1)
@@ -151,6 +165,46 @@ class TestEvolve:
         psi = state_new(Z2, [((0, 0), np.array([1, 1j, -1, -1j]) / 2)])
         out = evolve(GROVER2D, psi, 40)
         assert abs(norm(out) - 1.0) < 1e-12 * 41
+
+
+class TestCoordinateRange:
+    """The packed engine refuses what int64 cannot hold; the recurrence stays exact."""
+
+    def test_step_past_int64_max(self):
+        top = 2**63 - 1
+        psi = state_new(line(), [((top,), (1, 0))])
+        with pytest.raises(InvalidPosition, match=str(top)):
+            evolve(HADAMARD_LINE, psi, 1)
+        exact = evolve_recurrence(HADAMARD_LINE, psi, 1)
+        assert set(exact.support) == {(top + 1,), (top - 1,)}
+
+    def test_step_past_int64_min(self):
+        bottom = -(2**63) + 1
+        psi = state_new(line(), [((bottom,), (0, 1))])
+        with pytest.raises(InvalidPosition, match=str(bottom)):
+            evolve(HADAMARD_LINE, psi, 1)
+
+    def test_position_beyond_int64(self):
+        far = 2**64
+        psi = state_new(line(), [((far,), (1, 0))])
+        with pytest.raises(InvalidPosition, match=str(far)):
+            evolve(HADAMARD_LINE, psi, 1)
+        exact = evolve_recurrence(HADAMARD_LINE, psi, 2)
+        assert set(exact.support) == {(far + 2,), (far,), (far - 2,)}
+
+    def test_planar_edge_names_the_position(self):
+        edge = (5, 2**63 - 1)
+        psi = state_new(Z2, [((0, 0), (1, 0, 0, 0)), (edge, (0, 0, 1, 0))])
+        with pytest.raises(InvalidPosition, match=str(2**63 - 1)):
+            evolve(GROVER2D, psi, 1)
+
+    def test_large_but_safe_positions_step(self):
+        far = 2**62
+        psi = state_new(Z2, [((far, -far), (1, 1j, -1, -1j))])
+        a = evolve(GROVER2D, psi, 3)
+        b = evolve_recurrence(GROVER2D, psi, 3)
+        assert set(a.support) == set(b.support)
+        assert max_abs_difference(a, b) < 1e-15
 
 
 class TestRecurrenceEngine:
