@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPosition, SpaceMismatch
-from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound
+from .spaces import Position, PositionSpace, group_rows, pack_positions
 
 __all__ = [
     "WalkState",
@@ -132,38 +132,6 @@ class WalkState:
         return f"<WalkState on {self.space.name}: {len(self._coins)} positions, norm={norm(self):.6g}>"
 
 
-def pack_positions(positions: list[Position], d: int) -> np.ndarray:
-    """The ``(len(positions), d)`` int64 block of the position tuples, in
-    their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
-    try:
-        coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
-    except OverflowError:
-        bad = next(p for p in positions if any(abs(c) > COORD_LIMIT for c in p))
-        raise InvalidPosition(
-            f"position {bad} does not fit the int64 coordinate block of a packed state"
-        ) from None
-    check_coordinate_bound(coords, COORD_LIMIT)
-    return coords
-
-
-def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an ``(m, d)`` int64 block, and where each row went.
-
-    Returns the distinct rows in lexicographic order and, for every input
-    row, the index of its distinct row: what ``np.unique(rows, axis=0,
-    return_inverse=True)`` returns, computed by one ``lexsort`` and a
-    run-boundary diff instead of a sort on a void view.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[:1] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ranked[starts], inverse
-
-
 def _check_compatible(a: WalkState, b: WalkState) -> None:
     if a.space.signature != b.space.signature:
         raise SpaceMismatch(
@@ -261,42 +229,46 @@ def sub(a: WalkState, b: WalkState) -> WalkState:
     return add(a, scale(-1.0, b))
 
 
-def diff_norm(a: WalkState, b: WalkState) -> float:
-    """2-norm of the difference a - b."""
+def _difference(a: WalkState, b: WalkState) -> np.ndarray:
+    """The coin block of a - b over the union of the two supports."""
     _check_compatible(a, b)
     sites, inverse = group_rows(np.concatenate([a.coords, b.coords]))
     diff = np.zeros((len(sites), a.coin_dimension), dtype=np.complex128)
-    np.add.at(diff, inverse, np.concatenate([a.coins, -b.coins]))
+    # A state holds each site once, so neither assignment repeats an index.
+    diff[inverse[: len(a.coins)]] = a.coins
+    diff[inverse[len(a.coins) :]] -= b.coins
+    return diff
+
+
+def diff_norm(a: WalkState, b: WalkState) -> float:
+    """2-norm of the difference a - b."""
+    diff = _difference(a, b)
     return math.sqrt(float(np.vdot(diff, diff).real))
 
 
 def max_abs_difference(a: WalkState, b: WalkState) -> float:
     """Largest |difference| over all amplitudes of a - b (elementwise)."""
-    _check_compatible(a, b)
-    worst = 0.0
-    zero = np.zeros(a.coin_dimension, dtype=np.complex128)
-    for pos in set(a.support) | set(b.support):
-        d = a.support.get(pos, zero) - b.support.get(pos, zero)
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    diff = _difference(a, b)
+    return float(np.abs(diff).max()) if diff.size else 0.0
 
 
 def to_json_dict(state: WalkState) -> dict:
     """State dump: {"space": name, "support": [{"pos": [...], "coin": [[re, im], ...]}]}."""
-    entries = []
-    for pos in sorted(state.support):
-        vec = state.support[pos]
-        entries.append(
-            {
-                "pos": [int(c) for c in pos],
-                "coin": [[float(z.real), float(z.imag)] for z in vec],
-            }
-        )
+    if state._coords is None:  # built from a mapping, possibly beyond int64
+        positions = [[int(c) for c in pos] for pos in state._positions]
+    else:
+        positions = state._coords.tolist()
+    coins = np.stack([state.coins.real, state.coins.imag], axis=-1).tolist()
+    entries = [{"pos": pos, "coin": coin} for pos, coin in zip(positions, coins)]
     return {"space": state.space.name, "support": entries}
 
 
 def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
-    """Rebuild a state on ``space`` from its dump; the space name must match."""
+    """Rebuild a state on ``space`` from its dump; the space name must match.
+
+    Unlike :func:`state_new`, which sums repeated positions, a dump listing
+    a position twice is refused with InvalidPosition naming it.
+    """
     if data.get("space") != space.name:
         raise SpaceMismatch(
             f"dump is for space {data.get('space')!r}, expected {space.name!r}"
@@ -306,7 +278,14 @@ def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
         pos = tuple(entry["pos"])
         vec = [complex(re, im) for re, im in entry["coin"]]
         assignments.append((pos, vec))
-    return state_new(space, assignments)
+    state = state_new(space, assignments)
+    if len(state.coins) < len(assignments):
+        seen: set[Position] = set()
+        for pos, _ in assignments:
+            if pos in seen:
+                raise InvalidPosition(f"position {pos} appears more than once in the dump")
+            seen.add(pos)
+    return state
 
 
 def state_to_json(state: WalkState) -> str:

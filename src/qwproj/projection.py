@@ -34,7 +34,7 @@ from .errors import (
     NullProjection,
     SpaceMismatch,
 )
-from .hilbert import WalkState, diff_norm, group_rows, norm, pack_positions, scale
+from .hilbert import WalkState, diff_norm, group_rows, norm, scale
 from .spaces import Position, ProjectionMap, reachable_window
 from .walk import CoinAssignment, StepPhase, WalkSpec, evolve
 
@@ -97,9 +97,8 @@ def project_state(
     ``NULL_TOL`` times the norm of the input, the regime of exact
     cancellation (an all-zero or empty input always raises).
 
-    The map's array forms ``rho_array``/``sigma_array`` act on the state's
-    coordinate block; a map without them has its scalar ``rho``/``sigma``
-    evaluated once per site.
+    The map acts on the state's coordinate block through
+    :meth:`~qwproj.spaces.ProjectionMap.rho_block` and ``sigma_block``.
     """
     if state.space.signature != pmap.source.signature:
         raise SpaceMismatch(
@@ -112,17 +111,10 @@ def project_state(
         )
     if phi != 0.0 and pmap.sigma is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    targets = pmap.rho_block(state.coords)
     terms = state.coins
-    if pmap.rho_array is not None:
-        targets = pmap.rho_array(state.coords)
-    else:
-        targets = pack_positions([pmap.rho(p) for p in state.support], pmap.target.dimension)
     if phi != 0.0:
-        if pmap.sigma_array is not None:
-            sigma = pmap.sigma_array(state.coords)
-        else:
-            sigma = np.array([float(pmap.sigma(p)) for p in state.support])
-        terms = terms * np.exp(1j * phi * sigma)[:, None]
+        terms = terms * np.exp(1j * phi * pmap.sigma_block(state.coords))[:, None]
     sites, inverse = group_rows(targets)
     out = np.zeros((len(sites), state.coin_dimension), dtype=np.complex128)
     np.add.at(out, inverse, terms)

@@ -25,6 +25,14 @@ directly on a caller-supplied candidate region, which admits much smaller
 grids when the per-fiber sigma spread is narrow.  The grid offset delta is
 not corrected for: recovered coefficients at sigma = s carry exp(i*s*delta),
 and the default grids start at zero.
+
+The family is computed as one batched block.  Projection keeps every fiber
+of the initial state at every phase, so the M induced walks share their
+target space, coin and support and differ only in their per-direction step
+phases exp(i*phi_j*sigma_c).  :func:`phase_projection_family` therefore
+advances them as one ``(M, n, dim)`` coin block on one ``(n, d)``
+coordinate block, and the inversion reads all fibers from one FFT along the
+phase axis of the stacked ``(M, F, dim)`` block.
 """
 
 from __future__ import annotations
@@ -42,10 +50,10 @@ from .errors import (
     InvalidParameter,
     MissingSigma,
 )
-from .hilbert import WalkState
+from .hilbert import WalkState, group_rows, pack_positions
 from .projection import induced_walk, project_state
 from .spaces import Position, ProjectionMap
-from .walk import WalkSpec, evolve
+from .walk import WalkSpec, _step_block, _step_count
 
 logger = logging.getLogger(__name__)
 
@@ -121,16 +129,33 @@ def phase_projection_family(
     to the phi_j projection of psi0.  By the intertwining identity each
     state_j equals the phi_j projection of the evolved parent, so this is
     the family the inversion consumes, produced without ever evolving the
-    parent.  The walks are independent of one another and may be distributed
-    across workers; here they run sequentially.
+    parent.
+
+    The induced walks share the target space, the coin and, since every
+    fiber of psi0 survives projection at every phase, the support; they
+    differ only in their step phases.  They therefore advance together as
+    one ``(M, n, dim)`` coin block on one coordinate block, through the step
+    kernel of :func:`~qwproj.walk.apply_step`, and the returned states share
+    that coordinate block.  Each state equals, entry for entry, the separate
+    evolution of its induced walk.
     """
-    family = []
-    for phi in phase_grid(samples, delta):
-        projected = project_state(pmap, phi, psi0)
-        spec = induced_walk(walk, pmap, phi)
-        family.append((phi, evolve(spec, projected, n)))
-    logger.debug("built projection family: %d phases, %d steps", samples, n)
-    return family
+    steps = _step_count(n)
+    grid = phase_grid(samples, delta)
+    specs = [induced_walk(walk, pmap, phi) for phi in grid]
+    projected = [project_state(pmap, phi, psi0) for phi in grid]
+    space = pmap.target
+    coords = projected[0].coords
+    block = np.stack([p.coins for p in projected])
+    # One (1, dim) phase row per walk, broadcast over its sites; the phi = 0
+    # walk has none, and a factor of one leaves its amplitudes unchanged.
+    free = np.ones(space.coin_dimension, dtype=np.complex128)
+    rows = [spec.step_phases() for spec in specs]
+    phases = np.stack([free if row is None else row for row in rows])[:, None, :]
+    coin = specs[0].coin.matrix.T
+    for _ in range(steps):
+        coords, block = _step_block(space, coords, block @ coin, phases)
+    logger.debug("built projection family: %d phases, %d steps", samples, steps)
+    return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 
 
 def _sorted_grid(
@@ -153,23 +178,21 @@ def _sorted_grid(
 
 def _fiber_stacks(
     states: Sequence[WalkState], dim: int
-) -> dict[Position, np.ndarray]:
-    """For each target position, the (M, dim) DFT bins of its coin vectors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target positions of a family and the ``(M, F, dim)`` DFT bins.
 
-    Entry t of a stack is (1/M) sum_j exp(-2i*pi*t*j/M) times the coin
-    vector at that position in the j-th projection; the FFT keeps the
-    reduction order fixed and numerically stable.
+    Returns the ``(F, d)`` coordinate block of every position in any state
+    of the family (lexicographic order) and the block whose entry ``[t, f]``
+    is (1/M) sum_j exp(-2i*pi*t*j/M) times the coin vector at position f in
+    the j-th state.  One FFT along the phase axis keeps the reduction order
+    fixed and numerically stable.
     """
     m = len(states)
-    fibers: set[Position] = set()
-    for st in states:
-        fibers.update(st.support)
-    zero = np.zeros(dim, dtype=np.complex128)
-    bins: dict[Position, np.ndarray] = {}
-    for pos in fibers:
-        stack = np.array([st.support.get(pos, zero) for st in states])
-        bins[pos] = np.fft.fft(stack, axis=0) / m
-    return bins
+    sites, inverse = group_rows(np.concatenate([st.coords for st in states]))
+    block = np.zeros((m, len(sites), dim), dtype=np.complex128)
+    member = np.repeat(np.arange(m), [len(st.coins) for st in states])
+    block[member, inverse] = np.concatenate([st.coins for st in states])
+    return sites, np.fft.fft(block, axis=0) / m
 
 
 def reconstruct(
@@ -199,12 +222,11 @@ def reconstruct(
     if m < width:
         raise GridTooCoarse(f"{m} samples cannot resolve a sigma span of {width}")
     states = _sorted_grid(projections)
-    bins = _fiber_stacks(states, pmap.source.coin_dimension)
+    fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
     support: dict[Position, np.ndarray] = {}
-    for r_pos, stack in bins.items():
-        r = r_pos[0]
+    for f, r in enumerate(fibers[:, 0].tolist()):
         for s in range(sigma_min, sigma_max + 1):
-            vec = stack[s % m]
+            vec = bins[s % m, f]
             if np.any(vec):
                 support[pmap.invert_rs(r, s)] = vec
     return WalkState(pmap.source, support)
@@ -225,25 +247,29 @@ def reconstruct_support(
     """
     if pmap.sigma is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    m = len(projections)
-    cand = sorted(set(tuple(p) for p in candidates))
-    taken: dict[tuple[Position, int], Position] = {}
-    for pos in cand:
-        key = (pmap.rho(pos), pmap.sigma(pos) % m)
-        if key in taken:
-            raise GridTooCoarse(
-                f"candidates {taken[key]} and {pos} share fiber {key[0]} "
-                f"and sigma bin {key[1]} of {m}"
-            )
-        taken[key] = pos
     states = _sorted_grid(projections)
-    bins = _fiber_stacks(states, pmap.source.coin_dimension)
-    support: dict[Position, np.ndarray] = {}
-    for pos in cand:
-        stack = bins.get(pmap.rho(pos))
-        if stack is None:
-            continue
-        vec = stack[pmap.sigma(pos) % m]
-        if np.any(vec):
-            support[pos] = vec
-    return WalkState(pmap.source, support)
+    m = len(states)
+    cand = sorted(set(tuple(p) for p in candidates))
+    coords = pack_positions(cand, pmap.source.dimension)
+    targets = pmap.rho_block(coords)
+    bin_of = pmap.sigma_block(coords) % m
+    keys, key_of = group_rows(np.column_stack([targets, bin_of]))
+    if len(keys) < len(cand):
+        _, first = np.unique(key_of, return_index=True)
+        clash = int(np.argmax(first[key_of] != np.arange(len(cand))))
+        other = int(first[key_of[clash]])
+        raise GridTooCoarse(
+            f"candidates {cand[other]} and {cand[clash]} share fiber "
+            f"{tuple(targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
+        )
+    fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
+    # Locate each candidate's fiber among the family's target positions.
+    _, where = group_rows(np.concatenate([fibers, targets]))
+    fiber_of = np.full(len(where), -1)
+    fiber_of[where[: len(fibers)]] = np.arange(len(fibers))
+    fiber_of = fiber_of[where[len(fibers) :]]
+    found = fiber_of >= 0
+    vecs = np.zeros((len(cand), pmap.source.coin_dimension), dtype=np.complex128)
+    vecs[found] = bins[bin_of[found], fiber_of[found]]
+    keep = vecs.any(axis=1)
+    return WalkState.from_blocks(pmap.source, coords[keep], vecs[keep])

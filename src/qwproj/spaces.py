@@ -47,6 +47,38 @@ def check_coordinate_bound(coords: np.ndarray, bound: int) -> None:
         )
 
 
+def pack_positions(positions: list[Position], d: int) -> np.ndarray:
+    """The ``(len(positions), d)`` int64 block of the position tuples, in
+    their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
+    try:
+        coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
+    except OverflowError:
+        bad = next(p for p in positions if any(abs(c) > COORD_LIMIT for c in p))
+        raise InvalidPosition(
+            f"position {bad} does not fit the int64 coordinate block of a packed state"
+        ) from None
+    check_coordinate_bound(coords, COORD_LIMIT)
+    return coords
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``(m, d)`` int64 block, and where each row went.
+
+    Returns the distinct rows in lexicographic order and, for every input
+    row, the index of its distinct row: what ``np.unique(rows, axis=0,
+    return_inverse=True)`` returns, computed by one ``lexsort`` and a
+    run-boundary diff instead of a sort on a void view.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ranked[starts], inverse
+
+
 @dataclass(frozen=True)
 class Displacement:
     """One coin direction: an injective map on the position set.
@@ -139,8 +171,8 @@ class ProjectionMap:
     ``rho_array`` and ``sigma_array`` are ``rho`` and ``sigma`` acting on an
     ``(n, d)`` int64 coordinate block, returning the ``(n, d')`` target
     coordinates and the ``(n,)`` weights.  The quotient constructors set
-    them; for a map without them the projection evaluates the scalar forms
-    site by site.
+    them; :meth:`rho_block` and :meth:`sigma_block` use them, or evaluate
+    the scalar forms site by site for a map without them.
     """
 
     source: PositionSpace
@@ -158,6 +190,19 @@ class ProjectionMap:
     def induced(self, label: str) -> Displacement:
         """The displacement induced on the target for a source label."""
         return self.target.displacement(label)
+
+    def rho_block(self, coords: np.ndarray) -> np.ndarray:
+        """``rho`` on an ``(n, d)`` int64 coordinate block: the ``(n, d')`` targets."""
+        if self.rho_array is not None:
+            return self.rho_array(coords)
+        images = [self.rho(p) for p in map(tuple, coords.tolist())]
+        return pack_positions(images, self.target.dimension)
+
+    def sigma_block(self, coords: np.ndarray) -> np.ndarray:
+        """``sigma`` on an ``(n, d)`` int64 coordinate block: the ``(n,)`` weights."""
+        if self.sigma_array is not None:
+            return self.sigma_array(coords)
+        return pack_positions([(self.sigma(p),) for p in map(tuple, coords.tolist())], 1)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -514,16 +559,26 @@ def check_rho_consistency(pmap: ProjectionMap, window: Iterable[Position]) -> Co
 
 
 def reachable_window(space: PositionSpace, start: Iterable[Position], steps: int) -> set[Position]:
-    """All positions reachable from ``start`` in at most ``steps`` displacement hops."""
-    seen = set(tuple(p) for p in start)
-    frontier = set(seen)
+    """All positions reachable from ``start`` in at most ``steps`` displacement hops.
+
+    The search runs on int64 coordinate blocks and raises InvalidPosition,
+    naming the position, before a hop that could leave the int64 range.
+    """
+    disps = space.displacements
+    bound = COORD_LIMIT - max(d.reach for d in disps)
+    seen = pack_positions(sorted(set(tuple(p) for p in start)), space.dimension)
+    frontier = seen
     for _ in range(steps):
-        nxt = {d.apply(p) for p in frontier for d in space.displacements}
-        frontier = nxt - seen
-        if not frontier:
+        if not len(frontier):
             break
-        seen |= frontier
-    return seen
+        check_coordinate_bound(frontier, bound)
+        images = np.concatenate([d.apply_array(frontier) for d in disps])
+        merged, inverse = group_rows(np.concatenate([seen, images]))
+        known = np.zeros(len(merged), dtype=bool)
+        known[inverse[: len(seen)]] = True
+        frontier = merged[~known]
+        seen = merged
+    return set(map(tuple, seen.tolist()))
 
 
 _SPACE_BUILDERS = {

@@ -6,7 +6,10 @@ Two independent engines advance a state by one step:
   matrix product over the coin block, and the step moves the coordinate
   block along every displacement at once, merges coinciding images with a
   lexicographic sort and scatters each coin component to its image
-  (multiplying in the optional per-direction step phase).
+  (multiplying in the optional per-direction step phase).  The step kernel
+  also takes coin blocks with a leading batch axis, so a family of walks
+  that share one support and differ only in their step phases advances in
+  one call (:func:`~qwproj.reconstruction.phase_projection_family`).
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -174,21 +177,40 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
     naming the position, when a step could leave the int64 coordinate range.
     """
     _check_state(spec, state)
-    n = len(state.coins)
-    if not n:
+    if not len(state.coins):
         return state
-    disps = spec.space.displacements
+    sites, out = _step_block(spec.space, state.coords, state.coins, spec.step_phases())
+    return WalkState.from_blocks(spec.space, sites, out)
+
+
+def _step_block(
+    space: PositionSpace,
+    coords: np.ndarray,
+    coins: np.ndarray,
+    phases: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step on packed blocks: the image coordinate and coin blocks.
+
+    ``coins`` is ``(..., n, dim)``: the coin block of one walk over the
+    ``(n, d)`` coordinate block, or with a leading batch axis, one block per
+    walk of a family sharing that support.  ``phases`` is None or the
+    per-direction step phases shaped ``(..., dim)`` to broadcast against
+    ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.  The
+    coordinate bound, the merge of coinciding images and the index
+    arithmetic are done once for the whole batch.
+    """
+    disps = space.displacements
     dim = len(disps)
-    coords = state.coords
+    n = len(coords)
     check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
     sites, inverse = group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
-    phases = spec.step_phases()
-    amps = state.coins if phases is None else state.coins * phases
-    out = np.zeros((len(sites), dim), dtype=np.complex128)
+    amps = coins if phases is None else coins * phases
+    batch = coins.shape[:-2]
+    out = np.zeros(batch + (len(sites), dim), dtype=np.complex128)
     # Image rows are grouped by displacement, and a displacement is
     # injective, so every (site, component) slot receives one amplitude.
-    out[inverse, np.repeat(np.arange(dim), n)] = amps.T.ravel()
-    return WalkState.from_blocks(spec.space, sites, out)
+    out[..., inverse, np.repeat(np.arange(dim), n)] = amps.swapaxes(-1, -2).reshape(batch + (-1,))
+    return sites, out
 
 
 def _step_count(n) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 from qwproj import (
     DimensionMismatch,
+    WalkState,
     InvalidPosition,
     SpaceMismatch,
     add,
@@ -16,6 +17,7 @@ from qwproj import (
     inner,
     lattice_2d,
     line,
+    max_abs_difference,
     norm,
     position_distribution,
     prune,
@@ -24,7 +26,9 @@ from qwproj import (
     state_new,
     state_to_json,
     sub,
+    to_json_dict,
 )
+from conftest import random_sparse_state
 
 Z2 = lattice_2d()
 Z1 = line()
@@ -174,6 +178,22 @@ class TestSerialization:
         with pytest.raises(SpaceMismatch):
             from_json_dict(Z2, data)
 
+    def test_duplicate_position_in_dump_rejected(self):
+        data = {
+            "space": "z2",
+            "support": [
+                {"pos": [1, -2], "coin": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+                {"pos": [0, 0], "coin": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+                {"pos": [1, -2], "coin": [[0, 0], [0, 0], [1, 0], [0, 0]]},
+            ],
+        }
+        with pytest.raises(InvalidPosition, match=r"\(1, -2\)"):
+            from_json_dict(Z2, data)
+
+    def test_state_new_still_sums_duplicates(self):
+        psi = state_new(Z1, [((3,), (1, 0)), ((3,), (0.5, 1j))])
+        assert np.array_equal(psi.support[(3,)], [1.5, 1j])
+
     def test_dump_shape(self):
         psi = state_new(Z1, [((2,), (0.5, -0.5j))])
         data = json.loads(state_to_json(psi))
@@ -193,3 +213,92 @@ class TestSerialization:
     def test_csv_17_digits(self):
         psi = state_new(Z1, [((0,), (1 / 3, 0))])
         assert distribution_csv(psi).splitlines()[1] == "0,0.1111111111111111"
+
+
+def dict_max_abs_difference(a, b):
+    """The elementwise definition over the union of the two support views."""
+    zero = np.zeros(a.coin_dimension, dtype=np.complex128)
+    worst = 0.0
+    for pos in set(a.support) | set(b.support):
+        d = a.support.get(pos, zero) - b.support.get(pos, zero)
+        worst = max(worst, float(np.max(np.abs(d))))
+    return worst
+
+
+def per_entry_dump(state):
+    """The dump built entry by entry from the support view."""
+    entries = []
+    for pos in sorted(state.support):
+        vec = state.support[pos]
+        entries.append(
+            {
+                "pos": [int(c) for c in pos],
+                "coin": [[float(z.real), float(z.imag)] for z in vec],
+            }
+        )
+    return {"space": state.space.name, "support": entries}
+
+
+def signed_zero_state():
+    return state_new(
+        Z2,
+        [
+            ((0, 0), (complex(-0.0, 0.0), complex(0.0, -0.0), -0.0, 0.5)),
+            ((2, -1), (0, 0, 0, 0)),
+            ((-3, 4), (complex(-0.0, -0.0), 1e-300, -1.5e17j, 0.1 + 0.2j)),
+        ],
+    )
+
+
+class TestBlockComparisons:
+    """max_abs_difference on the blocks equals the dict-based definition."""
+
+    def test_partial_overlap_and_explicit_zeros(self, rng):
+        for _ in range(20):
+            a = random_sparse_state(Z2, rng, points=6, radius=2, zeros=2)
+            shared = [(p, rng.normal(size=4) + 1j * rng.normal(size=4)) for p in a.support]
+            own = [((9, i), rng.normal(size=4) * (i > 0)) for i in range(3)]
+            b = state_new(Z2, shared[::2] + own)
+            assert max_abs_difference(a, b) == dict_max_abs_difference(a, b)
+            assert max_abs_difference(b, a) == dict_max_abs_difference(b, a)
+
+    def test_empty_side(self, rng):
+        a = random_sparse_state(Z2, rng, zeros=1)
+        empty = state_new(Z2, [])
+        assert max_abs_difference(a, empty) == dict_max_abs_difference(a, empty)
+        assert max_abs_difference(empty, a) == dict_max_abs_difference(empty, a)
+        assert max_abs_difference(empty, empty) == 0.0
+
+    def test_signed_zeros(self):
+        a = signed_zero_state()
+        b = scale(-1.0, a)
+        assert max_abs_difference(a, b) == dict_max_abs_difference(a, b)
+        assert max_abs_difference(a, a) == 0.0
+
+
+class TestBlockDump:
+    """to_json_dict on the blocks gives byte-identical JSON."""
+
+    @staticmethod
+    def assert_same_dump(state):
+        expected = json.dumps(per_entry_dump(state), sort_keys=True, indent=2)
+        assert json.dumps(to_json_dict(state), sort_keys=True, indent=2) == expected
+
+    def test_random_states(self, rng):
+        for space in (Z2, Z1):
+            for zeros in (0, 2):
+                self.assert_same_dump(random_sparse_state(space, rng, points=7, zeros=zeros))
+
+    def test_signed_and_explicit_zeros(self):
+        state = signed_zero_state()
+        self.assert_same_dump(state)
+        self.assert_same_dump(scale(-1.0, state))
+        self.assert_same_dump(state_new(Z2, []))
+
+    def test_kernel_built_and_exact_states(self):
+        from qwproj import CoinAssignment, WalkSpec, evolve, grover_coin
+
+        spec = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
+        self.assert_same_dump(evolve(spec, signed_zero_state(), 3))
+        beyond = WalkState(Z1, {(2**70,): (1, 0), (-(2**65),): (0.5, -0.5j)})
+        self.assert_same_dump(beyond)

@@ -1,13 +1,21 @@
 """Phase-grid inversion: sigma bookkeeping, round trips, and failure modes."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwproj import (
     CoinAssignment,
     GridTooCoarse,
     InconsistentGrid,
+    InvalidParameter,
     MissingSigma,
+    NullProjection,
+    WalkState,
     WalkSpec,
     absorbed_phase_walk,
     add,
@@ -27,6 +35,7 @@ from qwproj import (
     sigma_support_bounds,
     state_new,
 )
+from qwproj.reconstruction import _fiber_stacks
 from conftest import random_sparse_state
 
 Z2 = lattice_2d()
@@ -113,6 +122,17 @@ class TestRoundTrip:
         recovered = reconstruct_support(family, pm, candidates)
         assert max_abs_difference(recovered, evolved) < 1e-10
 
+    def test_scalar_map_inverts_like_array_map(self):
+        pm = lattice_quotient(3, 5)
+        scalar = dataclasses.replace(pm, rho_array=None, sigma_array=None)
+        evolved = evolve(GROVER2D, origin_state(), 8)
+        family = projection_family_direct(pm, evolved, 17)
+        candidates = reachable_window(Z2, [(0, 0)], 8)
+        a = reconstruct_support(family, pm, candidates)
+        b = reconstruct_support(family, scalar, candidates)
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert a.coins.tobytes() == b.coins.tobytes()
+
     def test_family_from_induced_evolutions_matches_direct(self):
         # the intertwining identity makes both routes produce the same family
         pm = lattice_quotient(2, 1)
@@ -170,6 +190,30 @@ class TestFailureModes:
         recovered = reconstruct(family, pm, (-n, n - 1))
         assert max_abs_difference(recovered, evolved) > 1e-6
 
+    def test_collision_names_first_pair_in_order(self):
+        pm = lattice_quotient(1, 0)
+        family = projection_family_direct(pm, origin_state(), 5)
+        candidates = [(1, 6), (0, 10), (0, 5), (1, 1), (0, 0)]
+        with pytest.raises(GridTooCoarse) as err:
+            reconstruct_support(family, pm, candidates)
+        assert str(err.value) == (
+            "candidates (0, 0) and (0, 5) share fiber (0,) and sigma bin 0 of 5"
+        )
+
+    def test_single_cancelling_phase_raises_null_projection(self):
+        # the fiber x = 0 holds +g at sigma 0 and -g at sigma 1: zero at phi = 0
+        pm = lattice_quotient(1, 0)
+        psi = state_new(Z2, [((0, 0), GENERIC4), ((0, 1), -GENERIC4)])
+        with pytest.raises(NullProjection):
+            phase_projection_family(GROVER2D, pm, psi, 3, 5)
+        family = phase_projection_family(GROVER2D, pm, psi, 3, 5, delta=0.1)
+        assert len(family) == 5
+
+    def test_positional_coin_needs_a_window(self):
+        coin = CoinAssignment.positional(lambda pos: grover_coin(), 4)
+        with pytest.raises(InvalidParameter):
+            phase_projection_family(WalkSpec(Z2, coin), lattice_quotient(2, 1), origin_state(), 2, 5)
+
     def test_candidate_bin_collision_detected(self):
         pm = lattice_quotient(1, 0)
         family = projection_family_direct(pm, evolve(GROVER2D, origin_state(), 3), 5)
@@ -203,4 +247,80 @@ class TestGridPhaseEquivariance:
                 for pos, vec in evolved.support.items()
             },
         )
+        assert max_abs_difference(recovered, expected) < 1e-12
+
+
+class TestBatchedFamily:
+    def test_states_share_one_coordinate_block(self):
+        pm = lattice_quotient(2, 1)
+        family = phase_projection_family(GROVER2D, pm, origin_state(), 4, 9)
+        coords = family[0][1].coords
+        assert all(state.coords is coords for _, state in family)
+        with pytest.raises(ValueError):
+            family[3][1].coins[0, 0] = 1.0
+
+    def test_zero_steps_returns_the_projections(self):
+        pm = lattice_quotient(3, 2)
+        psi = random_sparse_state(Z2, np.random.default_rng(3), points=4, radius=3)
+        family = phase_projection_family(GROVER2D, pm, psi, 0, 7, delta=0.2)
+        for phi, state in family:
+            direct = project_state(pm, phi, psi)
+            assert state.coins.tobytes() == direct.coins.tobytes()
+
+    def test_block_fft_equals_per_fiber_fft(self, rng):
+        pm = lattice_quotient(2, 1)
+        evolved = evolve(GROVER2D, random_sparse_state(Z2, rng, points=3, radius=2), 5)
+        states = [state for _, state in projection_family_direct(pm, evolved, 11)]
+        # one member on fewer fibers: the missing ones count as zero vectors
+        states[4] = WalkState(pm.target, dict(list(states[4].support.items())[::2]))
+        fibers, bins = _fiber_stacks(states, 4)
+        positions = sorted(set().union(*(state.support for state in states)))
+        assert [tuple(r) for r in fibers.tolist()] == positions
+        zero = np.zeros(4, dtype=np.complex128)
+        for f, pos in enumerate(positions):
+            stack = np.array([state.support.get(pos, zero) for state in states])
+            expected = np.fft.fft(stack, axis=0) / len(states)
+            assert bins[:, f].tobytes() == expected.tobytes()
+
+
+def coprime_pairs():
+    pairs = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    return pairs.filter(lambda kl: math.gcd(*kl) == 1)
+
+
+class TestFamilyProperties:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        kl=coprime_pairs(),
+        offset=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**16),
+        points=st.integers(1, 3),
+        n=st.integers(0, 4),
+    )
+    def test_batched_family_and_shifted_inversion(self, kl, offset, seed, points, n):
+        pm = lattice_quotient(*kl)
+        psi = random_sparse_state(Z2, np.random.default_rng(seed), points=points, radius=2)
+        candidates = reachable_window(Z2, psi.support, n)
+        sigmas = [pm.sigma(pos) for pos in candidates]
+        samples = max(sigmas) - min(sigmas) + 1
+        delta = offset * 2 * math.pi / samples
+        family = phase_projection_family(GROVER2D, pm, psi, n, samples, delta)
+
+        # the batched block is, bit for bit, the per-phase loop
+        for (phi, state), grid_phi in zip(family, phase_grid(samples, delta)):
+            assert phi == grid_phi
+            alone = evolve(induced_walk(GROVER2D, pm, phi), project_state(pm, phi, psi), n)
+            assert state.coords.tobytes() == alone.coords.tobytes()
+            assert state.coins.tobytes() == alone.coins.tobytes()
+
+        # the inversion returns exp(i*s*delta) * alpha at sigma = s
+        evolved = evolve(GROVER2D, psi, n)
+        expected = WalkState(
+            Z2,
+            {
+                pos: np.exp(1j * pm.sigma(pos) * delta) * vec
+                for pos, vec in evolved.support.items()
+            },
+        )
+        recovered = reconstruct_support(family, pm, candidates)
         assert max_abs_difference(recovered, expected) < 1e-12

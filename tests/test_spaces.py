@@ -302,6 +302,34 @@ class TestWindows:
         for p in window:
             assert abs(p[0]) + abs(p[1]) <= 2
 
+    @pytest.mark.parametrize(
+        "space, start",
+        [
+            (lattice_2d(), [(0, 0), (3, -1)]),
+            (line(), [(-2,), (5,)]),
+            (line(jumps=(("R", 2), ("S", 0), ("L", -3))), [(0,)]),
+            (circle(5), [(0,), (3,)]),
+            (llattice(), [(0, 0), (1, 4)]),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [0, 1, 4, 9])
+    def test_reachable_window_matches_tuple_search(self, space, start, steps):
+        seen = set(start)
+        frontier = set(seen)
+        for _ in range(steps):
+            frontier = {d.apply(p) for p in frontier for d in space.displacements} - seen
+            seen |= frontier
+        assert reachable_window(space, start, steps) == seen
+
+    def test_reachable_window_empty_start(self):
+        assert reachable_window(lattice_2d(), [], 5) == set()
+
+    def test_reachable_window_refuses_int64_overflow(self):
+        top = 2**63 - 1
+        assert reachable_window(line(), [(top,)], 0) == {(top,)}
+        with pytest.raises(InvalidPosition, match=str(top)):
+            reachable_window(line(), [(top,)], 1)
+
 
 class TestConfigDescriptors:
     def test_space_descriptors(self):
