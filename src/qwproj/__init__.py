@@ -56,6 +56,8 @@ from .hilbert import (
     distribution_csv,
     from_json_dict,
     inner,
+    json_chunks,
+    json_text,
     max_abs_difference,
     norm,
     position_distribution,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
     "max_abs_difference",
     "to_json_dict",
     "from_json_dict",
+    "json_chunks",
+    "json_text",
     "state_to_json",
     "state_from_json",
     "distribution_csv",
@@ -252,14 +254,16 @@ def max_abs_difference(a: WalkState, b: WalkState) -> float:
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
+def _position_rows(state: WalkState, start: int = 0, stop: int | None = None) -> list[list[int]]:
+    if state._coords is None:  # built from a mapping, possibly beyond int64
+        return [[int(c) for c in pos] for pos in state._positions[start:stop]]
+    return state._coords[start:stop].tolist()
+
+
 def to_json_dict(state: WalkState) -> dict:
     """State dump: {"space": name, "support": [{"pos": [...], "coin": [[re, im], ...]}]}."""
-    if state._coords is None:  # built from a mapping, possibly beyond int64
-        positions = [[int(c) for c in pos] for pos in state._positions]
-    else:
-        positions = state._coords.tolist()
     coins = np.stack([state.coins.real, state.coins.imag], axis=-1).tolist()
-    entries = [{"pos": pos, "coin": coin} for pos, coin in zip(positions, coins)]
+    entries = [{"pos": pos, "coin": coin} for pos, coin in zip(_position_rows(state), coins)]
     return {"space": state.space.name, "support": entries}
 
 
@@ -288,8 +292,105 @@ def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
     return state
 
 
+# A string the writer puts where a state goes, and its JSON token.
+_SLOT = "\x00"
+_SLOT_TOKEN = json.dumps(_SLOT)
+
+
+def _indented(obj, default=None) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=default)
+
+
+def _nested(text: str, depth: int) -> str:
+    """JSON text re-indented to sit ``depth`` levels deep.  Exact, because
+    JSON text holds no raw newline inside a string."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _entry_tokens(state: WalkState, start: int, stop: int) -> tuple[str, ...]:
+    """Every amplitude and coordinate of entries ``start:stop`` as json
+    writes it, entry by entry: re and im of each coin entry, then the
+    position.  One call of json's C encoder renders them all, so each token
+    is json's own repr (``-0.0``, ``NaN`` and ``Infinity`` included)."""
+    floats = np.ascontiguousarray(state.coins[start:stop]).view(np.float64).tolist()
+    rows = json.dumps([c + p for c, p in zip(floats, _position_rows(state, start, stop))])
+    return tuple(rows[2:-2].replace("], [", ", ").split(", "))
+
+
+# Entries rendered per piece of a state's text.  A bound on the piece keeps
+# the writer's memory small and the same whatever the size of the state.
+_CHUNK_ENTRIES = 256
+
+
+def _state_chunks(state: WalkState, depth: int) -> Iterator[str]:
+    """The text of :func:`to_json_dict` as json writes it indented and with
+    sorted keys, nested ``depth`` levels deep, rendered from the blocks in
+    pieces of at most :data:`_CHUNK_ENTRIES` entries.  One template per
+    entry, built by json from the shape alone, places the tokens of
+    :func:`_entry_tokens`.
+    """
+    n, dim = state.coins.shape
+    frame = _indented({"space": state.space.name, "support": [_SLOT] if n else []})
+    frame = _nested(frame, depth)
+    if not n:
+        yield frame
+        return
+    entry = _indented({"coin": [[_SLOT, _SLOT]] * dim, "pos": [_SLOT] * state.space.dimension})
+    template = _nested(entry, depth + 2).replace(_SLOT_TOKEN, "%s")
+    separator = ",\n" + "  " * (depth + 2)
+    # "support" sorts after "space", so its slot is the last one in the frame.
+    head, _, tail = frame.rpartition(_SLOT_TOKEN)
+    yield head
+    for start in range(0, n, _CHUNK_ENTRIES):
+        stop = min(start + _CHUNK_ENTRIES, n)
+        if start:
+            yield separator
+        yield separator.join([template] * (stop - start)) % _entry_tokens(state, start, stop)
+    yield tail
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """The file text of ``obj`` in pieces: ``json.dumps(obj, sort_keys=True,
+    indent=2)`` plus a final newline, byte for byte, where every
+    :class:`WalkState` in ``obj`` stands for its :func:`to_json_dict` dump.
+
+    States are rendered straight from their blocks, a bounded number of
+    entries per piece, and spliced in; the rest of the document goes
+    through json, here and now, so an unserializable value raises
+    TypeError before any piece is asked for.  A document whose own strings
+    render like the state placeholder (they would hold a NUL character) is
+    refused with ValueError.
+    """
+    states = []
+
+    def slot(value):
+        if not isinstance(value, WalkState):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        states.append(value)
+        return _SLOT
+
+    parts = _indented(obj, slot).split(_SLOT_TOKEN)
+    if len(parts) != len(states) + 1:
+        raise ValueError("a string in the document renders like the state placeholder")
+    return _spliced(parts, states)
+
+
+def _spliced(parts: list[str], states: list[WalkState]) -> Iterator[str]:
+    yield parts[0]
+    for state, before, after in zip(states, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        yield from _state_chunks(state, (len(line) - len(line.lstrip(" "))) // 2)
+        yield after
+    yield "\n"
+
+
+def json_text(obj) -> str:
+    """The text of :func:`json_chunks` as one string."""
+    return "".join(json_chunks(obj))
+
+
 def state_to_json(state: WalkState) -> str:
-    return json.dumps(to_json_dict(state), sort_keys=True, indent=2) + "\n"
+    return json_text(state)
 
 
 def state_from_json(space: PositionSpace, text: str) -> WalkState:

@@ -200,7 +200,7 @@ def induced_walk(
             raise InvalidParameter(
                 f"projection {pmap.name!r} has no section to place the fiber coins"
             )
-        source_fn = walk.coin.at
+        source_fn = walk.coin.matrix_fn  # checked where the induced coin is used
         section = pmap.section
         coin = CoinAssignment.positional(
             lambda q: source_fn(section(q)), walk.coin.dimension
@@ -228,6 +228,8 @@ def verify_commutation(
         project(evolve(walk, psi0, t)) - evolve(induced, project(psi0), t)
 
     computed incrementally (both branches advance one step per iteration).
+    The check passes when the largest residual is below ``tol`` times the
+    norm of psi0, so scaling psi0 does not change the verdict.
     A NullProjection on the initial state propagates to the caller; later
     projections cannot vanish because the induced evolution is unitary.
     """
@@ -246,7 +248,7 @@ def verify_commutation(
         lower = evolve(induced, lower, 1)
         residuals.append(diff_norm(project_state(pmap, phi, upper), lower))
     max_residual = max(residuals, default=0.0)
-    passed = max_residual < tol
+    passed = max_residual < tol * norm(psi0)
     logger.debug(
         "commutation check %s over %d steps: max residual %.3e (tol %.1e)",
         pmap.name,

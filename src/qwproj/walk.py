@@ -75,13 +75,29 @@ def hadamard_coin() -> np.ndarray:
 
 
 def _check_unitary(mat: np.ndarray, dim: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (dim, dim):
-        raise DimensionMismatch(f"coin matrix has shape {mat.shape}, expected ({dim}, {dim})")
-    resid = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if resid >= UNITARY_TOL:
-        raise NotUnitary(f"unitarity residual {resid:.3e} exceeds {UNITARY_TOL:.0e}")
-    return mat
+    return _check_unitaries([mat], dim)[0]
+
+
+def _check_unitaries(mats, dim: int, positions=None) -> np.ndarray:
+    """Stack dim x dim unitaries into one ``(n, dim, dim)`` block, checking
+    all of them with one batched product.  Given the positions the matrices
+    act at, errors name the first offending position."""
+
+    def at(i) -> str:
+        return "" if positions is None else f"coin at {positions[i]}: "
+
+    for i, mat in enumerate(mats):
+        if np.shape(mat) != (dim, dim):
+            raise DimensionMismatch(
+                f"{at(i)}coin matrix has shape {np.shape(mat)}, expected ({dim}, {dim})"
+            )
+    block = np.array(mats, dtype=np.complex128).reshape(len(mats), dim, dim)
+    resid = np.abs(block.conj().swapaxes(1, 2) @ block - np.eye(dim)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(resid < UNITARY_TOL))  # NaN fails too
+    if bad.size:
+        i = bad[0]
+        raise NotUnitary(f"{at(i)}unitarity residual {resid[i]:.3e} exceeds {UNITARY_TOL:.0e}")
+    return block
 
 
 @dataclass(frozen=True)
@@ -157,14 +173,22 @@ def _check_state(spec: WalkSpec, state: WalkState) -> None:
 
 
 def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
-    """Multiply each coin vector by the coin matrix of its position."""
+    """Multiply each coin vector by the coin matrix of its position.
+
+    A positional coin is asked once per position for its matrix; the
+    matrices are checked for unitarity together (NotUnitary names the first
+    offending position) and applied as one batched product.
+    """
     _check_state(spec, state)
     if not len(state.coins):
         return state
-    if spec.coin.is_homogeneous:
-        out = state.coins @ spec.coin.matrix.T
+    coin = spec.coin
+    if coin.is_homogeneous:
+        out = state.coins @ coin.matrix.T
     else:
-        out = np.array([spec.coin.at(p) @ v for p, v in state.support.items()])
+        positions = list(map(tuple, state.coords.tolist()))
+        mats = _check_unitaries(list(map(coin.matrix_fn, positions)), coin.dimension, positions)
+        out = (mats @ state.coins[:, :, None])[:, :, 0]
     return state.with_coins(out)
 
 

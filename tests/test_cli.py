@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qwproj.cli import main, parse_phi
@@ -284,6 +285,49 @@ class TestReconstructCommand:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("factor", [1e-8, 1e8])
+    def test_tolerance_relative_to_initial_norm(self, tmp_path, factor):
+        report = tmp_path / "rec.json"
+
+        def reconstruct(coin, tol):
+            entry = {"pos": [0, 0], "coin": [[z.real, z.imag] for z in coin]}
+            init = json.dumps({"space": "z2", "support": [entry]})
+            return main(["reconstruct", "--k", "2", "--l", "1", "--steps", "12",
+                         "--init", init, "--tol", repr(tol), "--out-report", str(report)])
+
+        coin = np.array([0.3 - 0.1j, 0.5 + 0.2j, -0.4 + 0.6j, 0.1 + 0.25j])
+        coin /= np.linalg.norm(coin)
+        assert reconstruct(coin, 1e-10) == 0
+        unit_error = json.loads(report.read_text())["max_error"]
+        assert unit_error > 0.0
+        assert reconstruct(coin, unit_error / 10) == 4
+        # scaling the initial state keeps both verdicts
+        assert reconstruct(factor * coin, 1e-10) == 0
+        assert reconstruct(factor * coin, unit_error / 10) == 4
+
+
+class TestOutputLayout:
+    """Every file the CLI writes is json's indented, key-sorted layout."""
+
+    @staticmethod
+    def assert_canonical(path):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_all_four_file_kinds(self, tmp_path):
+        out = {name: tmp_path / f"{name}.json" for name in ("run", "verify", "rec", "rec_state")}
+        assert main(["run", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/3",
+                     "--steps", "9", "--out-state", str(out["run"])]) == 0
+        assert main(["verify", "--scenario", "grover2d_to_lazy", "--steps", "6",
+                     "--out-report", str(out["verify"])]) == 0
+        # 313 recovered sites: the state is written in several pieces
+        assert main(["reconstruct", "--k", "1", "--l", "2", "--steps", "12",
+                     "--out-report", str(out["rec"]), "--out-state", str(out["rec_state"])]) == 0
+        for path in out.values():
+            self.assert_canonical(path)
+        report = json.loads(out["rec"].read_text())
+        assert report["recovered_state"] == json.loads(out["rec_state"].read_text())
 
 
 class TestLogging:

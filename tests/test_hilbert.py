@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwproj import (
     DimensionMismatch,
@@ -15,7 +17,11 @@ from qwproj import (
     distribution_csv,
     from_json_dict,
     inner,
+    json_chunks,
+    json_text,
     lattice_2d,
+    lattice_quotient,
+    llattice,
     line,
     max_abs_difference,
     norm,
@@ -302,3 +308,97 @@ class TestBlockDump:
         self.assert_same_dump(evolve(spec, signed_zero_state(), 3))
         beyond = WalkState(Z1, {(2**70,): (1, 0), (-(2**65),): (0.5, -0.5j)})
         self.assert_same_dump(beyond)
+
+
+# (d, dim) = (1, 2), (2, 4), (2, 2), (1, 4)
+WRITER_SPACES = (Z1, Z2, llattice(), lattice_quotient(1, 0).target)
+AMPLITUDE = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300]),
+)
+
+
+@st.composite
+def writer_states(draw):
+    space = draw(st.sampled_from(WRITER_SPACES))
+    limit = draw(st.sampled_from([8, 2**63 - 1, 2**70]))
+    positions = draw(
+        st.lists(
+            st.tuples(*[st.integers(-limit, limit)] * space.dimension),
+            max_size=6,
+            unique=True,
+        )
+    )
+    support = {}
+    for pos in positions:
+        if draw(st.booleans()):  # an explicit zero vector
+            support[pos] = np.zeros(space.coin_dimension)
+        else:
+            parts = draw(st.lists(AMPLITUDE, min_size=2 * space.coin_dimension,
+                                  max_size=2 * space.coin_dimension))
+            support[pos] = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    state = WalkState(space, support)
+    if limit < 2**63 and draw(st.booleans()):  # kernel-built, from the blocks
+        state = WalkState.from_blocks(space, state.coords, state.coins)
+    return state
+
+
+def reference_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """json_text is json.dumps(..., sort_keys=True, indent=2) + newline."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(writer_states())
+    def test_state_text_equals_json_dumps(self, state):
+        assert json_text(state) == reference_text(to_json_dict(state))
+        assert state_to_json(state) == json_text(state)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(writer_states(), writer_states())
+    def test_states_nested_in_a_document(self, a, b):
+        doc = {"z": [a, {"inner": b}, -0.0], "a": a, "n": None, "s": "z2", "t": True}
+        plain = {
+            "z": [to_json_dict(a), {"inner": to_json_dict(b)}, -0.0],
+            "a": to_json_dict(a),
+            "n": None,
+            "s": "z2",
+            "t": True,
+        }
+        assert json_text(doc) == reference_text(plain)
+
+    def test_documents_without_states(self):
+        for doc in ({}, [], {"residuals": [1e-17, -0.0, 5e-324], "passed": False}, 3):
+            assert json_text(doc) == reference_text(doc)
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 700])
+    def test_states_in_several_pieces(self, n):
+        rng = np.random.default_rng(n)
+        coords = np.unique(rng.integers(-40, 40, size=(3 * n, 2)), axis=0)[:n]
+        coins = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        coins[::7] = -0.0
+        blocks = WalkState.from_blocks(Z2, coords, coins)
+        beyond = WalkState(Z1, {(2**70 + i,): (complex(i, -i), 0.5) for i in range(n)})
+        for state in (blocks, beyond):
+            assert json_text(state) == reference_text(to_json_dict(state))
+            doc = {"k": 2, "state": state, "tail": [state]}
+            plain = {"k": 2, "state": to_json_dict(state), "tail": [to_json_dict(state)]}
+            assert json_text(doc) == reference_text(plain)
+
+    def test_pieces_hold_a_bounded_number_of_entries(self):
+        rng = np.random.default_rng(0)
+        coords = np.unique(rng.integers(-60, 60, size=(4000, 2)), axis=0)[:2000]
+        state = WalkState.from_blocks(Z2, coords, np.full((2000, 4), 0.5 + 0j))
+        pieces = list(json_chunks({"state": state}))
+        assert len(pieces) > 2000 // 256
+        assert max(piece.count('"pos"') for piece in pieces) <= 256
+
+    def test_refusals(self):
+        with pytest.raises(TypeError):
+            json_chunks({"x": object()})  # before any piece is asked for
+        with pytest.raises(TypeError):
+            json_text({"x": object()})
+        with pytest.raises(ValueError):
+            json_text({"x": "\x00", "state": state_new(Z2, [])})

@@ -288,6 +288,25 @@ class TestVerifyCommutation:
         assert data["passed"] is True
 
 
+class TestScaleRelativeTolerance:
+    """The verdict depends on the residual relative to the norm of psi0."""
+
+    @pytest.mark.parametrize("factor", [1e-8, 1e8])
+    def test_verdict_unchanged_by_scaling_psi0(self, factor):
+        pm = cyclic_quotient(4)
+        psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])
+        # the twisted circle's residual is small but nonzero, so a tenth of
+        # it is a tolerance that must fail at every scale
+        unit = verify_commutation(HADAMARD_LINE, pm, math.pi / 3, psi, 12)
+        assert unit.passed and unit.max_residual > 0.0
+        for tol in (1e-10, unit.max_residual / 10):
+            base = verify_commutation(HADAMARD_LINE, pm, math.pi / 3, psi, 12, tol=tol)
+            scaled = verify_commutation(
+                HADAMARD_LINE, pm, math.pi / 3, scale(factor, psi), 12, tol=tol
+            )
+            assert scaled.passed == base.passed == (tol == 1e-10)
+
+
 class TestNormBehaviour:
     def test_projection_can_change_norm_both_ways(self):
         pm = lattice_quotient(1, 0)

@@ -65,6 +65,35 @@ class TestCoinOperator:
         np.testing.assert_array_equal(out.support[(0,)], [0, 1])
         np.testing.assert_array_equal(out.support[(5,)], [1, 0])
 
+    def test_positional_coin_names_first_non_unitary_position(self):
+        bad = {(3,): np.ones((2, 2)), (5,): np.full((2, 2), np.nan)}
+        coin = CoinAssignment.positional(lambda p: bad.get(p, hadamard_coin()), 2)
+        spec = WalkSpec(line(), coin)
+        psi = state_new(line(), [((i,), (1, 0)) for i in range(-2, 7)])
+        with pytest.raises(NotUnitary, match=r"\(3,\)"):
+            apply_coin(spec, psi)
+        with pytest.raises(NotUnitary, match=r"\(5,\)"):
+            apply_coin(spec, state_new(line(), [((5,), (1, 0)), ((6,), (0, 1))]))
+
+    def test_positional_coin_shape_checked(self):
+        coin = CoinAssignment.positional(lambda p: np.eye(2 + (p == (1,))), 2)
+        psi = state_new(line(), [((0,), (1, 0)), ((1,), (1, 0))])
+        with pytest.raises(DimensionMismatch, match=r"\(1,\)"):
+            apply_coin(WalkSpec(line(), coin), psi)
+
+    def test_positional_coin_agrees_with_recurrence(self, rng):
+        # one seeded Haar coin (QR of a complex Gaussian) per residue mod 3
+        coins = []
+        for _ in range(3):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            coins.append(q * (np.diag(r) / np.abs(np.diag(r))))
+        spec = WalkSpec(line(), CoinAssignment.positional(lambda p: coins[p[0] % 3], 2))
+        psi = random_sparse_state(line(), rng, points=4)
+        a = evolve(spec, psi, 10)
+        b = evolve_recurrence(spec, psi, 10)
+        assert set(a.support) == set(b.support)
+        assert max_abs_difference(a, b) < 1e-12
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             CoinAssignment.homogeneous(np.ones((2, 2)))
