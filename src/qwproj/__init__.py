@@ -36,18 +36,14 @@ from .spaces import (
     bezout,
     check_rho_consistency,
     circle,
-    compose,
     cyclic_quotient,
     displacement_apply,
-    identity_projection,
     lattice_2d,
     lattice_quotient,
     line,
     llattice,
     llattice_quotient,
-    projection_from_config,
     reachable_window,
-    space_from_config,
 )
 from .hilbert import (
     WalkState,
@@ -73,10 +69,8 @@ from .walk import (
     CoinAssignment,
     StepPhase,
     WalkSpec,
-    absorbed_phase_walk,
     apply_coin,
     apply_step,
-    coin_from_config,
     dense_unitary,
     evolve,
     evolve_recurrence,
@@ -94,7 +88,6 @@ from .projection import (
     verify_commutation,
 )
 from .reconstruction import (
-    ReconstructionPlan,
     phase_grid,
     phase_projection_family,
     plan_reconstruction,

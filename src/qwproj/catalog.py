@@ -51,7 +51,6 @@ from .walk import CoinAssignment, StepPhase, WalkSpec, grover_coin, hadamard_coi
 __all__ = [
     "SCENARIO_NAMES",
     "ScenarioDescriptor",
-    "grover_coin",
     "trapped_state",
     "projected_trapped_state",
     "scenario",
@@ -168,10 +167,9 @@ def _descriptor(name, walk, pmap, phi, states, params) -> ScenarioDescriptor:
         raise InvalidParameter(
             f"scenario {name!r}: quotient fails consistency at {report.counterexample}"
         )
-    for state_name, build in states.items():
+    for build in states.values():
         # raises NullProjection if a distinguished state cancels
         project_state(pmap, phi, build())
-        del state_name
     return ScenarioDescriptor(name, walk, pmap, phi, states, params)
 
 

@@ -44,6 +44,24 @@ def parse_phi(text: str) -> float:
     return float(text)
 
 
+def _checked(convert, rule: str, ok):
+    """An argparse ``type``: convert the text, then refuse a value failing ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_STEPS = _checked(int, ">= 0", lambda n: n >= 0)
+_SAMPLES = _checked(int, ">= 1", lambda n: n >= 1)
+_TOL = _checked(float, "> 0", lambda t: t > 0)
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("QWPROJ_LOG", "off").lower()
     levels = {"off": None, "info": logging.INFO, "debug": logging.DEBUG}
@@ -90,13 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="catalog scenario name")
             p.add_argument("--n-circle", type=int, default=None, help="circle size for line_to_circle")
             p.add_argument("--k", type=int, default=None, help="jump size for lattice_to_jumps")
-        p.add_argument("--steps", type=int, default=30, help="number of walk steps")
-        p.add_argument("--phi", type=parse_phi, default=None, help="projection phase (accepts pi fractions)")
+            p.add_argument("--phi", type=parse_phi, default=None, help="projection phase (accepts pi fractions)")
+        p.add_argument("--steps", type=_STEPS, default=30, help="number of walk steps")
         p.add_argument("--init", default=None, help="initial state: JSON file path or inline JSON")
+
+    def tolerance(p):
         p.add_argument(
             "--tol",
-            type=float,
-            default=None,
+            type=_TOL,
+            default=1e-10,
             help="pass threshold relative to the norm of the initial state (default 1e-10)",
         )
 
@@ -107,13 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check projected evolution against evolved projection")
     common(p_verify)
+    tolerance(p_verify)
     p_verify.add_argument("--out-report", default=None, help="commutation report (JSON)")
 
     p_rec = sub.add_parser("reconstruct", help="recover a planar walk from its phase projections")
     common(p_rec, scenario=False)
+    tolerance(p_rec)
     p_rec.add_argument("--k", type=int, required=True, help="quotient coefficient k")
     p_rec.add_argument("--l", type=int, required=True, help="quotient coefficient l")
-    p_rec.add_argument("--phi-samples", type=int, default=None, help="grid size (default: auto)")
+    p_rec.add_argument("--phi-samples", type=_SAMPLES, default=None, help="grid size (default: auto)")
     p_rec.add_argument("--out-state", default=None, help="recovered state dump (JSON)")
     p_rec.add_argument("--out-report", default=None, help="reconstruction report (JSON)")
     return parser
@@ -132,9 +154,6 @@ def _initial_state(desc: catalog.ScenarioDescriptor, args):
 
 
 def cmd_run(args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
     if args.out_state is None and args.out_dist is None:
         print("error: run needs --out-state and/or --out-dist", file=sys.stderr)
         return EXIT_CONFIG
@@ -155,54 +174,35 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
     desc = _scenario_from_args(args)
     phi = desc.phi if args.phi is None else args.phi
-    tol = 1e-10 if args.tol is None else args.tol
-    if tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
-        return EXIT_CONFIG
     psi0 = _initial_state(desc, args)
-    report = verify_commutation(desc.walk, desc.pmap, phi, psi0, args.steps, tol=tol)
+    report = verify_commutation(desc.walk, desc.pmap, phi, psi0, args.steps, tol=args.tol)
     if args.out_report:
         _write_json(args.out_report, report.to_json_dict())
     status = "passed" if report.passed else "FAILED"
     print(
         f"{desc.name}: {status}, max residual {report.max_residual:.3e} "
-        f"over {report.steps} steps (tol {tol:.1e})"
+        f"over {report.steps} steps (tol {args.tol:.1e})"
     )
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 def cmd_reconstruct(args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
-    tol = 1e-10 if args.tol is None else args.tol
-    if tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
-        return EXIT_CONFIG
     pmap = lattice_quotient(args.k, args.l)  # NotCoprime -> config error
     desc = catalog.scenario("grover2d_to_lazy")
     parent = desc.walk
     psi0 = _initial_state(desc, args)
     n = args.steps
     reference = evolve(parent, psi0, n)
-    if args.phi_samples is None:
-        plan = reconstruction.plan_reconstruction(reference, pmap)
-        samples = plan.phi_samples
-    else:
-        samples = args.phi_samples
-        if samples < 1:
-            print("error: --phi-samples must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
+    samples = args.phi_samples
+    if samples is None:
+        samples = reconstruction.plan_reconstruction(reference, pmap)
     candidates = reachable_window(parent.space, psi0.support, n)
     family = reconstruction.phase_projection_family(parent, pmap, psi0, n, samples)
     recovered = reconstruction.reconstruct_support(family, pmap, candidates)
     max_error = hilbert.max_abs_difference(recovered, reference)
-    passed = max_error < tol * hilbert.norm(psi0)
+    passed = max_error < args.tol * hilbert.norm(psi0)
     report = {
         "k": args.k,
         "l": args.l,

@@ -30,8 +30,6 @@ from .spaces import Position, PositionSpace, group_rows, pack_positions
 
 __all__ = [
     "WalkState",
-    "group_rows",
-    "pack_positions",
     "state_new",
     "norm",
     "inner",

@@ -34,9 +34,9 @@ from .errors import (
     NullProjection,
     SpaceMismatch,
 )
-from .hilbert import WalkState, diff_norm, group_rows, norm, scale
-from .spaces import Position, ProjectionMap, reachable_window
-from .walk import CoinAssignment, StepPhase, WalkSpec, evolve
+from .hilbert import WalkState, diff_norm, norm, scale
+from .spaces import Position, ProjectionMap, group_rows, reachable_window
+from .walk import CoinAssignment, StepPhase, WalkSpec, _step_count, evolve
 
 logger = logging.getLogger(__name__)
 
@@ -181,9 +181,6 @@ def induced_walk(
         )
     if walk.coin.is_homogeneous:
         coin = walk.coin
-        if window is not None:
-            # trivially homogeneous; nothing to check
-            pass
     else:
         if window is None:
             raise InvalidParameter(
@@ -233,8 +230,7 @@ def verify_commutation(
     A NullProjection on the initial state propagates to the caller; later
     projections cannot vanish because the induced evolution is unitary.
     """
-    if n < 0:
-        raise InvalidParameter(f"step count must be >= 0, got {n}")
+    n = _step_count(n)
     projected = project_state(pmap, phi, psi0)
     window = None
     if not walk.coin.is_homogeneous:

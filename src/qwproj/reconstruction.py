@@ -17,12 +17,13 @@ only modulo M:
         = sum_{s == t (mod M)} exp(i*s*delta) * alpha[(r, s)].
 
 Recovery of a coefficient is therefore exact whenever no other support
-point of the same fiber has sigma congruent to it mod M.  A sufficient
-condition is that all sigma values to be recovered fit into M consecutive
-integers, which is what :func:`reconstruct` enforces for its global window;
-:func:`reconstruct_support` instead checks the congruence condition
+point of the same fiber has sigma congruent to it mod M.  The one inversion
+routine, :func:`reconstruct_support`, checks this congruence condition
 directly on a caller-supplied candidate region, which admits much smaller
-grids when the per-fiber sigma spread is narrow.  The grid offset delta is
+grids when the per-fiber sigma spread is narrow.  :func:`reconstruct` is its
+front end for a global sigma window: all sigma values to be recovered fit
+into M consecutive integers, a sufficient condition, and the window's
+(r, s) pairs are the candidates.  The grid offset delta is
 not corrected for: recovered coefficients at sigma = s carry exp(i*s*delta),
 and the default grids start at zero.
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,9 +50,9 @@ from .errors import (
     InvalidParameter,
     MissingSigma,
 )
-from .hilbert import WalkState, group_rows, pack_positions
+from .hilbert import WalkState
 from .projection import induced_walk, project_state
-from .spaces import Position, ProjectionMap
+from .spaces import Position, ProjectionMap, group_rows, pack_positions
 from .walk import WalkSpec, _step_block, _step_count
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,6 @@ logger = logging.getLogger(__name__)
 GRID_TOL = 1e-9
 
 __all__ = [
-    "ReconstructionPlan",
     "plan_reconstruction",
     "sigma_support_bounds",
     "phase_grid",
@@ -68,17 +67,6 @@ __all__ = [
     "reconstruct",
     "reconstruct_support",
 ]
-
-
-@dataclass(frozen=True)
-class ReconstructionPlan:
-    """Grid size and sigma window for one inversion run."""
-
-    pmap: ProjectionMap
-    phi_samples: int
-    phi_grid: tuple[float, ...]
-    sigma_min: int
-    sigma_max: int
 
 
 def sigma_support_bounds(state: WalkState, pmap: ProjectionMap) -> tuple[int, int]:
@@ -100,11 +88,11 @@ def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
 
 def plan_reconstruction(
     state: WalkState, pmap: ProjectionMap, samples: int | None = None
-) -> ReconstructionPlan:
-    """Size a grid for recovering ``state``'s support window.
+) -> int:
+    """The number of grid phases for recovering ``state``'s support window.
 
-    The default sample count is the global sigma span rounded up to the next
-    odd integer; an explicit smaller count raises GridTooCoarse.
+    The default is the global sigma span rounded up to the next odd integer;
+    an explicit smaller count raises GridTooCoarse.
     """
     sigma_min, sigma_max = sigma_support_bounds(state, pmap)
     width = sigma_max - sigma_min + 1
@@ -112,7 +100,7 @@ def plan_reconstruction(
         samples = width if width % 2 == 1 else width + 1
     elif samples < width:
         raise GridTooCoarse(f"{samples} samples cannot resolve a sigma span of {width}")
-    return ReconstructionPlan(pmap, samples, phase_grid(samples), sigma_min, sigma_max)
+    return samples
 
 
 def phase_projection_family(
@@ -203,8 +191,10 @@ def reconstruct(
     """Invert a projection family over a global sigma window.
 
     ``bounds`` is the inclusive window of sigma values to recover; every
-    (r, s) with s in the window maps back to the unique source position
-    with rho = r and sigma = s.  The window must fit into the grid
+    (r, s) with r a target position of the family and s in the window maps
+    back to the unique source position with rho = r and sigma = s, and
+    these positions are the candidates handed to
+    :func:`reconstruct_support`.  The window must fit into the grid
     (GridTooCoarse when M < window width), and the family's phases must be
     uniform with spacing 2*pi/M (InconsistentGrid otherwise).  Exactness
     additionally requires the source support's sigma values to lie inside
@@ -214,22 +204,15 @@ def reconstruct(
         raise InvalidParameter(
             f"projection {pmap.name!r} does not invert (rho, sigma) coordinates"
         )
-    sigma_min, sigma_max = int(bounds[0]), int(bounds[1])
-    width = sigma_max - sigma_min + 1
-    if width < 1:
+    window = range(int(bounds[0]), int(bounds[1]) + 1)
+    if not window:
         raise InvalidParameter(f"empty sigma window {bounds}")
     m = len(projections)
-    if m < width:
-        raise GridTooCoarse(f"{m} samples cannot resolve a sigma span of {width}")
-    states = _sorted_grid(projections)
-    fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
-    support: dict[Position, np.ndarray] = {}
-    for f, r in enumerate(fibers[:, 0].tolist()):
-        for s in range(sigma_min, sigma_max + 1):
-            vec = bins[s % m, f]
-            if np.any(vec):
-                support[pmap.invert_rs(r, s)] = vec
-    return WalkState(pmap.source, support)
+    if m < len(window):
+        raise GridTooCoarse(f"{m} samples cannot resolve a sigma span of {len(window)}")
+    fibers = np.unique(np.concatenate([st.coords[:, 0] for _, st in projections]))
+    candidates = [pmap.invert_rs(r, s) for r in fibers.tolist() for s in window]
+    return reconstruct_support(projections, pmap, candidates)
 
 
 def reconstruct_support(

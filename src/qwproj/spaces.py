@@ -183,7 +183,6 @@ class ProjectionMap:
     section: Callable[[Position], Position] | None = None
     invert_rs: Callable[[int, int], Position] | None = None
     name: str = ""
-    bezout: BezoutPair | None = None
     rho_array: Callable[[np.ndarray], np.ndarray] | None = None
     sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -424,7 +423,6 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
         section=lambda q: (u * q[0], v * q[0]),
         invert_rs=lambda r, s: (u * r - l * s, v * r + k * s),
         name=f"lattice(k={k},l={l})",
-        bezout=pair,
         rho_array=lambda c: rho_form(c)[:, None],
         sigma_array=_linear_form((-v, u)),
     )
@@ -477,45 +475,6 @@ def llattice_quotient() -> ProjectionMap:
         name="llattice-diag",
         rho_array=lambda c: diagonal(c)[:, None],
         sigma_array=diagonal,
-    )
-
-
-def identity_projection(space: PositionSpace) -> ProjectionMap:
-    """The trivial quotient of a space by itself (a relabeling)."""
-    return ProjectionMap(
-        source=space,
-        target=space,
-        rho=lambda p: p,
-        sigma=lambda p: 0,
-        sigma_c={lbl: 0 for lbl in space.labels},
-        section=lambda q: q,
-        name=f"identity({space.name})",
-    )
-
-
-def compose(outer: ProjectionMap, inner: ProjectionMap) -> ProjectionMap:
-    """The composite quotient ``outer . inner`` applied as a single map.
-
-    ``outer`` must be defined on the target space of ``inner`` (equal
-    signatures).  Sigma, when present on the outer map, is pulled back
-    through the inner rho.
-    """
-    if outer.source.signature != inner.target.signature:
-        raise InvalidParameter("outer map is not defined on the inner map's target")
-    sigma = None
-    if outer.sigma is not None:
-        sigma = lambda p: outer.sigma(inner.rho(p))  # noqa: E731
-    section = None
-    if outer.section is not None and inner.section is not None:
-        section = lambda q: inner.section(outer.section(q))  # noqa: E731
-    return ProjectionMap(
-        source=inner.source,
-        target=outer.target,
-        rho=lambda p: outer.rho(inner.rho(p)),
-        sigma=sigma,
-        sigma_c=dict(outer.sigma_c) if outer.sigma_c is not None else None,
-        section=section,
-        name=f"{outer.name}.{inner.name}",
     )
 
 
@@ -580,38 +539,3 @@ def reachable_window(space: PositionSpace, start: Iterable[Position], steps: int
         seen = merged
     return set(map(tuple, seen.tolist()))
 
-
-_SPACE_BUILDERS = {
-    "z2": lambda cfg: lattice_2d(),
-    "z1": lambda cfg: line(),
-    "circle": lambda cfg: circle(int(cfg["n"])),
-    "llattice": lambda cfg: llattice(),
-}
-
-
-def space_from_config(cfg: Mapping) -> PositionSpace:
-    """Build a space from a descriptor like {"space": "circle", "n": 4}."""
-    try:
-        kind = cfg["space"]
-    except (KeyError, TypeError):
-        raise InvalidParameter(f"not a space descriptor: {cfg!r}") from None
-    try:
-        builder = _SPACE_BUILDERS[kind]
-    except KeyError:
-        raise InvalidParameter(f"unknown space kind {kind!r}") from None
-    return builder(cfg)
-
-
-def projection_from_config(cfg: Mapping) -> ProjectionMap:
-    """Build a quotient from a descriptor like {"rho": "lattice", "k": 2, "l": 1}."""
-    try:
-        kind = cfg["rho"]
-    except (KeyError, TypeError):
-        raise InvalidParameter(f"not a projection descriptor: {cfg!r}") from None
-    if kind == "lattice":
-        return lattice_quotient(int(cfg["k"]), int(cfg["l"]))
-    if kind == "mod":
-        return cyclic_quotient(int(cfg["n"]))
-    if kind == "llattice-diag":
-        return llattice_quotient()
-    raise InvalidParameter(f"unknown projection kind {kind!r}")

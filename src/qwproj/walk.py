@@ -36,8 +36,8 @@ from .errors import (
     NotUnitary,
     SpaceMismatch,
 )
-from .hilbert import WalkState, group_rows
-from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound
+from .hilbert import WalkState
+from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound, group_rows
 
 UNITARY_TOL = 1e-12
 
@@ -48,12 +48,10 @@ __all__ = [
     "WalkSpec",
     "grover_coin",
     "hadamard_coin",
-    "coin_from_config",
     "apply_coin",
     "apply_step",
     "evolve",
     "evolve_recurrence",
-    "absorbed_phase_walk",
     "dense_unitary",
     "state_to_vector",
     "vector_to_state",
@@ -291,28 +289,6 @@ def _recurrence_step(spec: WalkSpec, state: WalkState) -> WalkState:
     return WalkState(spec.space, out)
 
 
-def absorbed_phase_walk(spec: WalkSpec) -> WalkSpec:
-    """Fold the step phases into the coin, leaving a phase-free step.
-
-    The diagonal phase matrix D with entries exp(i*phi*sigma_c) commutes
-    past the plain step exactly as the phased step applies it, so the
-    one-step operator of the returned walk equals that of ``spec``; only
-    the split between coin and step differs.
-    """
-    phases = spec.step_phases()
-    if phases is None:
-        return spec
-    diag = np.diag(phases)
-    if spec.coin.is_homogeneous:
-        coin = CoinAssignment.homogeneous(diag @ spec.coin.matrix)
-    else:
-        fn = spec.coin.matrix_fn
-        coin = CoinAssignment.positional(
-            lambda pos: diag @ fn(pos), spec.coin.dimension
-        )
-    return WalkSpec(spec.space, coin, phase=None)
-
-
 def dense_unitary(spec: WalkSpec) -> tuple[np.ndarray, tuple[Position, ...]]:
     """The full one-step matrix S @ C for a finite space, plus the basis order.
 
@@ -363,26 +339,3 @@ def vector_to_state(space: PositionSpace, vec: np.ndarray) -> WalkState:
     }
     return WalkState(space, support)
 
-
-_NAMED_COINS = {
-    "grover4": lambda: grover_coin(4),
-    "hadamard2": hadamard_coin,
-}
-
-
-def coin_from_config(cfg: Mapping) -> CoinAssignment:
-    """Build a coin from a descriptor.
-
-    Accepted forms: {"coin": "grover4"}, {"coin": "hadamard2"}, and
-    {"coin": "matrix", "rows": [[[re, im], ...], ...]}.
-    """
-    try:
-        kind = cfg["coin"]
-    except (KeyError, TypeError):
-        raise InvalidParameter(f"not a coin descriptor: {cfg!r}") from None
-    if kind in _NAMED_COINS:
-        return CoinAssignment.homogeneous(_NAMED_COINS[kind]())
-    if kind == "matrix":
-        rows = [[complex(re, im) for re, im in row] for row in cfg["rows"]]
-        return CoinAssignment.homogeneous(np.array(rows, dtype=np.complex128))
-    raise InvalidParameter(f"unknown coin kind {kind!r}")

@@ -7,6 +7,7 @@ import pytest
 
 from qwproj import (
     CoinAssignment,
+    ProjectionMap,
     WalkSpec,
     circle,
     grover_coin,
@@ -57,6 +58,19 @@ def walk_zoo():
         WalkSpec(circle(4), CoinAssignment.homogeneous(hadamard_coin())),
         WalkSpec(llattice(), CoinAssignment.homogeneous(hadamard_coin())),
     ]
+
+
+def identity_map(space):
+    """The trivial quotient of a space by itself: a relabeling with sigma = 0."""
+    return ProjectionMap(
+        source=space,
+        target=space,
+        rho=lambda p: p,
+        sigma=lambda p: 0,
+        sigma_c={lbl: 0 for lbl in space.labels},
+        section=lambda q: q,
+        name=f"identity({space.name})",
+    )
 
 
 @pytest.fixture

@@ -231,6 +231,29 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestArgumentChecks:
+    """Each command registers only the flags it reads and range-checks them in the parser."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--scenario", "grover2d_to_lazy", "--tol", "-5"], "--tol"),
+            (["reconstruct", "--k", "2", "--l", "1", "--phi", "pi/3"], "--phi"),
+            (["verify", "--scenario", "grover2d_to_lazy", "--steps", "-1"], "--steps"),
+            (["reconstruct", "--k", "2", "--l", "1", "--steps", "-1"], "--steps"),
+            (["reconstruct", "--k", "2", "--l", "1", "--tol", "nan"], "--tol"),
+            (["reconstruct", "--k", "2", "--l", "1", "--phi-samples", "0"], "--phi-samples"),
+            (["verify", "--scenario", "grover2d_to_lazy", "--steps", "2.5"], "--steps"),
+        ],
+    )
+    def test_rejected_before_any_work(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        extra = ["--out-dist", str(out)] if argv[0] == "run" else ["--out-report", str(out)]
+        assert main(argv + extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReconstructCommand:
     def test_round_trip(self, tmp_path):
         report = tmp_path / "rec.json"

@@ -18,12 +18,10 @@ from qwproj import (
     apply_coin,
     apply_step,
     check_coin_homogeneity,
-    compose,
     cyclic_quotient,
     diff_norm,
     grover_coin,
     hadamard_coin,
-    identity_projection,
     induced_walk,
     lattice_2d,
     lattice_quotient,
@@ -35,7 +33,7 @@ from qwproj import (
     state_new,
     verify_commutation,
 )
-from conftest import random_sparse_state
+from conftest import identity_map, random_sparse_state
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -62,7 +60,7 @@ def catalog_pairings():
 class TestProjectState:
     def test_identity_is_relabeling(self, rng):
         psi = random_sparse_state(Z2, rng)
-        out = project_state(identity_projection(Z2), 0.0, psi)
+        out = project_state(identity_map(Z2), 0.0, psi)
         assert max_abs_difference(out, psi) == 0.0
 
     def test_fiber_sum(self):
@@ -141,15 +139,6 @@ class TestProjectState:
         )
         assert max_abs_difference(lhs, rhs) < 1e-12
 
-    def test_composability(self, rng):
-        inner_map = lattice_quotient(1, 0)
-        outer_map = cyclic_quotient(4, source=inner_map.target)
-        composite = compose(outer_map, inner_map)
-        psi = random_sparse_state(Z2, rng, points=5)
-        two_step = project_state(outer_map, 0.0, project_state(inner_map, 0.0, psi))
-        one_step = project_state(composite, 0.0, psi)
-        assert max_abs_difference(two_step, one_step) < 1e-12
-
 
 class TestCoinHomogeneity:
     def window(self):
@@ -201,7 +190,7 @@ class TestInducedWalk:
         assert [d.delta[0] for d in spec.space.displacements] == [1, -1]
 
     def test_identity_projection_reproduces_walk(self):
-        spec = induced_walk(GROVER2D, identity_projection(Z2))
+        spec = induced_walk(GROVER2D, identity_map(Z2))
         assert spec.space.signature == GROVER2D.space.signature
         assert spec.coin is GROVER2D.coin
 
@@ -264,7 +253,7 @@ class TestVerifyCommutation:
 
     def test_identity_projection_residual_zero(self, rng):
         psi = random_sparse_state(Z2, rng)
-        report = verify_commutation(GROVER2D, identity_projection(Z2), 0.0, psi, 10)
+        report = verify_commutation(GROVER2D, identity_map(Z2), 0.0, psi, 10)
         assert report.max_residual == 0.0
 
     def test_twisted_circle_30_steps(self):
@@ -286,6 +275,12 @@ class TestVerifyCommutation:
         assert set(data) == {"steps", "residuals", "max_residual", "passed"}
         assert data["steps"] == 3 and len(data["residuals"]) == 3
         assert data["passed"] is True
+
+    @pytest.mark.parametrize("n", [-1, True, 2.5, 3.0])
+    def test_step_count_must_be_a_nonnegative_integer(self, n):
+        psi = state_new(Z2, [((0, 0), GENERIC4)])
+        with pytest.raises(InvalidParameter):
+            verify_commutation(GROVER2D, lattice_quotient(1, 0), 0.0, psi, n)
 
 
 class TestScaleRelativeTolerance:

@@ -17,7 +17,6 @@ from qwproj import (
     NullProjection,
     WalkState,
     WalkSpec,
-    absorbed_phase_walk,
     add,
     evolve,
     grover_coin,
@@ -86,10 +85,11 @@ class TestPlan:
     def test_auto_size_is_odd_and_sufficient(self):
         pm = lattice_quotient(1, 0)
         evolved = evolve(GROVER2D, origin_state(), 5)
-        plan = plan_reconstruction(evolved, pm)
-        width = plan.sigma_max - plan.sigma_min + 1
-        assert plan.phi_samples >= width and plan.phi_samples % 2 == 1
-        assert plan.phi_grid[0] == 0.0 and len(plan.phi_grid) == plan.phi_samples
+        samples = plan_reconstruction(evolved, pm)
+        sigma_min, sigma_max = sigma_support_bounds(evolved, pm)
+        assert samples >= sigma_max - sigma_min + 1 and samples % 2 == 1
+        grid = phase_grid(samples)
+        assert grid[0] == 0.0 and len(grid) == samples
 
     def test_explicit_undersized_grid_rejected(self):
         pm = lattice_quotient(1, 0)
@@ -152,9 +152,43 @@ class TestRoundTrip:
         psi = origin_state()
         n, samples = 5, 11
         for phi, reference in phase_projection_family(GROVER2D, pm, psi, n, samples):
-            folded = absorbed_phase_walk(induced_walk(GROVER2D, pm, phi))
+            spec = induced_walk(GROVER2D, pm, phi)
+            phases = spec.step_phases()
+            coin = spec.coin.matrix if phases is None else np.diag(phases) @ spec.coin.matrix
+            folded = WalkSpec(spec.space, CoinAssignment.homogeneous(coin))
             alt = evolve(folded, project_state(pm, phi, psi), n)
             assert max_abs_difference(alt, reference) < 1e-12
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_window_front_end_is_the_candidate_inversion(self, aliased):
+        # reconstruct hands the window's (r, s) pairs to reconstruct_support,
+        # and reads the same bins as a per-fiber, per-sigma loop
+        pm = lattice_quotient(2, 1)
+        n = 6
+        evolved = evolve(GROVER2D, origin_state(), n)
+        if aliased:  # one window of M = 2n - 1 sigma values, short of the span
+            samples, bounds = 2 * n - 1, (-n, n - 2)
+        else:
+            bounds = sigma_support_bounds(evolved, pm)
+            samples = bounds[1] - bounds[0] + 1
+        family = projection_family_direct(pm, evolved, samples)
+        recovered = reconstruct(family, pm, bounds)
+        window = range(bounds[0], bounds[1] + 1)
+        fibers = sorted({r for _, st in family for (r,) in st.support})
+        candidates = [pm.invert_rs(r, s) for r in fibers for s in window]
+        direct = reconstruct_support(family, pm, candidates)
+        assert recovered.coords.tobytes() == direct.coords.tobytes()
+        assert recovered.coins.tobytes() == direct.coins.tobytes()
+        targets, bins = _fiber_stacks([st for _, st in family], 4)
+        loop = {}
+        for f, r in enumerate(targets[:, 0].tolist()):
+            for s in window:
+                if np.any(bins[s % samples, f]):
+                    loop[pm.invert_rs(r, s)] = bins[s % samples, f]
+        expected = WalkState(Z2, loop)
+        assert recovered.coords.tobytes() == expected.coords.tobytes()
+        assert recovered.coins.tobytes() == expected.coins.tobytes()
+        assert (max_abs_difference(recovered, evolved) < 1e-10) != aliased
 
     def test_linearity(self, rng):
         pm = lattice_quotient(1, 0)

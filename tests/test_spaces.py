@@ -20,16 +20,14 @@ from qwproj import (
     circle,
     cyclic_quotient,
     displacement_apply,
-    identity_projection,
     lattice_2d,
     lattice_quotient,
     line,
     llattice,
     llattice_quotient,
-    projection_from_config,
     reachable_window,
-    space_from_config,
 )
+from conftest import identity_map
 
 
 def square_window(r):
@@ -282,7 +280,7 @@ class TestConsistencyCheck:
         assert direction in ("forward", "backward")
 
     def test_identity_passes(self):
-        report = check_rho_consistency(identity_projection(lattice_2d()), square_window(3))
+        report = check_rho_consistency(identity_map(lattice_2d()), square_window(3))
         assert report.passed
 
     def test_pair_count(self):
@@ -330,18 +328,3 @@ class TestWindows:
         with pytest.raises(InvalidPosition, match=str(top)):
             reachable_window(line(), [(top,)], 1)
 
-
-class TestConfigDescriptors:
-    def test_space_descriptors(self):
-        assert space_from_config({"space": "z2"}).name == "z2"
-        assert space_from_config({"space": "z1"}).name == "z1"
-        assert space_from_config({"space": "circle", "n": 4}).name == "circle4"
-        assert space_from_config({"space": "llattice"}).name == "llattice"
-
-    def test_projection_descriptors(self):
-        pm = projection_from_config({"rho": "lattice", "k": 2, "l": 1})
-        assert pm.rho((1, 1)) == (3,)
-        pm = projection_from_config({"rho": "mod", "n": 4})
-        assert pm.rho((-1,)) == (3,)
-        pm = projection_from_config({"rho": "llattice-diag"})
-        assert pm.rho((2, 3)) == (5,)
