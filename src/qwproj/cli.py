@@ -33,15 +33,32 @@ _PHI_PATTERN = re.compile(r"^(-?)(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))
 
 
 def parse_phi(text: str) -> float:
-    """Parse a phase: plain float or pi fractions like 'pi', 'pi/3', '2pi/3'."""
+    """Parse a phase: plain float or pi fractions like 'pi', 'pi/3', '2pi/3'.
+
+    Raises ValueError for a zero denominator or a value that is not finite.
+    """
     text = text.strip()
     m = _PHI_PATTERN.match(text)
     if m:
         sign = -1.0 if m.group(1) else 1.0
         mult = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * mult * math.pi / den
-    return float(text)
+        if den == 0.0:
+            raise ValueError(f"phase {text!r} divides by zero")
+        phi = sign * mult * math.pi / den
+    else:
+        phi = float(text)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {text!r}")
+    return phi
+
+
+def _phase(text: str) -> float:
+    """The argparse ``type`` of --phi: :func:`parse_phi`, whose refusal it reports."""
+    try:
+        return parse_phi(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _checked(convert, rule: str, ok):
@@ -108,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="catalog scenario name")
             p.add_argument("--n-circle", type=int, default=None, help="circle size for line_to_circle")
             p.add_argument("--k", type=int, default=None, help="jump size for lattice_to_jumps")
-            p.add_argument("--phi", type=parse_phi, default=None, help="projection phase (accepts pi fractions)")
+            p.add_argument("--phi", type=_phase, default=None, help="projection phase (accepts pi fractions)")
         p.add_argument("--steps", type=_STEPS, default=30, help="number of walk steps")
         p.add_argument("--init", default=None, help="initial state: JSON file path or inline JSON")
 

@@ -116,8 +116,15 @@ def project_state(
     if phi != 0.0:
         terms = terms * np.exp(1j * phi * pmap.sigma_block(state.coords))[:, None]
     sites, inverse = group_rows(targets)
-    out = np.zeros((len(sites), state.coin_dimension), dtype=np.complex128)
-    np.add.at(out, inverse, terms)
+    dim = state.coin_dimension
+    # One bin per (site, component) slot.  bincount sums each bin in input
+    # order, as np.add.at would, so the sums are bitwise the same; writing
+    # them through .real/.imag copies them unchanged, where re + 1j*im
+    # would add a signed zero to every part.
+    slots = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    out = np.empty((len(sites), dim), dtype=np.complex128)
+    out.real = np.bincount(slots, terms.real.ravel(), out.size).reshape(out.shape)
+    out.imag = np.bincount(slots, terms.imag.ravel(), out.size).reshape(out.shape)
     projected = WalkState.from_blocks(pmap.target, sites, out)
     total = norm(projected)
     source_norm = norm(state)

@@ -61,14 +61,38 @@ def pack_positions(positions: list[Position], d: int) -> np.ndarray:
     return coords
 
 
+# group_rows keys a block by its bounding box when the block has at least
+# _DENSE_MIN_ROWS rows (below that a lexsort's fixed cost is lower) and its
+# box has at most _DENSE_BOX_PER_ROW cells per row (which caps the box arrays
+# at 9 bytes per cell, 144 bytes per row).
+_DENSE_MIN_ROWS = 128
+_DENSE_BOX_PER_ROW = 16
+
+
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an ``(m, d)`` int64 block, and where each row went.
 
     Returns the distinct rows in lexicographic order and, for every input
-    row, the index of its distinct row: what ``np.unique(rows, axis=0,
-    return_inverse=True)`` returns, computed by one ``lexsort`` and a
-    run-boundary diff instead of a sort on a void view.
+    row, the ``intp`` index of its distinct row: what ``np.unique(rows,
+    axis=0, return_inverse=True)`` returns (with the inverse raveled).
+
+    Two branches compute it; the block's row count and bounding box pick one.
+    A block of at least 128 rows whose box has at most 16 cells per row is
+    grouped without sorting: each row becomes one int64 key, its row-major
+    offset in the box, so that key order is lexicographic order; an
+    occupancy array over the box yields the distinct keys in order, and
+    they unravel back to rows.  Every other block (empty or small, or with a
+    sparse box, which includes every box too large for an int64 key) is
+    grouped by a ``lexsort`` and a run-boundary diff.
     """
+    m, d = rows.shape
+    if m >= _DENSE_MIN_ROWS:
+        # Column by column: rows.min(axis=0) reduces a strided block far slower.
+        cols = [rows[:, j] for j in range(d)]
+        lows = [int(c.min()) for c in cols]
+        spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
+        if math.prod(spans) <= _DENSE_BOX_PER_ROW * m:
+            return _group_in_box(cols, lows, spans)
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     starts = np.empty(len(rows), dtype=bool)
@@ -77,6 +101,30 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return ranked[starts], inverse
+
+
+def _group_in_box(
+    cols: list[np.ndarray], lows: list[int], spans: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_rows` for a block whose box (``lows``, ``spans`` per
+    column) has few cells: key each row by its row-major offset in the box."""
+    key = cols[0] - lows[0]
+    for c, lo, span in zip(cols[1:], lows[1:], spans[1:]):
+        key *= span
+        key += c
+        key -= lo
+    occupied = np.zeros(math.prod(spans), dtype=bool)
+    occupied[key] = True
+    distinct = np.flatnonzero(occupied)
+    rank = np.empty(len(occupied), dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    inverse = rank[key]
+    sites = np.empty((len(distinct), len(cols)), dtype=np.int64)
+    for j in range(len(cols) - 1, 0, -1):
+        distinct, offset = np.divmod(distinct, spans[j])
+        sites[:, j] = offset + lows[j]
+    sites[:, 0] = distinct + lows[0]
+    return sites, inverse
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ class TestPhiParsing:
         with pytest.raises(ValueError):
             parse_phi("three")
 
+    @pytest.mark.parametrize("text", ["pi/0", "2pi/0.0", "nan", "inf", "-inf", "1e400"])
+    def test_rejects_zero_denominator_and_non_finite(self, text):
+        with pytest.raises(ValueError):
+            parse_phi(text)
+
 
 class TestRunCommand:
     def test_writes_dist_and_state(self, tmp_path):
@@ -244,6 +249,9 @@ class TestArgumentChecks:
             (["reconstruct", "--k", "2", "--l", "1", "--tol", "nan"], "--tol"),
             (["reconstruct", "--k", "2", "--l", "1", "--phi-samples", "0"], "--phi-samples"),
             (["verify", "--scenario", "grover2d_to_lazy", "--steps", "2.5"], "--steps"),
+            (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/0"], "--phi"),
+            (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "nan"], "--phi"),
+            (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "inf"], "--phi"),
         ],
     )
     def test_rejected_before_any_work(self, tmp_path, capsys, argv, flag):

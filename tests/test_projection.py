@@ -101,6 +101,31 @@ class TestProjectState:
             project_state(llattice_quotient(), 0.0, state_new(
                 llattice_quotient().source, [((edge, edge), (1, 0))]))
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi])
+    def test_fiber_sums_match_add_at(self, rng, phi):
+        # 3 fibers of 80 terms each; -0.0 entries and explicit zero vectors
+        # mixed in, so the sums must match np.add.at bit for bit.
+        sites = [(x, y) for x in range(3) for y in range(-40, 40)]
+        coins = rng.normal(size=(len(sites), 4)) + 1j * rng.normal(size=(len(sites), 4))
+        coins[::7] = 0.0
+        coins[1::7] = complex(-0.0, -0.0)
+        coins[2::5, 1] = complex(-0.0, 0.0)
+        coins[3::5, 2] = complex(0.0, -0.0)
+        psi = state_new(Z2, list(zip(sites, coins)))
+        pm = lattice_quotient(1, 0)
+        out = project_state(pm, phi, psi)
+
+        terms = psi.coins
+        if phi != 0.0:
+            terms = terms * np.exp(1j * phi * pm.sigma_block(psi.coords))[:, None]
+        fibers, inverse = np.unique(pm.rho_block(psi.coords), axis=0, return_inverse=True)
+        expected = np.zeros((len(fibers), 4), dtype=np.complex128)
+        np.add.at(expected, inverse.ravel(), terms)
+        assert np.array_equal(out.coords, fibers)
+        assert np.array_equal(
+            np.ascontiguousarray(out.coins).view(np.uint64), expected.view(np.uint64)
+        )
+
     def test_phase_weights(self):
         pm = cyclic_quotient(4)
         psi = state_new(line(), [((5,), (1, 0))])

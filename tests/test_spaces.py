@@ -27,6 +27,8 @@ from qwproj import (
     llattice_quotient,
     reachable_window,
 )
+from qwproj import spaces
+from qwproj.spaces import group_rows
 from conftest import identity_map
 
 
@@ -328,3 +330,67 @@ class TestWindows:
         with pytest.raises(InvalidPosition, match=str(top)):
             reachable_window(line(), [(top,)], 1)
 
+
+
+TOP = spaces.COORD_LIMIT  # 2**63 - 1
+
+
+@st.composite
+def row_blocks(draw):
+    """An ``(m, d)`` int64 block with heavy duplication: m rows drawn from a
+    small pool of rows, which lie in a dense box, spread sparsely, or sit
+    near +-(2**63 - 1) so that their box overflows int64."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.sampled_from([0, 1, 2, 300, 2000]))
+    layout = draw(st.sampled_from(["dense", "sparse", "extreme"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool_size = draw(st.sampled_from([1, 3, max(1, m // 4), max(1, m)]))
+    if layout == "dense":
+        width = draw(st.integers(1, 6))
+        low = draw(st.sampled_from([0, -50, -TOP, TOP - width + 1]))
+        pool = low + rng.integers(0, width, size=(pool_size, d))
+    elif layout == "sparse":
+        pool = rng.integers(-(10**9), 10**9, size=(pool_size, d))
+    else:
+        near = rng.integers(0, 4, size=(pool_size, d))
+        pool = np.where(rng.random((pool_size, d)) < 0.5, TOP - near, near - TOP)
+    return pool[rng.integers(0, pool_size, size=m)].astype(np.int64).reshape(m, d)
+
+
+class TestGroupRows:
+    """``group_rows`` is ``np.unique(axis=0, return_inverse=True)`` on every block."""
+
+    @staticmethod
+    def check(rows):
+        sites, inverse = group_rows(rows)
+        ref_sites, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert sites.dtype == np.int64 and inverse.dtype == np.intp
+        assert sites.shape == ref_sites.shape
+        assert np.array_equal(sites, ref_sites)
+        assert np.array_equal(inverse, ref_inverse.ravel())
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(row_blocks())
+    def test_matches_numpy_unique(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize(
+        "rows, boxed",
+        [
+            (np.empty((0, 2), dtype=np.int64), False),
+            (np.array([[3, -1], [3, -1]], dtype=np.int64), False),
+            (np.arange(-300, 300, dtype=np.int64).reshape(200, 3) % 7, True),
+            (np.tile(np.array([[TOP], [-TOP]], dtype=np.int64), (200, 1)), False),
+            (np.tile(np.array([[TOP, -TOP], [TOP - 1, -TOP + 1]], dtype=np.int64), (100, 1)), True),
+            (np.arange(400, dtype=np.int64).reshape(200, 2) * 10**6, False),
+        ],
+        ids=["empty", "two-rows", "dense-box", "overflowing-box", "box-at-the-bound", "sparse"],
+    )
+    def test_both_branches(self, monkeypatch, rows, boxed):
+        calls = []
+        in_box = spaces._group_in_box
+        monkeypatch.setattr(
+            spaces, "_group_in_box", lambda *args: calls.append(1) or in_box(*args)
+        )
+        self.check(rows)
+        assert bool(calls) == boxed
