@@ -61,6 +61,19 @@ def _phase(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _joined_phi(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--phi`` that is followed by a token starting with
+    '-' joined to it as ``--phi=<token>``: argparse takes a separate
+    ``-pi/4`` for a flag, not for the value of ``--phi``."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--phi" and token.startswith("-"):
+            joined[-1] = f"--phi={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _checked(convert, rule: str, ok):
     """An argparse ``type``: convert the text, then refuse a value failing ``ok``."""
 
@@ -249,7 +262,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_phi(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     commands = {"run": cmd_run, "verify": cmd_verify, "reconstruct": cmd_reconstruct}

@@ -22,8 +22,9 @@ amplitude sequences, so no such states are representable.)
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,9 +35,18 @@ from .errors import (
     NullProjection,
     SpaceMismatch,
 )
-from .hilbert import WalkState, diff_norm, norm, scale
+from .hilbert import WalkState, norm, scale
 from .spaces import Position, ProjectionMap, group_rows, reachable_window
-from .walk import CoinAssignment, StepPhase, WalkSpec, _step_count, evolve
+from .walk import (
+    CoinAssignment,
+    StepPhase,
+    WalkSpec,
+    _step_block,
+    _step_count,
+    _step_headroom,
+    apply_coin,
+    evolve,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +110,20 @@ def project_state(
     The map acts on the state's coordinate block through
     :meth:`~qwproj.spaces.ProjectionMap.rho_block` and ``sigma_block``.
     """
+    sites, out = _project_phases(pmap, (phi,), state)
+    projected = WalkState.from_blocks(pmap.target, sites, out[0])
+    if normalize:
+        projected = scale(1.0 / norm(projected), projected)
+    return projected
+
+
+def _project_phases(
+    pmap: ProjectionMap, phis: Sequence[float], state: WalkState
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`project_state` at each of M phases in one pass: the target
+    sites, which every phase shares, and the ``(M, sites, dim)`` coin block.
+    NullProjection is raised for the first phase, in the given order, whose
+    projection cancels."""
     if state.space.signature != pmap.source.signature:
         raise SpaceMismatch(
             f"state on {state.space.name!r} fed to a projection from {pmap.source.name!r}"
@@ -109,33 +133,58 @@ def project_state(
             "target space does not preserve the coin dimension; "
             "was this projection map built by a quotient constructor?"
         )
-    if phi != 0.0 and pmap.sigma is None:
+    if any(phi != 0.0 for phi in phis) and pmap.sigma is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    targets = pmap.rho_block(state.coords)
-    terms = state.coins
-    if phi != 0.0:
-        terms = terms * np.exp(1j * phi * pmap.sigma_block(state.coords))[:, None]
-    sites, inverse = group_rows(targets)
-    dim = state.coin_dimension
-    # One bin per (site, component) slot.  bincount sums each bin in input
-    # order, as np.add.at would, so the sums are bitwise the same; writing
-    # them through .real/.imag copies them unchanged, where re + 1j*im
-    # would add a signed zero to every part.
-    slots = (inverse[:, None] * dim + np.arange(dim)).ravel()
-    out = np.empty((len(sites), dim), dtype=np.complex128)
-    out.real = np.bincount(slots, terms.real.ravel(), out.size).reshape(out.shape)
-    out.imag = np.bincount(slots, terms.imag.ravel(), out.size).reshape(out.shape)
-    projected = WalkState.from_blocks(pmap.target, sites, out)
-    total = norm(projected)
+    sites, inverse = group_rows(pmap.rho_block(state.coords))
+    out = _fiber_sums(pmap, phis, state, inverse, len(sites))
     source_norm = norm(state)
+    for coins in out:
+        _check_not_null(pmap, coins, source_norm)
+    return sites, out
+
+
+def _fiber_sums(
+    pmap: ProjectionMap,
+    phis: Sequence[float],
+    state: WalkState,
+    inverse: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """The ``(M, size, dim)`` fiber sums of the state at each of M phases.
+
+    ``inverse`` gives, for every site of the state, the row of its rho-image
+    among ``size`` target rows; a row that no site maps to sums to zero.
+    At phase phi the term at x is weighted by exp(i*phi*sigma(x)), and at
+    phi = 0 it is taken as it is.
+    """
+    coins = state.coins
+    if any(phi != 0.0 for phi in phis):
+        sigma = pmap.sigma_block(state.coords)
+    weighted = [
+        coins if phi == 0.0 else coins * np.exp(1j * phi * sigma)[:, None] for phi in phis
+    ]
+    terms = weighted[0][None] if len(weighted) == 1 else np.stack(weighted)
+    # One bin per (phase, row, component, real or imaginary part) slot.
+    # bincount sums each bin in input order, as np.add.at would, so the
+    # sums are bitwise the same; viewing the summed parts as complex keeps
+    # them unchanged, where re + 1j*im would add a signed zero to each.
+    parts = np.ascontiguousarray(terms).view(np.float64)
+    width = parts.shape[-1]
+    rows = np.arange(len(phis))[:, None] * size + inverse
+    slots = (rows[..., None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, parts.ravel(), len(phis) * size * width)
+    return sums.view(np.complex128).reshape(len(phis), size, width // 2)
+
+
+def _check_not_null(pmap: ProjectionMap, coins: np.ndarray, source_norm: float) -> None:
+    """Raise NullProjection when the projected coin block's norm is at most
+    ``NULL_TOL`` times the norm of the state it was projected from."""
+    total = math.sqrt(float(np.vdot(coins, coins).real))
     if total <= NULL_TOL * source_norm:
         raise NullProjection(
             f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
             f"(input norm {source_norm:.3e})"
         )
-    if normalize:
-        projected = scale(1.0 / total, projected)
-    return projected
 
 
 def check_coin_homogeneity(
@@ -236,6 +285,15 @@ def verify_commutation(
     norm of psi0, so scaling psi0 does not change the verdict.
     A NullProjection on the initial state propagates to the caller; later
     projections cannot vanish because the induced evolution is unitary.
+
+    The parent steps through :func:`~qwproj.walk.evolve`.  The induced walk
+    steps on bare coordinate and coin blocks through the step kernel, with
+    its step phases and coin taken once.  Each step's projection and
+    residual share one merge: the parent's rho-images and the induced sites
+    are grouped together, the phase-weighted fiber sums are written onto
+    that union and the induced coins are subtracted there.  The residuals
+    are bitwise those of :func:`project_state` followed by
+    :func:`~qwproj.hilbert.diff_norm`.
     """
     n = _step_count(n)
     projected = project_state(pmap, phi, psi0)
@@ -243,13 +301,33 @@ def verify_commutation(
     if not walk.coin.is_homogeneous:
         window = reachable_window(walk.space, psi0.support, n)
     induced = induced_walk(walk, pmap, phi, window=window)
+    space = induced.space
+    phases = induced.step_phases()
+    coin = induced.coin.matrix.T if induced.coin.is_homogeneous else None
+    coords, coins = projected.coords, projected.coins
+    headroom = 0
     residuals = []
     upper = psi0
-    lower = projected
     for _ in range(n):
         upper = evolve(walk, upper, 1)
-        lower = evolve(induced, lower, 1)
-        residuals.append(diff_norm(project_state(pmap, phi, upper), lower))
+        if coin is None:
+            coins = apply_coin(induced, WalkState.from_blocks(space, coords, coins)).coins
+        else:
+            coins = coins @ coin
+        if not headroom:
+            headroom = _step_headroom(space, coords)
+        headroom -= 1
+        coords, coins = _step_block(space, coords, coins, phases)
+        targets = pmap.rho_block(upper.coords)
+        sites, inverse = group_rows(np.concatenate([targets, coords]))
+        hits, own = inverse[: len(targets)], inverse[len(targets) :]
+        diff = _fiber_sums(pmap, (phi,), upper, hits, len(sites))[0]
+        hit = np.zeros(len(sites), dtype=bool)
+        hit[hits] = True
+        _check_not_null(pmap, diff[hit], norm(upper))
+        # The induced state holds each site once, so no index repeats.
+        diff[own] -= coins
+        residuals.append(math.sqrt(float(np.vdot(diff, diff).real)))
     max_residual = max(residuals, default=0.0)
     passed = max_residual < tol * norm(psi0)
     logger.debug(

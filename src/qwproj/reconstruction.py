@@ -51,9 +51,9 @@ from .errors import (
     MissingSigma,
 )
 from .hilbert import WalkState
-from .projection import induced_walk, project_state
+from .projection import _project_phases, induced_walk
 from .spaces import Position, ProjectionMap, group_rows, pack_positions
-from .walk import WalkSpec, _step_block, _step_count
+from .walk import WalkSpec, _step_block, _step_count, _step_headroom
 
 logger = logging.getLogger(__name__)
 
@@ -121,27 +121,31 @@ def phase_projection_family(
 
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
-    differ only in their step phases.  They therefore advance together as
-    one ``(M, n, dim)`` coin block on one coordinate block, through the step
-    kernel of :func:`~qwproj.walk.apply_step`, and the returned states share
+    differ only in their step phases.  psi0 is therefore projected at all M
+    phases in one fiber-sum pass, and the walks advance together as one
+    ``(M, n, dim)`` coin block on one coordinate block, through the step
+    kernel of :func:`~qwproj.walk.apply_step`; the returned states share
     that coordinate block.  Each state equals, entry for entry, the separate
-    evolution of its induced walk.
+    evolution of its induced walk from :func:`~qwproj.projection.project_state`.
     """
     steps = _step_count(n)
     grid = phase_grid(samples, delta)
     specs = [induced_walk(walk, pmap, phi) for phi in grid]
-    projected = [project_state(pmap, phi, psi0) for phi in grid]
+    coords, block = _project_phases(pmap, grid, psi0)
     space = pmap.target
-    coords = projected[0].coords
-    block = np.stack([p.coins for p in projected])
     # One (1, dim) phase row per walk, broadcast over its sites; the phi = 0
     # walk has none, and a factor of one leaves its amplitudes unchanged.
     free = np.ones(space.coin_dimension, dtype=np.complex128)
     rows = [spec.step_phases() for spec in specs]
     phases = np.stack([free if row is None else row for row in rows])[:, None, :]
     coin = specs[0].coin.matrix.T
+    headroom = 0
     for _ in range(steps):
-        coords, block = _step_block(space, coords, block @ coin, phases)
+        block = block @ coin
+        if not headroom:
+            headroom = _step_headroom(space, coords)
+        headroom -= 1
+        coords, block = _step_block(space, coords, block, phases)
     logger.debug("built projection family: %d phases, %d steps", samples, steps)
     return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 

@@ -97,9 +97,9 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = rows[order]
     starts = np.empty(len(rows), dtype=bool)
     starts[:1] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order] = np.add.accumulate(starts, dtype=np.intp) - 1
     return ranked[starts], inverse
 
 
@@ -115,7 +115,7 @@ def _group_in_box(
         key -= lo
     occupied = np.zeros(math.prod(spans), dtype=bool)
     occupied[key] = True
-    distinct = np.flatnonzero(occupied)
+    distinct = occupied.nonzero()[0]
     rank = np.empty(len(occupied), dtype=np.intp)
     rank[distinct] = np.arange(len(distinct))
     inverse = rank[key]

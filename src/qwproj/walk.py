@@ -4,12 +4,16 @@ Two independent engines advance a state by one step:
 
 * :func:`evolve` works on the packed blocks of the state: the coin is one
   matrix product over the coin block, and the step moves the coordinate
-  block along every displacement at once, merges coinciding images with a
-  lexicographic sort and scatters each coin component to its image
-  (multiplying in the optional per-direction step phase).  The step kernel
-  also takes coin blocks with a leading batch axis, so a family of walks
-  that share one support and differ only in their step phases advances in
-  one call (:func:`~qwproj.reconstruction.phase_projection_family`).
+  block along every displacement at once, merges coinciding images with
+  :func:`~qwproj.spaces.group_rows` (one int64 key per row over a dense
+  bounding box, else a ``lexsort``) and scatters each coin component to
+  its image (multiplying in the optional per-direction step phase).  The
+  step kernel also takes coin blocks with a leading batch axis, so a
+  family of walks that share one support and differ only in their step
+  phases advances in one call
+  (:func:`~qwproj.reconstruction.phase_projection_family`); the induced
+  walk of :func:`~qwproj.projection.verify_commutation` steps through it
+  on bare blocks as well.
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -201,8 +205,32 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
     _check_state(spec, state)
     if not len(state.coins):
         return state
-    sites, out = _step_block(spec.space, state.coords, state.coins, spec.step_phases())
-    return WalkState.from_blocks(spec.space, sites, out)
+    space = spec.space
+    check_coordinate_bound(state.coords, COORD_LIMIT - _reach(space))
+    sites, out = _step_block(space, state.coords, state.coins, spec.step_phases())
+    return WalkState.from_blocks(space, sites, out)
+
+
+def _reach(space: PositionSpace) -> int:
+    """How far one step moves any coordinate, at most."""
+    return max(d.reach for d in space.displacements)
+
+
+def _step_headroom(space: PositionSpace, coords: np.ndarray) -> int:
+    """Check a block as :func:`apply_step` does before a step, and return
+    how many steps, this one included, provably pass the same check.
+
+    A step moves no coordinate by more than the space's reach, so a block
+    whose largest |coordinate| is ``top`` stays within the check's bound
+    ``COORD_LIMIT - reach`` for ``(COORD_LIMIT - top) // reach`` steps.  A
+    loop that owns its steps checks again only when that many have passed,
+    and so raises at the same step, naming the same position, as a check
+    before every step would.
+    """
+    reach = _reach(space)
+    check_coordinate_bound(coords, COORD_LIMIT - reach)
+    top = max(int(coords.max()), -int(coords.min())) if len(coords) else 0
+    return (COORD_LIMIT - top) // max(reach, 1)
 
 
 def _step_block(
@@ -218,20 +246,21 @@ def _step_block(
     walk of a family sharing that support.  ``phases`` is None or the
     per-direction step phases shaped ``(..., dim)`` to broadcast against
     ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.  The
-    coordinate bound, the merge of coinciding images and the index
-    arithmetic are done once for the whole batch.
+    merge of coinciding images and the index arithmetic are done once for
+    the whole batch.  The caller checks the coordinate bound first: per
+    call in :func:`apply_step`, by headroom in a loop that owns its steps
+    (:func:`_step_headroom`).
     """
     disps = space.displacements
     dim = len(disps)
     n = len(coords)
-    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
     sites, inverse = group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
     amps = coins if phases is None else coins * phases
-    batch = coins.shape[:-2]
-    out = np.zeros(batch + (len(sites), dim), dtype=np.complex128)
-    # Image rows are grouped by displacement, and a displacement is
+    out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)
+    # Image rows are grouped by displacement, so entry [k, c] of this index
+    # is the image of site k under displacement c.  A displacement is
     # injective, so every (site, component) slot receives one amplitude.
-    out[..., inverse, np.repeat(np.arange(dim), n)] = amps.swapaxes(-1, -2).reshape(batch + (-1,))
+    out[..., inverse.reshape(dim, n).T, np.arange(dim)] = amps
     return sites, out
 
 

@@ -375,3 +375,27 @@ class TestLogging:
     def test_bad_log_level(self, monkeypatch):
         monkeypatch.setenv("QWPROJ_LOG", "verbose")
         assert main(["run", "--scenario", "grover2d_to_lazy"]) == 2
+
+
+class TestNegativePhiToken:
+    """A negative phase may follow --phi as its own token or after '='."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["verify", "--scenario", "line_to_circle", "--steps", "12"], ["--out-report"]),
+            (["run", "--scenario", "line_to_circle", "--steps", "12"], ["--out-state", "--out-dist"]),
+        ],
+        ids=["verify", "run"],
+    )
+    def test_both_spellings_agree(self, tmp_path, argv, outputs):
+        written = {}
+        for spelling, phi in (("token", ["--phi", "-pi/4"]), ("equals", ["--phi=-pi/4"])):
+            files = [tmp_path / f"{spelling}{flag}" for flag in outputs]
+            extra = [arg for flag, path in zip(outputs, files) for arg in (flag, str(path))]
+            assert main(argv + phi + extra) == 0
+            written[spelling] = [path.read_bytes() for path in files]
+        assert written["token"] == written["equals"]
+        direct = tmp_path / "direct"
+        assert main(argv + ["--phi", str(-math.pi / 4), outputs[0], str(direct)]) == 0
+        assert direct.read_bytes() == written["token"][0]

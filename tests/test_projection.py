@@ -17,9 +17,11 @@ from qwproj import (
     add,
     apply_coin,
     apply_step,
+    catalog,
     check_coin_homogeneity,
     cyclic_quotient,
     diff_norm,
+    evolve,
     grover_coin,
     hadamard_coin,
     induced_walk,
@@ -29,10 +31,12 @@ from qwproj import (
     llattice_quotient,
     max_abs_difference,
     project_state,
+    reachable_window,
     scale,
     state_new,
     verify_commutation,
 )
+from qwproj import walk as walk_module
 from conftest import identity_map, random_sparse_state
 
 Z2 = lattice_2d()
@@ -339,3 +343,112 @@ class TestNormBehaviour:
 
         assert norm(project_state(pm, 0.0, boosted)) > norm(boosted) * 1.01
         assert norm(project_state(pm, 0.0, shrunk)) < norm(shrunk) * 0.99
+
+
+def reference_residuals(walk, pm, phi, psi0, n, window=None):
+    """The residuals as the unfused definition computes them: project the
+    evolved parent and diff it against the evolved projection, step by step."""
+    induced = induced_walk(walk, pm, phi, window=window)
+    upper, lower = psi0, project_state(pm, phi, psi0)
+    out = []
+    for _ in range(n):
+        upper, lower = evolve(walk, upper, 1), evolve(induced, lower, 1)
+        out.append(diff_norm(project_state(pm, phi, upper), lower))
+    return out
+
+
+def shifted_line_map(offset):
+    """The line relabeled by x -> x + offset: a bijective quotient whose
+    target sits ``offset`` away from the source."""
+    return ProjectionMap(
+        source=line(),
+        target=line(),
+        rho=lambda p: (p[0] + offset,),
+        sigma=lambda p: 0,
+        sigma_c={"R": 0, "L": 0},
+        section=lambda q: (q[0] - offset,),
+        name=f"shift({offset})",
+        rho_array=lambda c: c + offset,
+    )
+
+
+TOP = 2**63 - 1
+
+
+class TestFusedCommutationLoop:
+    """verify_commutation's one-merge loop against the unfused definition."""
+
+    @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 3, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_residuals_are_bitwise_the_unfused_ones(self, name, phi, seed):
+        desc = catalog.scenario(name)
+        rng = np.random.default_rng(seed)
+        psi = random_sparse_state(desc.walk.space, rng, points=3, radius=3)
+        report = verify_commutation(desc.walk, desc.pmap, phi, psi, 12)
+        expected = reference_residuals(desc.walk, desc.pmap, phi, psi, 12)
+        assert np.array(report.residuals).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0])
+    def test_positional_coin(self, rng, phi):
+        pm = cyclic_quotient(3)
+        coins = [hadamard_coin(), np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex)]
+        parent = WalkSpec(line(), CoinAssignment.positional(lambda p: coins[p[0] % 3], 2))
+        psi = random_sparse_state(line(), rng, points=3, radius=4)
+        report = verify_commutation(parent, pm, phi, psi, 10)
+        window = reachable_window(line(), psi.support, 10)
+        expected = reference_residuals(parent, pm, phi, psi, 10, window=window)
+        assert np.array(report.residuals).tobytes() == np.array(expected).tobytes()
+        assert report.passed
+
+    @staticmethod
+    def parent_steps(monkeypatch):
+        """The support size of each state apply_step returns, as it returns it."""
+        sizes = []
+        step = walk_module.apply_step
+
+        def counted(spec, state):
+            out = step(spec, state)
+            sizes.append(len(out.coins))
+            return out
+
+        monkeypatch.setattr(walk_module, "apply_step", counted)
+        return sizes
+
+    @pytest.mark.parametrize("offset", [TOP - 5, -(TOP - 5)])
+    def test_induced_overflow_raises_at_the_same_step(self, monkeypatch, offset):
+        # The parent stays near 0; the induced walk starts 5 sites from the
+        # int64 limit and crosses the step's bound on its sixth step.
+        pm = shifted_line_map(offset)
+        psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])
+        induced = induced_walk(HADAMARD_LINE, pm)
+        with pytest.raises(InvalidPosition) as expected:
+            evolve(induced, project_state(pm, 0.0, psi), 10)
+        sizes = self.parent_steps(monkeypatch)
+        with pytest.raises(InvalidPosition) as raised:
+            verify_commutation(HADAMARD_LINE, pm, 0.0, psi, 10)
+        assert str(raised.value) == str(expected.value)
+        assert str(-TOP if offset < 0 else TOP) in str(raised.value)
+        assert len(sizes) == 6  # the parent's sixth step precedes the induced one
+
+    @pytest.mark.parametrize("start", [TOP - 3, -(TOP - 3)])
+    def test_parent_overflow_raises_at_the_same_step(self, monkeypatch, start):
+        psi = state_new(line(), [((start,), np.array([1, 1j]) / math.sqrt(2))])
+        with pytest.raises(InvalidPosition) as expected:
+            evolve(HADAMARD_LINE, psi, 10)
+        sizes = self.parent_steps(monkeypatch)
+        with pytest.raises(InvalidPosition) as raised:
+            verify_commutation(HADAMARD_LINE, cyclic_quotient(4), math.pi / 3, psi, 10)
+        assert str(raised.value) == str(expected.value)
+        assert len(sizes) == 3  # the fourth step's check fails
+
+    def test_parent_steps_through_apply_step(self, monkeypatch):
+        # A traced benchmark run reads the final parent support as the
+        # largest apply_step output; the parent must keep stepping there.
+        desc = catalog.scenario("grover2d_to_lazy")
+        psi = desc.distinguished_states["origin"]()
+        sizes = self.parent_steps(monkeypatch)
+        report = verify_commutation(desc.walk, desc.pmap, desc.phi, psi, 100)
+        assert report.passed
+        assert len(sizes) == 100
+        assert max(sizes) == sizes[-1] == 101 * 101

@@ -13,6 +13,7 @@ from qwproj import (
     GridTooCoarse,
     InconsistentGrid,
     InvalidParameter,
+    InvalidPosition,
     MissingSigma,
     NullProjection,
     WalkState,
@@ -34,12 +35,14 @@ from qwproj import (
     sigma_support_bounds,
     state_new,
 )
+from qwproj import projection as projection_module
 from qwproj.reconstruction import _fiber_stacks
 from conftest import random_sparse_state
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
 GENERIC4 = np.array([1, 1j, -1, -1j]) / 2
+TOP = 2**63 - 1
 
 
 def origin_state():
@@ -358,3 +361,57 @@ class TestFamilyProperties:
         )
         recovered = reconstruct_support(family, pm, candidates)
         assert max_abs_difference(recovered, expected) < 1e-12
+
+
+class TestFamilyProjection:
+    """The family projects psi0 at every grid phase in one fiber-sum pass."""
+
+    def test_one_fiber_sum_call_for_all_phases(self, monkeypatch):
+        calls = []
+        sums = projection_module._fiber_sums
+        monkeypatch.setattr(
+            projection_module, "_fiber_sums", lambda *args: calls.append(1) or sums(*args)
+        )
+        phase_projection_family(GROVER2D, lattice_quotient(2, 1), origin_state(), 3, 9)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_states_equal_separate_evolutions(self, rng, n):
+        pm = lattice_quotient(2, 1)
+        psi = random_sparse_state(Z2, rng, points=4, radius=3)
+        for phi, state in phase_projection_family(GROVER2D, pm, psi, n, 7, delta=0.3):
+            alone = evolve(induced_walk(GROVER2D, pm, phi), project_state(pm, phi, psi), n)
+            assert np.array_equal(state.coords, alone.coords)
+            assert np.array_equal(state.coins, alone.coins)
+
+    def test_null_projection_names_the_first_cancelling_phase(self):
+        # The fiber x = 0 holds g at sigma 0 and c*g at sigma 1, with c
+        # chosen so that the two cancel at the third grid phase only.
+        pm = lattice_quotient(1, 0)
+        grid = phase_grid(5)
+        c = -np.exp(-1j * grid[2])
+        psi = state_new(Z2, [((0, 0), GENERIC4), ((0, 1), c * GENERIC4)])
+        for phi in grid[:2]:
+            project_state(pm, phi, psi)
+        with pytest.raises(NullProjection) as expected:
+            project_state(pm, grid[2], psi)
+        with pytest.raises(NullProjection) as raised:
+            phase_projection_family(GROVER2D, pm, psi, 3, 5)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("start", [TOP - 3, -(TOP - 3)])
+    def test_int64_bound_checked_at_the_same_step(self, start):
+        # Three steps fit below the step's bound and the fourth crosses it;
+        # the family raises there, naming the position apply_step names.
+        pm = lattice_quotient(1, 0)
+        psi = state_new(Z2, [((start, 0), GENERIC4)])
+        phi = phase_grid(3)[1]
+        alone = induced_walk(GROVER2D, pm, phi)
+        family = phase_projection_family(GROVER2D, pm, psi, 3, 3)
+        expected = evolve(alone, project_state(pm, phi, psi), 3)
+        assert np.array_equal(family[1][1].coins, expected.coins)
+        with pytest.raises(InvalidPosition) as expected:
+            evolve(alone, project_state(pm, phi, psi), 4)
+        with pytest.raises(InvalidPosition) as raised:
+            phase_projection_family(GROVER2D, pm, psi, 4, 3)
+        assert str(raised.value) == str(expected.value)

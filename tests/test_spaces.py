@@ -383,8 +383,15 @@ class TestGroupRows:
             (np.tile(np.array([[TOP], [-TOP]], dtype=np.int64), (200, 1)), False),
             (np.tile(np.array([[TOP, -TOP], [TOP - 1, -TOP + 1]], dtype=np.int64), (100, 1)), True),
             (np.arange(400, dtype=np.int64).reshape(200, 2) * 10**6, False),
+            (np.array([[7]], dtype=np.int64), False),
+            (np.array([[2], [-1]], dtype=np.int64), False),
+            (np.arange(127, dtype=np.int64).reshape(127, 1) % 5, False),
+            (np.arange(128, dtype=np.int64).reshape(128, 1) % 5 - 2, True),
         ],
-        ids=["empty", "two-rows", "dense-box", "overflowing-box", "box-at-the-bound", "sparse"],
+        ids=[
+            "empty", "two-rows", "dense-box", "overflowing-box", "box-at-the-bound", "sparse",
+            "one-column-1", "one-column-2", "one-column-127", "one-column-128",
+        ],
     )
     def test_both_branches(self, monkeypatch, rows, boxed):
         calls = []
