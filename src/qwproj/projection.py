@@ -37,21 +37,15 @@ from .errors import (
 )
 from .hilbert import WalkState, norm, scale
 from .spaces import Position, ProjectionMap, group_rows, reachable_window
-from .walk import (
-    CoinAssignment,
-    StepPhase,
-    WalkSpec,
-    _step_block,
-    _step_count,
-    _step_headroom,
-    apply_coin,
-    evolve,
-)
+from .walk import CoinAssignment, StepPhase, WalkSpec, _advance_block, _step_count, evolve
 
 logger = logging.getLogger(__name__)
 
 NULL_TOL = 1e-12
 HOMOGENEITY_TOL = 1e-12
+# Coin entries (sites x phases x dim) summed per _fiber_sums call when
+# several phases are projected at once: about 1 MB per scratch block.
+_FIBER_CHUNK = 1 << 16
 
 __all__ = [
     "NULL_TOL",
@@ -136,10 +130,15 @@ def _project_phases(
     if any(phi != 0.0 for phi in phis) and pmap.sigma is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     sites, inverse = group_rows(pmap.rho_block(state.coords))
-    out = _fiber_sums(pmap, phis, state, inverse, len(sites))
+    out = np.empty((len(phis), len(sites), pmap.target.coin_dimension), dtype=np.complex128)
     source_norm = norm(state)
-    for coins in out:
-        _check_not_null(pmap, coins, source_norm)
+    # Phases go through _fiber_sums in chunks, so its scratch blocks stay
+    # bounded however many phases are asked for.
+    chunk = max(1, _FIBER_CHUNK // max(state.coins.size, 1))
+    for lo in range(0, len(phis), chunk):
+        out[lo : lo + chunk] = _fiber_sums(pmap, phis[lo : lo + chunk], state, inverse, len(sites))
+        for coins in out[lo : lo + chunk]:
+            _check_not_null(pmap, coins, source_norm)
     return sites, out
 
 
@@ -287,8 +286,8 @@ def verify_commutation(
     projections cannot vanish because the induced evolution is unitary.
 
     The parent steps through :func:`~qwproj.walk.evolve`.  The induced walk
-    steps on bare coordinate and coin blocks through the step kernel, with
-    its step phases and coin taken once.  Each step's projection and
+    steps on bare coordinate and coin blocks through the same coin and step
+    kernels, with its step phases taken once.  Each step's projection and
     residual share one merge: the parent's rho-images and the induced sites
     are grouped together, the phase-weighted fiber sums are written onto
     that union and the induced coins are subtracted there.  The residuals
@@ -301,32 +300,21 @@ def verify_commutation(
     if not walk.coin.is_homogeneous:
         window = reachable_window(walk.space, psi0.support, n)
     induced = induced_walk(walk, pmap, phi, window=window)
-    space = induced.space
     phases = induced.step_phases()
-    coin = induced.coin.matrix.T if induced.coin.is_homogeneous else None
     coords, coins = projected.coords, projected.coins
-    headroom = 0
     residuals = []
     upper = psi0
     for _ in range(n):
         upper = evolve(walk, upper, 1)
-        if coin is None:
-            coins = apply_coin(induced, WalkState.from_blocks(space, coords, coins)).coins
-        else:
-            coins = coins @ coin
-        if not headroom:
-            headroom = _step_headroom(space, coords)
-        headroom -= 1
-        coords, coins = _step_block(space, coords, coins, phases)
+        coords, coins = _advance_block(induced, coords, coins, phases)
         targets = pmap.rho_block(upper.coords)
         sites, inverse = group_rows(np.concatenate([targets, coords]))
-        hits, own = inverse[: len(targets)], inverse[len(targets) :]
-        diff = _fiber_sums(pmap, (phi,), upper, hits, len(sites))[0]
-        hit = np.zeros(len(sites), dtype=bool)
-        hit[hits] = True
-        _check_not_null(pmap, diff[hit], norm(upper))
+        diff = _fiber_sums(pmap, (phi,), upper, inverse[: len(targets)], len(sites))[0]
+        # Rows that no parent site maps to hold exact zeros, so this is the
+        # norm of the projection.
+        _check_not_null(pmap, diff, norm(upper))
         # The induced state holds each site once, so no index repeats.
-        diff[own] -= coins
+        diff[inverse[len(targets) :]] -= coins
         residuals.append(math.sqrt(float(np.vdot(diff, diff).real)))
     max_residual = max(residuals, default=0.0)
     passed = max_residual < tol * norm(psi0)

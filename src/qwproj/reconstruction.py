@@ -53,7 +53,7 @@ from .errors import (
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
 from .spaces import Position, ProjectionMap, group_rows, pack_positions
-from .walk import WalkSpec, _step_block, _step_count, _step_headroom
+from .walk import WalkSpec, _advance_block, _step_count
 
 logger = logging.getLogger(__name__)
 
@@ -121,11 +121,12 @@ def phase_projection_family(
 
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
-    differ only in their step phases.  psi0 is therefore projected at all M
-    phases in one fiber-sum pass, and the walks advance together as one
-    ``(M, n, dim)`` coin block on one coordinate block, through the step
-    kernel of :func:`~qwproj.walk.apply_step`; the returned states share
-    that coordinate block.  Each state equals, entry for entry, the separate
+    differ only in their step phases.  psi0's fibers are therefore grouped
+    once and summed at many phases per call, and the walks advance together
+    as one ``(M, n, dim)`` coin block on one coordinate block, through the
+    coin and step kernels of :func:`~qwproj.walk.apply_coin` and
+    :func:`~qwproj.walk.apply_step`; the returned states share that
+    coordinate block.  Each state equals, entry for entry, the separate
     evolution of its induced walk from :func:`~qwproj.projection.project_state`.
     """
     steps = _step_count(n)
@@ -138,14 +139,8 @@ def phase_projection_family(
     free = np.ones(space.coin_dimension, dtype=np.complex128)
     rows = [spec.step_phases() for spec in specs]
     phases = np.stack([free if row is None else row for row in rows])[:, None, :]
-    coin = specs[0].coin.matrix.T
-    headroom = 0
     for _ in range(steps):
-        block = block @ coin
-        if not headroom:
-            headroom = _step_headroom(space, coords)
-        headroom -= 1
-        coords, block = _step_block(space, coords, block, phases)
+        coords, block = _advance_block(specs[0], coords, block, phases)
     logger.debug("built projection family: %d phases, %d steps", samples, steps)
     return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 

@@ -11,9 +11,12 @@ Two independent engines advance a state by one step:
   step kernel also takes coin blocks with a leading batch axis, so a
   family of walks that share one support and differ only in their step
   phases advances in one call
-  (:func:`~qwproj.reconstruction.phase_projection_family`); the induced
-  walk of :func:`~qwproj.projection.verify_commutation` steps through it
-  on bare blocks as well.
+  (:func:`~qwproj.reconstruction.phase_projection_family`).  The coin
+  and the step each have one block kernel; :func:`apply_coin` and
+  :func:`apply_step` wrap them for states, and loops that step bare
+  blocks (the phase family, the induced walk of
+  :func:`~qwproj.projection.verify_commutation`) call both through
+  ``_advance_block``.
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -184,14 +187,17 @@ def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
     _check_state(spec, state)
     if not len(state.coins):
         return state
-    coin = spec.coin
+    return state.with_coins(_coin_block(spec.coin, state.coords, state.coins))
+
+
+def _coin_block(coin: CoinAssignment, coords: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """The coin on packed blocks: the ``(..., n, dim)`` coin block after the
+    coin, for the ``(n, d)`` coordinate block it sits on."""
     if coin.is_homogeneous:
-        out = state.coins @ coin.matrix.T
-    else:
-        positions = list(map(tuple, state.coords.tolist()))
-        mats = _check_unitaries(list(map(coin.matrix_fn, positions)), coin.dimension, positions)
-        out = (mats @ state.coins[:, :, None])[:, :, 0]
-    return state.with_coins(out)
+        return coins @ coin.matrix.T
+    positions = list(map(tuple, coords.tolist()))
+    mats = _check_unitaries(list(map(coin.matrix_fn, positions)), coin.dimension, positions)
+    return (mats @ coins[..., None])[..., 0]
 
 
 def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
@@ -205,32 +211,22 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
     _check_state(spec, state)
     if not len(state.coins):
         return state
-    space = spec.space
-    check_coordinate_bound(state.coords, COORD_LIMIT - _reach(space))
-    sites, out = _step_block(space, state.coords, state.coins, spec.step_phases())
-    return WalkState.from_blocks(space, sites, out)
+    sites, out = _step_block(spec.space, state.coords, state.coins, spec.step_phases())
+    return WalkState.from_blocks(spec.space, sites, out)
 
 
-def _reach(space: PositionSpace) -> int:
-    """How far one step moves any coordinate, at most."""
-    return max(d.reach for d in space.displacements)
-
-
-def _step_headroom(space: PositionSpace, coords: np.ndarray) -> int:
-    """Check a block as :func:`apply_step` does before a step, and return
-    how many steps, this one included, provably pass the same check.
-
-    A step moves no coordinate by more than the space's reach, so a block
-    whose largest |coordinate| is ``top`` stays within the check's bound
-    ``COORD_LIMIT - reach`` for ``(COORD_LIMIT - top) // reach`` steps.  A
-    loop that owns its steps checks again only when that many have passed,
-    and so raises at the same step, naming the same position, as a check
-    before every step would.
-    """
-    reach = _reach(space)
-    check_coordinate_bound(coords, COORD_LIMIT - reach)
-    top = max(int(coords.max()), -int(coords.min())) if len(coords) else 0
-    return (COORD_LIMIT - top) // max(reach, 1)
+def _advance_block(
+    spec: WalkSpec,
+    coords: np.ndarray,
+    coins: np.ndarray,
+    phases: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step U = SC on packed blocks, as :func:`apply_coin` then
+    :func:`apply_step` take it on a state: the image coordinate and coin
+    blocks.  ``phases`` is the walk's :meth:`WalkSpec.step_phases`, taken
+    once by a loop that owns its steps, or the ``(M, 1, dim)`` stack of a
+    family (see :func:`_step_block`)."""
+    return _step_block(spec.space, coords, _coin_block(spec.coin, coords, coins), phases)
 
 
 def _step_block(
@@ -246,14 +242,13 @@ def _step_block(
     walk of a family sharing that support.  ``phases`` is None or the
     per-direction step phases shaped ``(..., dim)`` to broadcast against
     ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.  The
-    merge of coinciding images and the index arithmetic are done once for
-    the whole batch.  The caller checks the coordinate bound first: per
-    call in :func:`apply_step`, by headroom in a loop that owns its steps
-    (:func:`_step_headroom`).
+    coordinate bound, the merge of coinciding images and the index
+    arithmetic are done once for the whole batch.
     """
     disps = space.displacements
     dim = len(disps)
     n = len(coords)
+    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
     sites, inverse = group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
     amps = coins if phases is None else coins * phases
     out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)

@@ -364,7 +364,7 @@ class TestFamilyProperties:
 
 
 class TestFamilyProjection:
-    """The family projects psi0 at every grid phase in one fiber-sum pass."""
+    """The family groups psi0's fibers once and sums many phases per call."""
 
     def test_one_fiber_sum_call_for_all_phases(self, monkeypatch):
         calls = []
@@ -375,6 +375,26 @@ class TestFamilyProjection:
         phase_projection_family(GROVER2D, lattice_quotient(2, 1), origin_state(), 3, 9)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("phases_per_call", [1, 3, 7])
+    def test_chunked_sums_equal_each_projection(self, rng, monkeypatch, phases_per_call):
+        pm = lattice_quotient(2, 1)
+        psi = random_sparse_state(Z2, rng, points=6, radius=3)
+        monkeypatch.setattr(projection_module, "_FIBER_CHUNK", phases_per_call * psi.coins.size)
+        sizes = []
+        sums = projection_module._fiber_sums
+        monkeypatch.setattr(
+            projection_module,
+            "_fiber_sums",
+            lambda pmap, phis, *rest: sizes.append(len(phis)) or sums(pmap, phis, *rest),
+        )
+        grid = phase_grid(7, 0.3)
+        sites, block = projection_module._project_phases(pm, grid, psi)
+        assert max(sizes) == phases_per_call and sum(sizes) == 7
+        for phi, coins in zip(grid, block):
+            alone = project_state(pm, phi, psi)
+            assert np.array_equal(sites, alone.coords)
+            assert np.array_equal(coins, alone.coins)
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_states_equal_separate_evolutions(self, rng, n):
         pm = lattice_quotient(2, 1)
@@ -384,9 +404,13 @@ class TestFamilyProjection:
             assert np.array_equal(state.coords, alone.coords)
             assert np.array_equal(state.coins, alone.coins)
 
-    def test_null_projection_names_the_first_cancelling_phase(self):
+    @pytest.mark.parametrize("chunk", [projection_module._FIBER_CHUNK, 1])
+    def test_null_projection_names_the_first_cancelling_phase(self, monkeypatch, chunk):
         # The fiber x = 0 holds g at sigma 0 and c*g at sigma 1, with c
-        # chosen so that the two cancel at the third grid phase only.
+        # chosen so that the two cancel at the third grid phase only.  The
+        # check holds both with all phases in one fiber-sum call and with
+        # one phase per call.
+        monkeypatch.setattr(projection_module, "_FIBER_CHUNK", chunk)
         pm = lattice_quotient(1, 0)
         grid = phase_grid(5)
         c = -np.exp(-1j * grid[2])
