@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwproj",
         description="Coined quantum walks, graph-quotient projections, and reconstruction.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -150,17 +151,29 @@ def build_parser() -> argparse.ArgumentParser:
             help="pass threshold relative to the norm of the initial state (default 1e-10)",
         )
 
-    p_run = sub.add_parser("run", help="evolve the projected walk and export results")
+    # Every parser refuses an abbreviated flag, which argparse would
+    # otherwise expand to any flag it prefixes (--phi to --phi-samples).
+    p_run = sub.add_parser(
+        "run", help="evolve the projected walk and export results", allow_abbrev=False
+    )
     common(p_run)
     p_run.add_argument("--out-state", default=None, help="final state dump (JSON)")
     p_run.add_argument("--out-dist", default=None, help="position distribution (CSV)")
 
-    p_verify = sub.add_parser("verify", help="check projected evolution against evolved projection")
+    p_verify = sub.add_parser(
+        "verify",
+        help="check projected evolution against evolved projection",
+        allow_abbrev=False,
+    )
     common(p_verify)
     tolerance(p_verify)
     p_verify.add_argument("--out-report", default=None, help="commutation report (JSON)")
 
-    p_rec = sub.add_parser("reconstruct", help="recover a planar walk from its phase projections")
+    p_rec = sub.add_parser(
+        "reconstruct",
+        help="recover a planar walk from its phase projections",
+        allow_abbrev=False,
+    )
     common(p_rec, scenario=False)
     tolerance(p_rec)
     p_rec.add_argument("--k", type=int, required=True, help="quotient coefficient k")

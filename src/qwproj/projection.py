@@ -36,8 +36,16 @@ from .errors import (
     SpaceMismatch,
 )
 from .hilbert import WalkState, norm, scale
-from .spaces import Position, ProjectionMap, group_rows, reachable_window
-from .walk import CoinAssignment, StepPhase, WalkSpec, _advance_block, _step_count, evolve
+from .spaces import COORD_LIMIT, Position, ProjectionMap, group_rows, reachable_window
+from .walk import (
+    CoinAssignment,
+    StepPhase,
+    WalkSpec,
+    _advance_block,
+    _merge_images,
+    _step_count,
+    evolve,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -148,31 +156,79 @@ def _fiber_sums(
     state: WalkState,
     inverse: np.ndarray,
     size: int,
+    table: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The ``(M, size, dim)`` fiber sums of the state at each of M phases.
 
     ``inverse`` gives, for every site of the state, the row of its rho-image
     among ``size`` target rows; a row that no site maps to sums to zero.
     At phase phi the term at x is weighted by exp(i*phi*sigma(x)), and at
-    phi = 0 it is taken as it is.
+    phi = 0 it is taken as it is.  A single phase may bring a ``table`` of
+    its weights (see :func:`_phase_weights`).
     """
     coins = state.coins
-    if any(phi != 0.0 for phi in phis):
-        sigma = pmap.sigma_block(state.coords)
-    weighted = [
-        coins if phi == 0.0 else coins * np.exp(1j * phi * sigma)[:, None] for phi in phis
-    ]
-    terms = weighted[0][None] if len(weighted) == 1 else np.stack(weighted)
+    width = 2 * coins.shape[-1]
+    if len(phis) == 1:
+        phi = phis[0]
+        if phi != 0.0:
+            coins = coins * _phase_weights(phi, pmap.sigma_block(state.coords), table)[:, None]
+        rows = inverse
+    else:
+        if any(phi != 0.0 for phi in phis):
+            sigma = pmap.sigma_block(state.coords)
+        coins = np.stack(
+            [coins if phi == 0.0 else coins * np.exp(1j * phi * sigma)[:, None] for phi in phis]
+        )
+        rows = np.arange(len(phis))[:, None] * size + inverse
     # One bin per (phase, row, component, real or imaginary part) slot.
     # bincount sums each bin in input order, as np.add.at would, so the
     # sums are bitwise the same; viewing the summed parts as complex keeps
     # them unchanged, where re + 1j*im would add a signed zero to each.
-    parts = np.ascontiguousarray(terms).view(np.float64)
-    width = parts.shape[-1]
-    rows = np.arange(len(phis))[:, None] * size + inverse
+    # The float view needs contiguous rows, which a state built from a
+    # Fortran-ordered block lacks.
+    parts = np.ascontiguousarray(coins).view(np.float64)
     slots = (rows[..., None] * width + np.arange(width)).ravel()
     sums = np.bincount(slots, parts.ravel(), len(phis) * size * width)
     return sums.view(np.complex128).reshape(len(phis), size, width // 2)
+
+
+def _phase_weights(
+    phi: float, sigma: np.ndarray, table: tuple[int, np.ndarray] | None
+) -> np.ndarray:
+    """exp(i*phi*sigma) on a non-empty sigma block.
+
+    ``table`` is None or a pair ``(lo, values)`` holding the same np.exp
+    values for sigma = lo, lo + 1, ...; a block inside it is read off the
+    table, bitwise equal to what np.exp returns, and any other block is
+    computed directly.
+    """
+    if table is not None:
+        lo, values = table
+        if sigma.min() >= lo and sigma.max() < lo + len(values):
+            return values[sigma - lo]
+    return np.exp(1j * phi * sigma)
+
+
+def _phase_table(
+    pmap: ProjectionMap, phi: float, psi0: WalkState, n: int
+) -> tuple[int, np.ndarray] | None:
+    """The weights exp(i*phi*sigma) over every sigma the n steps from psi0
+    can reach, for :func:`_phase_weights`, or None when there is no phase.
+
+    sigma is additive, so a step moves it by at most s = max |sigma_c|: the
+    table spans [min sigma(psi0) - n*s, max sigma(psi0) + n*s], clipped to
+    the int64 coordinate range.  It is built only when psi0's own sigma
+    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries.
+    """
+    if phi == 0.0:
+        return None
+    sigma = pmap.sigma_block(psi0.coords)
+    reach = n * max(abs(int(v)) for v in pmap.sigma_c.values())
+    lo, hi = int(sigma.min()), int(sigma.max())
+    if hi - lo > 2 * reach:
+        return None
+    lo, hi = max(lo - reach, -COORD_LIMIT), min(hi + reach, COORD_LIMIT)
+    return lo, np.exp(1j * phi * (np.arange(hi - lo + 1) + lo))
 
 
 def _check_not_null(pmap: ProjectionMap, coins: np.ndarray, source_norm: float) -> None:
@@ -287,12 +343,19 @@ def verify_commutation(
 
     The parent steps through :func:`~qwproj.walk.evolve`.  The induced walk
     steps on bare coordinate and coin blocks through the same coin and step
-    kernels, with its step phases taken once.  Each step's projection and
-    residual share one merge: the parent's rho-images and the induced sites
-    are grouped together, the phase-weighted fiber sums are written onto
-    that union and the induced coins are subtracted there.  The residuals
-    are bitwise those of :func:`project_state` followed by
-    :func:`~qwproj.hilbert.diff_norm`.
+    kernels, with its step phases taken once.  A step's merge depends on
+    its coordinate block alone, so when the block equals the one of the
+    step two back, that step's merge is used again: on a finite quotient
+    the supports soon repeat (a 4-site circle's alternate between its two
+    parity classes, an odd circle's stay fixed), and at most two merges are
+    held.  Each step's projection and residual share one merge: the
+    parent's rho-images and the induced sites are grouped together, the
+    phase-weighted fiber sums are written onto that union and the induced
+    coins are subtracted there.  The parent's weights exp(i*phi*sigma) are
+    read off one table of the same np.exp values over the sigma range the
+    n steps can reach (see :func:`_phase_table`), and computed directly for
+    a step whose sigma leaves it.  The residuals are bitwise those of
+    :func:`project_state` followed by :func:`~qwproj.hilbert.diff_norm`.
     """
     n = _step_count(n)
     projected = project_state(pmap, phi, psi0)
@@ -301,15 +364,24 @@ def verify_commutation(
         window = reachable_window(walk.space, psi0.support, n)
     induced = induced_walk(walk, pmap, phi, window=window)
     phases = induced.step_phases()
+    table = _phase_table(pmap, phi, psi0, n)
     coords, coins = projected.coords, projected.coins
+    # The (coordinate block, merge) of the last two induced steps.
+    held = [None, None]
     residuals = []
     upper = psi0
-    for _ in range(n):
+    for t in range(n):
         upper = evolve(walk, upper, 1)
-        coords, coins = _advance_block(induced, coords, coins, phases)
+        last = held[t % 2]
+        if last is None or not (
+            last[0] is coords
+            or last[0].shape == coords.shape and np.array_equal(last[0], coords)
+        ):
+            last = held[t % 2] = (coords, _merge_images(induced.space, coords))
+        coords, coins = _advance_block(induced, coords, coins, phases, last[1])
         targets = pmap.rho_block(upper.coords)
         sites, inverse = group_rows(np.concatenate([targets, coords]))
-        diff = _fiber_sums(pmap, (phi,), upper, inverse[: len(targets)], len(sites))[0]
+        diff = _fiber_sums(pmap, (phi,), upper, inverse[: len(targets)], len(sites), table)[0]
         # Rows that no parent site maps to hold exact zeros, so this is the
         # norm of the projection.
         _check_not_null(pmap, diff, norm(upper))

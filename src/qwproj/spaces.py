@@ -133,7 +133,7 @@ class Displacement:
 
     ``apply`` moves a position forward, ``unapply`` is the inverse on the
     image (total for all catalog spaces, whose displacements are bijections).
-    ``apply_array`` is the same map acting row-wise on an ``(n, dim)`` int64
+    ``apply_array`` is the same map acting row-wise on an ``(n, d)`` int64
     coordinate block; the packed evolution engine steps with it.
     ``delta`` is set for pure integer translations.  ``reach`` bounds how far
     one application moves any coordinate; it defaults to the largest
@@ -279,8 +279,8 @@ def _modular(label: str, delta: int, n: int) -> Displacement:
         label=label,
         apply=lambda p: ((p[0] + delta) % n,),
         unapply=lambda p: ((p[0] - delta) % n,),
-        delta=(delta,),
         apply_array=lambda c: (c + delta) % n,
+        reach=abs(delta),
     )
 
 

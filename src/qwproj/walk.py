@@ -16,7 +16,9 @@ Two independent engines advance a state by one step:
   :func:`apply_step` wrap them for states, and loops that step bare
   blocks (the phase family, the induced walk of
   :func:`~qwproj.projection.verify_commutation`) call both through
-  ``_advance_block``.
+  ``_advance_block``.  The merge of a step depends on the coordinate block
+  alone; ``_merge_images`` computes it, and a loop whose supports repeat
+  can hand a held merge back to the step.
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -220,13 +222,29 @@ def _advance_block(
     coords: np.ndarray,
     coins: np.ndarray,
     phases: np.ndarray | None,
+    merge: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step U = SC on packed blocks, as :func:`apply_coin` then
     :func:`apply_step` take it on a state: the image coordinate and coin
     blocks.  ``phases`` is the walk's :meth:`WalkSpec.step_phases`, taken
     once by a loop that owns its steps, or the ``(M, 1, dim)`` stack of a
-    family (see :func:`_step_block`)."""
-    return _step_block(spec.space, coords, _coin_block(spec.coin, coords, coins), phases)
+    family; ``merge`` is :func:`_merge_images` of ``coords``, if the caller
+    holds it (see :func:`_step_block`)."""
+    return _step_block(spec.space, coords, _coin_block(spec.coin, coords, coins), phases, merge)
+
+
+def _merge_images(space: PositionSpace, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The merge of one step on an ``(n, d)`` coordinate block: the distinct
+    image rows, which are the next coordinate block, and the index among
+    them of each image row, the rows taken displacement by displacement.
+
+    Raises InvalidPosition, naming the position, when a step could leave
+    the int64 coordinate range.  The merge depends on the coordinate block
+    alone, so equal blocks have equal merges.
+    """
+    disps = space.displacements
+    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
+    return group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
 
 
 def _step_block(
@@ -234,6 +252,7 @@ def _step_block(
     coords: np.ndarray,
     coins: np.ndarray,
     phases: np.ndarray | None,
+    merge: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step on packed blocks: the image coordinate and coin blocks.
 
@@ -243,13 +262,12 @@ def _step_block(
     per-direction step phases shaped ``(..., dim)`` to broadcast against
     ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.  The
     coordinate bound, the merge of coinciding images and the index
-    arithmetic are done once for the whole batch.
+    arithmetic are done once for the whole batch; ``merge``, when given, is
+    :func:`_merge_images` of ``coords``, taken earlier.
     """
-    disps = space.displacements
-    dim = len(disps)
+    dim = len(space.displacements)
     n = len(coords)
-    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
-    sites, inverse = group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
+    sites, inverse = _merge_images(space, coords) if merge is None else merge
     amps = coins if phases is None else coins * phases
     out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)
     # Image rows are grouped by displacement, so entry [k, c] of this index

@@ -252,6 +252,10 @@ class TestArgumentChecks:
             (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/0"], "--phi"),
             (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "nan"], "--phi"),
             (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "inf"], "--phi"),
+            # An abbreviated flag is refused, not read as the flag it prefixes.
+            (["reconstruct", "--k", "2", "--l", "1", "--steps", "4", "--phi", "9"], "--phi"),
+            (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--steps", "3",
+              "--ph", "1.0"], "--ph"),
         ],
     )
     def test_rejected_before_any_work(self, tmp_path, capsys, argv, flag):

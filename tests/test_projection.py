@@ -14,6 +14,7 @@ from qwproj import (
     NullProjection,
     ProjectionMap,
     WalkSpec,
+    WalkState,
     add,
     apply_coin,
     apply_step,
@@ -36,6 +37,7 @@ from qwproj import (
     state_new,
     verify_commutation,
 )
+from qwproj import projection as projection_module
 from qwproj import walk as walk_module
 from conftest import identity_map, random_sparse_state
 
@@ -129,6 +131,14 @@ class TestProjectState:
         assert np.array_equal(
             np.ascontiguousarray(out.coins).view(np.uint64), expected.view(np.uint64)
         )
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5])
+    def test_fortran_ordered_coin_block(self, rng, phi):
+        psi = random_sparse_state(Z2, rng, points=6, radius=2)
+        fortran = WalkState.from_blocks(Z2, psi.coords, np.asfortranarray(psi.coins))
+        pm = lattice_quotient(1, 0)
+        out = project_state(pm, phi, fortran)
+        assert np.array_equal(out.coins, project_state(pm, phi, psi).coins)
 
     def test_phase_weights(self):
         pm = cyclic_quotient(4)
@@ -452,3 +462,136 @@ class TestFusedCommutationLoop:
         assert report.passed
         assert len(sizes) == 100
         assert max(sizes) == sizes[-1] == 101 * 101
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestRepeatingInducedMerges:
+    """The induced walk reuses the merge of the step two back when its
+    coordinate block repeats, and the parent's weights come from a table."""
+
+    @staticmethod
+    def induced_merges(monkeypatch):
+        """The coordinate block of each merge verify_commutation computes."""
+        blocks = []
+        merge = projection_module._merge_images
+
+        def counted(space, coords):
+            blocks.append(coords.copy())
+            return merge(space, coords)
+
+        monkeypatch.setattr(projection_module, "_merge_images", counted)
+        return blocks
+
+    @staticmethod
+    def induced_supports(desc, phi, psi, n):
+        """The coordinate block each of the n induced steps starts from."""
+        lower = project_state(desc.pmap, phi, psi)
+        spec = induced_walk(desc.walk, desc.pmap, phi)
+        blocks = []
+        for _ in range(n):
+            blocks.append(lower.coords)
+            lower = evolve(spec, lower, 1)
+        return blocks
+
+    @pytest.mark.parametrize("n_circle, merges", [(4, 3), (5, 6)])
+    def test_merges_until_the_supports_cycle(self, monkeypatch, n_circle, merges):
+        # The 4-circle's supports alternate between {1, 3} and {0, 2} after
+        # the first step; the 5-circle's fill it and stay, which costs one
+        # more merge than it has distinct supports.
+        desc = catalog.scenario("line_to_circle", n_circle=n_circle, phi=math.pi / 3)
+        psi = desc.distinguished_states["origin"]()
+        supports = self.induced_supports(desc, desc.phi, psi, 40)
+        changed = [
+            t for t in range(40) if t < 2 or not np.array_equal(supports[t], supports[t - 2])
+        ]
+        blocks = self.induced_merges(monkeypatch)
+        report = verify_commutation(desc.walk, desc.pmap, desc.phi, psi, 40)
+        assert len(blocks) == len(changed) == merges
+        for block, t in zip(blocks, changed):
+            assert np.array_equal(block, supports[t])
+        expected = reference_residuals(desc.walk, desc.pmap, desc.phi, psi, 40)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        assert report.passed
+
+    def test_supports_that_never_repeat_merge_every_step(self, monkeypatch, rng):
+        desc = catalog.scenario("line_to_circle", n_circle=64, phi=1.0)
+        psi = random_sparse_state(desc.walk.space, rng, points=3, radius=3)
+        blocks = self.induced_merges(monkeypatch)
+        report = verify_commutation(desc.walk, desc.pmap, desc.phi, psi, 12)
+        assert len(blocks) == 12
+        expected = reference_residuals(desc.walk, desc.pmap, desc.phi, psi, 12)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+
+    @pytest.mark.parametrize("phi", [math.pi / 3, -math.pi / 4, 1.0, 2.5])
+    def test_table_holds_the_exp_values(self, phi):
+        pm = cyclic_quotient(4)
+        psi = state_new(line(), [((-3,), (1, 0)), ((2,), (0, 1))])
+        lo, values = projection_module._phase_table(pm, phi, psi, 50)
+        assert (lo, len(values)) == (-53, 106)
+        sigma = np.arange(lo, lo + len(values))
+        assert bits(values).tobytes() == bits(np.exp(1j * phi * sigma)).tobytes()
+        assert projection_module._phase_table(pm, 0.0, psi, 50) is None
+
+    def test_weights_outside_the_table_are_computed(self):
+        phi = 0.9
+        table = (-2, np.exp(1j * phi * np.arange(-2, 3)))
+        weights = projection_module._phase_weights
+        for sigma in ([-2, 2, 0], [-3, 0], [0, 3], [7]):
+            sigma = np.array(sigma)
+            expected = np.exp(1j * phi * sigma)
+            assert bits(weights(phi, sigma, table)).tobytes() == bits(expected).tobytes()
+
+    def test_wide_initial_sigma_builds_no_table(self):
+        pm = cyclic_quotient(4)
+        psi = state_new(line(), [((0,), (1, 0)), ((21,), (0, 1))])
+        assert projection_module._phase_table(pm, 1.0, psi, 10) is None
+        assert projection_module._phase_table(pm, 1.0, psi, 11) is not None
+        expected = reference_residuals(HADAMARD_LINE, pm, 1.0, psi, 10)
+        report = verify_commutation(HADAMARD_LINE, pm, 1.0, psi, 10)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+
+    def test_sigma_leaving_the_table_falls_back_to_exp(self):
+        # sigma(x) = 3x while sigma_c says one per step: not additive, so
+        # the parent's sigma leaves the table after n/3 steps.
+        base = cyclic_quotient(4)
+        pm = ProjectionMap(
+            source=base.source,
+            target=base.target,
+            rho=base.rho,
+            sigma=lambda p: 3 * p[0],
+            sigma_c=base.sigma_c,
+            section=base.section,
+            name="mod4-tripled-sigma",
+            rho_array=base.rho_array,
+            sigma_array=lambda c: 3 * c[:, 0],
+        )
+        phi, n = 0.7, 30
+        psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])
+        lo, values = projection_module._phase_table(pm, phi, psi, n)
+        final = evolve(HADAMARD_LINE, psi, n)
+        assert pm.sigma_block(final.coords).max() >= lo + len(values)
+        report = verify_commutation(HADAMARD_LINE, pm, phi, psi, n)
+        expected = reference_residuals(HADAMARD_LINE, pm, phi, psi, n)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        assert not report.passed
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi])
+    def test_one_phase_sums_are_the_multi_phase_ones(self, rng, phi):
+        sites = [(x, y) for x in range(3) for y in range(-20, 20)]
+        coins = rng.normal(size=(len(sites), 4)) + 1j * rng.normal(size=(len(sites), 4))
+        coins[::7] = complex(-0.0, -0.0)
+        psi = state_new(Z2, list(zip(sites, coins)))
+        pm = lattice_quotient(1, 0)
+        fibers, inverse = np.unique(pm.rho_block(psi.coords), axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        sums = projection_module._fiber_sums
+        alone = sums(pm, (phi,), psi, inverse, len(fibers))
+        family = sums(pm, (0.3, phi, 0.0), psi, inverse, len(fibers))
+        assert alone.shape == (1, len(fibers), 4)
+        assert bits(alone[0]).tobytes() == bits(family[1]).tobytes()
+        table = projection_module._phase_table(pm, phi, psi, 1)
+        tabled = sums(pm, (phi,), psi, inverse, len(fibers), table)
+        assert bits(tabled).tobytes() == bits(alone).tobytes()

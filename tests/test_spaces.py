@@ -219,6 +219,16 @@ class TestCyclicQuotient:
         with pytest.raises(InvalidModulus):
             cyclic_quotient(0)
 
+    def test_rejects_circle_source(self):
+        # x mod 3 does not respect a 5-cycle's steps (rho(1) = rho(4), but
+        # R takes them to 2 and 0), so a circle is no translation line.
+        with pytest.raises(InvalidParameter, match="translation line"):
+            cyclic_quotient(3, source=circle(5))
+
+    def test_modular_steps_carry_a_reach_and_no_delta(self):
+        disps = circle(5, jumps=(("R", 3), ("L", -1), ("S", 0))).displacements
+        assert [(d.delta, d.reach) for d in disps] == [(None, 3), (None, 1), (None, 0)]
+
     def test_sigma_is_identity(self):
         pm = cyclic_quotient(4)
         assert pm.sigma((-7,)) == -7
