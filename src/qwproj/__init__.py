@@ -12,19 +12,15 @@ from .errors import (
     GridTooCoarse,
     InconsistentGrid,
     InhomogeneousCoin,
-    InvalidModulus,
     InvalidParameter,
     InvalidPosition,
     MissingSigma,
-    NotCoprime,
     NotUnitary,
     NullProjection,
     QwprojError,
     SpaceMismatch,
     StateOutsideSubspace,
     SubspaceNotInvariant,
-    UnknownDisplacement,
-    UnknownScenario,
 )
 from .spaces import (
     BezoutPair,
@@ -57,12 +53,8 @@ from .hilbert import (
     max_abs_difference,
     norm,
     position_distribution,
-    prune,
     scale,
-    state_from_json,
     state_new,
-    state_to_json,
-    sub,
     to_json_dict,
 )
 from .walk import (
@@ -77,7 +69,6 @@ from .walk import (
     grover_coin,
     hadamard_coin,
     state_to_vector,
-    vector_to_state,
 )
 from .projection import (
     CommutationReport,

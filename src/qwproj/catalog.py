@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidParameter, StateOutsideSubspace, SubspaceNotInvariant, UnknownScenario
+from .errors import InvalidParameter, StateOutsideSubspace, SubspaceNotInvariant
 from .hilbert import WalkState, state_new
 from .projection import project_state
 from .spaces import (
@@ -184,8 +184,13 @@ def scenario(
 
     ``k`` parameterizes lattice_to_jumps (default 2), ``n_circle`` and
     ``phi`` parameterize line_to_circle (defaults 4 and 0.0); ``phi`` also
-    sets the default projection phase of any other scenario.
+    sets the default projection phase of any other scenario.  A ``k`` or
+    ``n_circle`` given to a scenario that does not read it is refused.
     """
+    readers = {"k": (k, "lattice_to_jumps"), "n_circle": (n_circle, "line_to_circle")}
+    for param, (value, reader) in readers.items():
+        if value is not None and name != reader:
+            raise InvalidParameter(f"{param} is read by {reader} only, not by {name!r}")
     phi_val = 0.0 if phi is None else float(phi)
     if name in ("grover2d_to_lazy", "lattice_to_jumps", "lattice_to_doubled"):
         space = lattice_2d()
@@ -210,8 +215,6 @@ def scenario(
         return _descriptor(name, walk, pmap, phi_val, states, params)
     if name == "line_to_circle":
         n_val = 4 if n_circle is None else int(n_circle)
-        if n_val < 1:
-            raise InvalidParameter(f"circle size must be >= 1, got {n_val}")
         space = line()
         walk = WalkSpec(space, CoinAssignment.homogeneous(hadamard_coin()))
         pmap = cyclic_quotient(n_val)
@@ -231,7 +234,7 @@ def scenario(
             "pair": _pair(space, (0, 0), (1, 1), _GENERIC2),
         }
         return _descriptor(name, walk, pmap, phi_val, states, {})
-    raise UnknownScenario(f"no scenario named {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    raise InvalidParameter(f"no scenario named {name!r}; known: {', '.join(SCENARIO_NAMES)}")
 
 
 def restrict_to_three_coin(

@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    pmap = lattice_quotient(args.k, args.l)  # NotCoprime -> config error
+    pmap = lattice_quotient(args.k, args.l)  # a non-coprime pair exits as a config error
     desc = catalog.scenario("grover2d_to_lazy")
     parent = desc.walk
     psi0 = _initial_state(desc, args)

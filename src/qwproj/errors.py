@@ -17,20 +17,8 @@ class SpaceMismatch(QwprojError):
     """Two states (or a state and an operator) live on incompatible spaces."""
 
 
-class UnknownDisplacement(QwprojError):
-    """A displacement label is not declared by the space."""
-
-
 class NotUnitary(QwprojError):
     """A coin matrix fails the unitarity tolerance."""
-
-
-class NotCoprime(QwprojError):
-    """gcd(k, l) != 1 where a coprime pair is required."""
-
-
-class InvalidModulus(QwprojError):
-    """Circle size must be a positive integer."""
 
 
 class MissingSigma(QwprojError):
@@ -53,12 +41,9 @@ class InconsistentGrid(QwprojError):
     """Phase samples do not form a uniform grid of spacing 2*pi/M."""
 
 
-class UnknownScenario(QwprojError):
-    """No catalog scenario is registered under the given name."""
-
-
 class InvalidParameter(QwprojError):
-    """A scenario or plan parameter is out of range."""
+    """An argument is out of range or malformed: a circle size, a non-coprime
+    pair, an unknown scenario or displacement label, a bad state dump."""
 
 
 class SubspaceNotInvariant(QwprojError):

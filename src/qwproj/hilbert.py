@@ -25,8 +25,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPosition, SpaceMismatch
-from .spaces import Position, PositionSpace, group_rows, pack_positions
+from .errors import DimensionMismatch, InvalidParameter, InvalidPosition, SpaceMismatch
+from .spaces import Position, PositionSpace, check_same_space, group_rows, pack_positions
 
 __all__ = [
     "WalkState",
@@ -34,18 +34,14 @@ __all__ = [
     "norm",
     "inner",
     "position_distribution",
-    "prune",
     "scale",
     "add",
-    "sub",
     "diff_norm",
     "max_abs_difference",
     "to_json_dict",
     "from_json_dict",
     "json_chunks",
     "json_text",
-    "state_to_json",
-    "state_from_json",
     "distribution_csv",
 ]
 
@@ -56,7 +52,8 @@ class WalkState:
     ``WalkState(space, {position: coin vector})`` copies the mapping into
     the packed layout; kernels build states directly from blocks with
     :meth:`from_blocks`.  ``coords``, ``coins`` and ``support`` are
-    read-only.  Explicit zero vectors are kept until :func:`prune`.
+    read-only.  A site whose coin vector cancels to zero keeps an explicit
+    zero row: no operation drops sites, so exact cancellations stay visible.
     Compare states numerically (:func:`diff_norm`,
     :func:`max_abs_difference`), not with ``==``.
     """
@@ -132,13 +129,6 @@ class WalkState:
         return f"<WalkState on {self.space.name}: {len(self._coins)} positions, norm={norm(self):.6g}>"
 
 
-def _check_compatible(a: WalkState, b: WalkState) -> None:
-    if a.space.signature != b.space.signature:
-        raise SpaceMismatch(
-            f"states live on different spaces: {a.space.name!r} vs {b.space.name!r}"
-        )
-
-
 def state_new(
     space: PositionSpace,
     assignments: Iterable[tuple[Position, Iterable[complex]]],
@@ -177,7 +167,7 @@ def norm(state: WalkState) -> float:
 
 def inner(a: WalkState, b: WalkState) -> complex:
     """Scalar product, conjugate-linear in ``a`` and linear in ``b``."""
-    _check_compatible(a, b)
+    check_same_space(b.space, a.space, "second state")
     total = 0j
     small, big = (a, b) if len(a.support) <= len(b.support) else (b, a)
     for pos, vec in small.support.items():
@@ -198,40 +188,21 @@ def position_distribution(state: WalkState) -> dict[Position, float]:
     }
 
 
-def prune(state: WalkState, eps: float = 0.0) -> WalkState:
-    """Drop support points whose coin vector has 2-norm <= ``eps``.
-
-    The default drops exactly-zero vectors only; evolution and projection
-    never prune implicitly, so exact cancellations stay observable until
-    this is called.
-    """
-    kept = {
-        pos: vec
-        for pos, vec in state.support.items()
-        if math.sqrt(float(np.vdot(vec, vec).real)) > eps
-    }
-    return WalkState(state.space, kept)
-
-
 def scale(z: complex, state: WalkState) -> WalkState:
     return state.with_coins(z * state.coins)
 
 
 def add(a: WalkState, b: WalkState) -> WalkState:
-    _check_compatible(a, b)
+    check_same_space(b.space, a.space, "second state")
     out = dict(a.support)
     for pos, vec in b.support.items():
         out[pos] = out[pos] + vec if pos in out else vec
     return WalkState(a.space, out)
 
 
-def sub(a: WalkState, b: WalkState) -> WalkState:
-    return add(a, scale(-1.0, b))
-
-
 def _difference(a: WalkState, b: WalkState) -> np.ndarray:
     """The coin block of a - b over the union of the two supports."""
-    _check_compatible(a, b)
+    check_same_space(b.space, a.space, "second state")
     sites, inverse = group_rows(np.concatenate([a.coords, b.coords]))
     diff = np.zeros((len(sites), a.coin_dimension), dtype=np.complex128)
     # A state holds each site once, so neither assignment repeats an index.
@@ -268,17 +239,29 @@ def to_json_dict(state: WalkState) -> dict:
 def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
     """Rebuild a state on ``space`` from its dump; the space name must match.
 
-    Unlike :func:`state_new`, which sums repeated positions, a dump listing
-    a position twice is refused with InvalidPosition naming it.
+    A dump that is not an object, or whose support is not a list of
+    ``{"pos": [...], "coin": [[re, im], ...]}`` entries, is refused with
+    InvalidParameter naming the first bad entry.  Unlike :func:`state_new`,
+    which sums repeated positions, a dump listing a position twice is
+    refused with InvalidPosition naming it.
     """
+    if not isinstance(data, Mapping):
+        raise InvalidParameter(f"a state dump is a JSON object, not {type(data).__name__}")
     if data.get("space") != space.name:
         raise SpaceMismatch(
             f"dump is for space {data.get('space')!r}, expected {space.name!r}"
         )
+    if not isinstance(data.get("support"), list):
+        raise InvalidParameter('a state dump\'s "support" is a list of entries')
     assignments = []
-    for entry in data["support"]:
-        pos = tuple(entry["pos"])
-        vec = [complex(re, im) for re, im in entry["coin"]]
+    for i, entry in enumerate(data["support"]):
+        try:
+            pos = tuple(entry["pos"])
+            vec = [complex(re, im) for re, im in entry["coin"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f'dump entry {i} is not {{"pos": [...], "coin": [[re, im], ...]}}: {exc}'
+            ) from None
         assignments.append((pos, vec))
     state = state_new(space, assignments)
     if len(state.coins) < len(assignments):
@@ -385,14 +368,6 @@ def _spliced(parts: list[str], states: list[WalkState]) -> Iterator[str]:
 def json_text(obj) -> str:
     """The text of :func:`json_chunks` as one string."""
     return "".join(json_chunks(obj))
-
-
-def state_to_json(state: WalkState) -> str:
-    return json_text(state)
-
-
-def state_from_json(space: PositionSpace, text: str) -> WalkState:
-    return from_json_dict(space, json.loads(text))
 
 
 def distribution_csv(state: WalkState) -> str:

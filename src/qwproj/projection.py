@@ -36,7 +36,14 @@ from .errors import (
     SpaceMismatch,
 )
 from .hilbert import WalkState, norm, scale
-from .spaces import COORD_LIMIT, Position, ProjectionMap, group_rows, reachable_window
+from .spaces import (
+    COORD_LIMIT,
+    Position,
+    ProjectionMap,
+    check_same_space,
+    group_rows,
+    reachable_window,
+)
 from .walk import (
     CoinAssignment,
     StepPhase,
@@ -126,10 +133,7 @@ def _project_phases(
     sites, which every phase shares, and the ``(M, sites, dim)`` coin block.
     NullProjection is raised for the first phase, in the given order, whose
     projection cancels."""
-    if state.space.signature != pmap.source.signature:
-        raise SpaceMismatch(
-            f"state on {state.space.name!r} fed to a projection from {pmap.source.name!r}"
-        )
+    check_same_space(state.space, pmap.source, "state fed to the projection")
     if pmap.target.coin_dimension != state.coin_dimension:
         raise SpaceMismatch(
             "target space does not preserve the coin dimension; "
@@ -286,10 +290,7 @@ def induced_walk(
     (InhomogeneousCoin on failure); pass the causally relevant region, e.g.
     :func:`~qwproj.spaces.reachable_window` of the initial support.
     """
-    if walk.space.signature != pmap.source.signature:
-        raise SpaceMismatch(
-            f"walk on {walk.space.name!r} fed to a projection from {pmap.source.name!r}"
-        )
+    check_same_space(walk.space, pmap.source, "walk fed to the projection")
     if walk.coin.is_homogeneous:
         coin = walk.coin
     else:

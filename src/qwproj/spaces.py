@@ -17,13 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    InvalidModulus,
-    InvalidParameter,
-    InvalidPosition,
-    NotCoprime,
-    UnknownDisplacement,
-)
+from .errors import InvalidParameter, InvalidPosition, SpaceMismatch
 
 Position = tuple[int, ...]
 
@@ -189,7 +183,14 @@ class PositionSpace:
         for d in self.displacements:
             if d.label == label:
                 return d
-        raise UnknownDisplacement(f"space {self.name!r} has no displacement {label!r}")
+        raise InvalidParameter(f"space {self.name!r} has no displacement {label!r}")
+
+
+def check_same_space(given: PositionSpace, expected: PositionSpace, what: str) -> None:
+    """Raise SpaceMismatch unless the two spaces have equal signatures;
+    ``what`` names the operand on ``given`` in the message."""
+    if given.signature != expected.signature:
+        raise SpaceMismatch(f"{what} is on {given.name!r}, expected {expected.name!r}")
 
 
 @dataclass(frozen=True)
@@ -233,10 +234,6 @@ class ProjectionMap:
     name: str = ""
     rho_array: Callable[[np.ndarray], np.ndarray] | None = None
     sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def induced(self, label: str) -> Displacement:
-        """The displacement induced on the target for a source label."""
-        return self.target.displacement(label)
 
     def rho_block(self, coords: np.ndarray) -> np.ndarray:
         """``rho`` on an ``(n, d)`` int64 coordinate block: the ``(n, d')`` targets."""
@@ -332,7 +329,7 @@ def line(jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSp
 def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
     """A cycle of ``n`` vertices with modular steps; positions are 0..n-1."""
     if n < 1:
-        raise InvalidModulus(f"circle size must be >= 1, got {n}")
+        raise InvalidParameter(f"circle size must be >= 1, got {n}")
     jumps = tuple((str(lbl), int(d)) for lbl, d in jumps)
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
@@ -349,44 +346,25 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> 
     )
 
 
-def _llattice_a() -> Displacement:
-    # a raises x+y by one everywhere: +x at even parity, +y at odd parity.
+def _llattice_step(label: str, sign: int) -> Displacement:
+    # Moves x+y by sign everywhere: along x at even parity, along y at odd
+    # parity.  A step flips the parity, so unapply reads it off the image.
     def apply(p: Position) -> Position:
         x, y = p
-        return (x + 1, y) if (x + y) % 2 == 0 else (x, y + 1)
+        return (x + sign, y) if (x + y) % 2 == 0 else (x, y + sign)
 
     def unapply(p: Position) -> Position:
         x, y = p
-        return (x - 1, y) if (x + y) % 2 == 1 else (x, y - 1)
+        return (x - sign, y) if (x + y) % 2 == 1 else (x, y - sign)
 
     def apply_array(c: np.ndarray) -> np.ndarray:
         out = c.copy()
         even = (c[:, 0] + c[:, 1]) % 2 == 0
-        out[even, 0] += 1
-        out[~even, 1] += 1
+        out[even, 0] += sign
+        out[~even, 1] += sign
         return out
 
-    return Displacement("a", apply, unapply, apply_array, reach=1)
-
-
-def _llattice_b() -> Displacement:
-    # b lowers x+y by one everywhere: -x at even parity, -y at odd parity.
-    def apply(p: Position) -> Position:
-        x, y = p
-        return (x - 1, y) if (x + y) % 2 == 0 else (x, y - 1)
-
-    def unapply(p: Position) -> Position:
-        x, y = p
-        return (x + 1, y) if (x + y) % 2 == 1 else (x, y + 1)
-
-    def apply_array(c: np.ndarray) -> np.ndarray:
-        out = c.copy()
-        even = (c[:, 0] + c[:, 1]) % 2 == 0
-        out[even, 0] -= 1
-        out[~even, 1] -= 1
-        return out
-
-    return Displacement("b", apply, unapply, apply_array, reach=1)
+    return Displacement(label, apply, unapply, apply_array, reach=1)
 
 
 def llattice() -> PositionSpace:
@@ -408,7 +386,7 @@ def llattice() -> PositionSpace:
     return PositionSpace(
         "llattice",
         2,
-        (_llattice_a(), _llattice_b()),
+        (_llattice_step("a", 1), _llattice_step("b", -1)),
         _int_tuple_predicate(2),
         signature=("llattice",),
     )
@@ -418,7 +396,7 @@ def displacement_apply(space: PositionSpace, x: Position, label: str) -> Positio
     """Apply the displacement named ``label`` to position ``x``.
 
     Raises InvalidPosition if ``x`` is not in the space and
-    UnknownDisplacement if the label is not declared.
+    InvalidParameter if the label is not declared.
     """
     x = tuple(x)
     if not space.contains(x):
@@ -433,11 +411,11 @@ def bezout(k: int, l: int) -> BezoutPair:
     even) is broken toward the smaller, i.e. negative, u.  When l = 0 the
     solution is (k, 0) since k must be +-1.
 
-    Raises NotCoprime unless gcd(k, l) == 1.
+    Raises InvalidParameter unless gcd(k, l) == 1.
     """
     k, l = int(k), int(l)
     if math.gcd(k, l) != 1:
-        raise NotCoprime(f"gcd({k}, {l}) != 1")
+        raise InvalidParameter(f"gcd({k}, {l}) != 1")
     if l == 0:
         return BezoutPair(k, 0)  # u = 1/k with k in {1, -1}
     big_l = abs(l)
@@ -484,8 +462,6 @@ def cyclic_quotient(n: int, source: PositionSpace | None = None) -> ProjectionMa
     versions of lazy or jump walks can be formed as well.  The weight is
     sigma(x) = x, the identity injection of the line into the integers.
     """
-    if n < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {n}")
     src = source if source is not None else line()
     if src.dimension != 1 or any(d.delta is None for d in src.displacements):
         raise InvalidParameter("cyclic quotient needs a translation line as source")
@@ -540,28 +516,14 @@ def check_rho_consistency(pmap: ProjectionMap, window: Iterable[Position]) -> Co
     rho_of = {x: pmap.rho(x) for x in xs}
     for disp in pmap.source.displacements:
         img = {x: pmap.rho(disp.apply(x)) for x in xs}
-        # forward: equal classes must keep equal image classes
-        by_class: dict[Position, Position] = {}
-        rep: dict[Position, Position] = {}
-        for x in xs:
-            c = rho_of[x]
-            if c in by_class:
-                if img[x] != by_class[c]:
-                    return ConsistencyReport(False, n, pairs, (rep[c], x, disp.label, "forward"))
-            else:
-                by_class[c] = img[x]
-                rep[c] = x
-        # backward: equal image classes must come from equal classes
-        by_image: dict[Position, Position] = {}
-        irep: dict[Position, Position] = {}
-        for x in xs:
-            c = img[x]
-            if c in by_image:
-                if rho_of[x] != by_image[c]:
-                    return ConsistencyReport(False, n, pairs, (irep[c], x, disp.label, "backward"))
-            else:
-                by_image[c] = rho_of[x]
-                irep[c] = x
+        # forward: equal classes must keep equal image classes;
+        # backward: equal image classes must come from equal classes.
+        for direction, key, value in (("forward", rho_of, img), ("backward", img, rho_of)):
+            first: dict[Position, Position] = {}  # key -> first position with it
+            for x in xs:
+                rep = first.setdefault(key[x], x)
+                if value[x] != value[rep]:
+                    return ConsistencyReport(False, n, pairs, (rep, x, disp.label, direction))
     return ConsistencyReport(True, n, pairs)
 
 

@@ -38,15 +38,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    MissingSigma,
-    NotUnitary,
-    SpaceMismatch,
-)
+from .errors import DimensionMismatch, InvalidParameter, MissingSigma, NotUnitary
 from .hilbert import WalkState
-from .spaces import COORD_LIMIT, Position, PositionSpace, check_coordinate_bound, group_rows
+from .spaces import (
+    COORD_LIMIT,
+    Position,
+    PositionSpace,
+    check_coordinate_bound,
+    check_same_space,
+    group_rows,
+)
 
 UNITARY_TOL = 1e-12
 
@@ -63,7 +64,6 @@ __all__ = [
     "evolve_recurrence",
     "dense_unitary",
     "state_to_vector",
-    "vector_to_state",
 ]
 
 
@@ -172,13 +172,6 @@ class WalkSpec:
         )
 
 
-def _check_state(spec: WalkSpec, state: WalkState) -> None:
-    if spec.space.signature != state.space.signature:
-        raise SpaceMismatch(
-            f"state on {state.space.name!r} fed to a walk on {spec.space.name!r}"
-        )
-
-
 def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
     """Multiply each coin vector by the coin matrix of its position.
 
@@ -186,7 +179,7 @@ def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
     matrices are checked for unitarity together (NotUnitary names the first
     offending position) and applied as one batched product.
     """
-    _check_state(spec, state)
+    check_same_space(state.space, spec.space, "state fed to the walk")
     if not len(state.coins):
         return state
     return state.with_coins(_coin_block(spec.coin, state.coords, state.coins))
@@ -210,7 +203,7 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
     an explicit zero vector (no implicit pruning).  Raises InvalidPosition,
     naming the position, when a step could leave the int64 coordinate range.
     """
-    _check_state(spec, state)
+    check_same_space(state.space, spec.space, "state fed to the walk")
     if not len(state.coins):
         return state
     sites, out = _step_block(spec.space, state.coords, state.coins, spec.step_phases())
@@ -301,7 +294,7 @@ def evolve_recurrence(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
     Positions are exact Python integers of any size.
     """
     n = _step_count(n)
-    _check_state(spec, state)
+    check_same_space(state.space, spec.space, "state fed to the walk")
     for _ in range(n):
         state = _recurrence_step(spec, state)
     return state
@@ -311,11 +304,7 @@ def _recurrence_step(spec: WalkSpec, state: WalkState) -> WalkState:
     disps = spec.space.displacements
     dim = len(disps)
     phases = spec.step_phases()
-    if spec.coin.is_homogeneous:
-        mat = spec.coin.matrix
-        coined = {pos: mat @ vec for pos, vec in state.support.items()}
-    else:
-        coined = {pos: spec.coin.at(pos) @ vec for pos, vec in state.support.items()}
+    coined = {pos: spec.coin.at(pos) @ vec for pos, vec in state.support.items()}
     candidates: set[Position] = set()
     for pos in coined:
         for disp in disps:
@@ -367,17 +356,4 @@ def state_to_vector(state: WalkState) -> np.ndarray:
         if p in state.support:
             vec[i * dim : (i + 1) * dim] = state.support[p]
     return vec
-
-
-def vector_to_state(space: PositionSpace, vec: np.ndarray) -> WalkState:
-    """Inverse of :func:`state_to_vector`."""
-    pts = space.positions
-    if pts is None:
-        raise InvalidParameter(f"space {space.name!r} has no finite enumeration")
-    dim = space.coin_dimension
-    support = {
-        p: np.array(vec[i * dim : (i + 1) * dim], dtype=np.complex128)
-        for i, p in enumerate(pts)
-    }
-    return WalkState(space, support)
 

@@ -10,7 +10,6 @@ from qwproj import (
     InvalidParameter,
     StateOutsideSubspace,
     SubspaceNotInvariant,
-    UnknownScenario,
     WalkSpec,
     check_rho_consistency,
     diff_norm,
@@ -172,12 +171,22 @@ class TestScenarios:
             assert check_rho_consistency(desc.pmap, window).passed
 
     def test_unknown_scenario(self):
-        with pytest.raises(UnknownScenario):
+        with pytest.raises(InvalidParameter):
             scenario("hypercube_search")
 
     def test_invalid_circle_size(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="circle size"):
             scenario("line_to_circle", n_circle=0)
+
+    @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "lattice_to_jumps"])
+    def test_k_refused_where_unread(self, name):
+        with pytest.raises(InvalidParameter, match="k is read by lattice_to_jumps only"):
+            scenario(name, k=5)
+
+    @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "line_to_circle"])
+    def test_n_circle_refused_where_unread(self, name):
+        with pytest.raises(InvalidParameter, match="n_circle is read by line_to_circle only"):
+            scenario(name, n_circle=7)
 
 
 class TestThreeCoinRestriction:

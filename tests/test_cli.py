@@ -266,6 +266,47 @@ class TestArgumentChecks:
         assert not out.exists()
 
 
+class TestMalformedInput:
+    """A malformed --init or a scenario flag the scenario does not read ends
+    in one error line and exit 2, before any file is written."""
+
+    @pytest.mark.parametrize(
+        "init, where",
+        [
+            ('{"space":"z1","support":[{"pos":5,"coin":[[1,0],[0,0]]}]}', "entry 0"),
+            ('{"space":"z1","support":[{"pos":[5],"coin":[1,2]}]}', "entry 0"),
+            ('{"space":"z1","support":5}', '"support"'),
+            ('{"space":"z1","support":[{"pos":[5],"coin":[["x",0],[0,0]]}]}', "entry 0"),
+            (None, "JSON object"),  # a file holding a JSON list
+        ],
+    )
+    def test_malformed_init(self, tmp_path, capsys, init, where):
+        if init is None:
+            path = tmp_path / "init.json"
+            path.write_text('[{"space": "z1", "support": []}]')
+            init = str(path)
+        out = tmp_path / "r.json"
+        code = main(["verify", "--scenario", "line_to_circle", "--steps", "3",
+                     "--init", init, "--out-report", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, param",
+        [(["--n-circle", "7"], "n_circle"), (["--k", "5"], "k"),
+         (["--n-circle", "7", "--k", "5"], "k")],
+    )
+    def test_scenario_flag_not_read(self, tmp_path, capsys, flags, param):
+        out = tmp_path / "r.json"
+        code = main(["verify", "--scenario", "grover2d_to_lazy", "--steps", "3", *flags,
+                     "--out-report", str(out)])
+        assert code == 2
+        assert f"error: {param} is read by" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReconstructCommand:
     def test_round_trip(self, tmp_path):
         report = tmp_path / "rec.json"

@@ -13,6 +13,7 @@ from qwproj import (
     MissingSigma,
     NullProjection,
     ProjectionMap,
+    SpaceMismatch,
     WalkSpec,
     WalkState,
     add,
@@ -23,6 +24,7 @@ from qwproj import (
     cyclic_quotient,
     diff_norm,
     evolve,
+    evolve_recurrence,
     grover_coin,
     hadamard_coin,
     induced_walk,
@@ -207,6 +209,25 @@ class TestCoinHomogeneity:
         assert not report.passed
         x, y, dev = report.witness
         assert x[0] == y[0] and dev > 0.4
+
+
+# Every entry point that checks the space of its operand, given a state or a
+# walk on the plane where one on the line is expected.
+PLANE_STATE = state_new(Z2, [((0, 0), GENERIC4)])
+SPACE_CHECKS = {
+    "apply_coin": lambda: apply_coin(HADAMARD_LINE, PLANE_STATE),
+    "apply_step": lambda: apply_step(HADAMARD_LINE, PLANE_STATE),
+    "evolve_recurrence": lambda: evolve_recurrence(HADAMARD_LINE, PLANE_STATE, 1),
+    "project_state": lambda: project_state(cyclic_quotient(4), 0.0, PLANE_STATE),
+    "induced_walk": lambda: induced_walk(GROVER2D, cyclic_quotient(4)),
+    "diff_norm": lambda: diff_norm(state_new(line(), [((0,), (1, 0))]), PLANE_STATE),
+}
+
+
+@pytest.mark.parametrize("entry", SPACE_CHECKS)
+def test_space_mismatch_at_every_entry_point(entry):
+    with pytest.raises(SpaceMismatch, match="is on 'z2', expected 'z1'"):
+        SPACE_CHECKS[entry]()
 
 
 class TestInducedWalk:

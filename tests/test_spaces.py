@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from qwproj import (
     Displacement,
-    InvalidModulus,
     InvalidParameter,
     InvalidPosition,
-    NotCoprime,
     ProjectionMap,
-    UnknownDisplacement,
     bezout,
     check_rho_consistency,
     circle,
@@ -58,7 +55,7 @@ class TestDisplacementApply:
             displacement_apply(circle(4), (7,), "R")
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownDisplacement):
+        with pytest.raises(InvalidParameter):
             displacement_apply(lattice_2d(), (0, 0), "Q")
 
     def test_displacement_needs_delta_or_reach(self):
@@ -117,6 +114,48 @@ class TestDisplacementStructure:
             np.testing.assert_array_equal(disp.apply_array(coords), expected)
 
 
+# (space, label, position, its image), written out by hand: every catalog
+# displacement, the circle's wrap at both ends and the L-lattice's two parities.
+DISPLACEMENT_TABLE = [
+    (lattice_2d(), "R", (3, -5), (4, -5)),
+    (lattice_2d(), "L", (3, -5), (2, -5)),
+    (lattice_2d(), "U", (3, -5), (3, -4)),
+    (lattice_2d(), "D", (3, -5), (3, -6)),
+    (line(), "R", (-7,), (-6,)),
+    (line(), "L", (-7,), (-8,)),
+    (lattice_quotient(1, 0).target, "U", (4,), (4,)),
+    (lattice_quotient(2, 1).target, "R", (4,), (6,)),
+    (lattice_quotient(2, 1).target, "L", (4,), (2,)),
+    (lattice_quotient(2, 1).target, "U", (4,), (5,)),
+    (lattice_quotient(2, 1).target, "D", (4,), (3,)),
+    (circle(5), "R", (0,), (1,)),
+    (circle(5), "R", (4,), (0,)),
+    (circle(5), "L", (0,), (4,)),
+    (circle(5), "L", (4,), (3,)),
+    (llattice(), "a", (2, 4), (3, 4)),
+    (llattice(), "a", (2, 3), (2, 4)),
+    (llattice(), "b", (2, 4), (1, 4)),
+    (llattice(), "b", (2, 3), (2, 2)),
+    (llattice(), "a", (-3, 0), (-3, 1)),
+    (llattice(), "b", (-3, 0), (-3, -1)),
+    (llattice_quotient().target, "a", (0,), (1,)),
+    (llattice_quotient().target, "b", (0,), (-1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "space, label, pos, image",
+    DISPLACEMENT_TABLE,
+    ids=[f"{sp.name}-{lbl}-{pos}" for sp, lbl, pos, _ in DISPLACEMENT_TABLE],
+)
+def test_displacement_table(space, label, pos, image):
+    disp = space.displacement(label)
+    assert disp.apply(pos) == image
+    assert disp.unapply(image) == pos
+    block = disp.apply_array(np.array([pos], dtype=np.int64))
+    assert block.dtype == np.int64 and block.tolist() == [list(image)]
+
+
 def brute_force_bezout(k, l):
     """Oracle: smallest |u| (tie toward smaller u) with (1 - u*k) divisible by l."""
     if l == 0:
@@ -150,7 +189,7 @@ class TestBezout:
             pair = bezout(k, l)
             assert pair.u * k + pair.v * l == 1
         else:
-            with pytest.raises(NotCoprime):
+            with pytest.raises(InvalidParameter):
                 bezout(k, l)
 
     def test_unimodular_matrix_inverse(self):
@@ -178,7 +217,7 @@ class TestLatticeQuotient:
         assert [d.delta[0] for d in pm.target.displacements] == [1, -1, 1, -1]
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(InvalidParameter):
             lattice_quotient(2, 4)
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (3, 5), (-2, 3)])
@@ -193,7 +232,7 @@ class TestLatticeQuotient:
         pm = lattice_quotient(k, l)
         for p in square_window(3):
             for d in pm.source.displacements:
-                assert pm.rho(d.apply(p)) == pm.induced(d.label).apply(pm.rho(p))
+                assert pm.rho(d.apply(p)) == pm.target.displacement(d.label).apply(pm.rho(p))
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (3, 5)])
     def test_section_and_inversion(self, k, l):
@@ -216,7 +255,7 @@ class TestCyclicQuotient:
         assert pm.rho((5,)) == (0,) and pm.rho((-9,)) == (0,)
 
     def test_rejects_bad_modulus(self):
-        with pytest.raises(InvalidModulus):
+        with pytest.raises(InvalidParameter):
             cyclic_quotient(0)
 
     def test_rejects_circle_source(self):
@@ -238,7 +277,7 @@ class TestCyclicQuotient:
         pm = cyclic_quotient(4)
         for x in range(-9, 10):
             for d in pm.source.displacements:
-                assert pm.rho(d.apply((x,))) == pm.induced(d.label).apply(pm.rho((x,)))
+                assert pm.rho(d.apply((x,))) == pm.target.displacement(d.label).apply(pm.rho((x,)))
 
 
 @pytest.mark.parametrize(
