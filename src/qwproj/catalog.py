@@ -38,6 +38,7 @@ from .projection import project_state
 from .spaces import (
     PositionSpace,
     ProjectionMap,
+    _is_integer,
     check_rho_consistency,
     lattice_2d,
     lattice_quotient,
@@ -185,12 +186,14 @@ def scenario(
     ``k`` parameterizes lattice_to_jumps (default 2), ``n_circle`` and
     ``phi`` parameterize line_to_circle (defaults 4 and 0.0); ``phi`` also
     sets the default projection phase of any other scenario.  A ``k`` or
-    ``n_circle`` given to a scenario that does not read it is refused.
+    ``n_circle`` that is not an integer or not read by the scenario is refused.
     """
     readers = {"k": (k, "lattice_to_jumps"), "n_circle": (n_circle, "line_to_circle")}
     for param, (value, reader) in readers.items():
         if value is not None and name != reader:
             raise InvalidParameter(f"{param} is read by {reader} only, not by {name!r}")
+        if value is not None and not _is_integer(value):
+            raise InvalidParameter(f"{param} must be an integer, got {value!r}")
     phi_val = 0.0 if phi is None else float(phi)
     if name in ("grover2d_to_lazy", "lattice_to_jumps", "lattice_to_doubled"):
         space = lattice_2d()

@@ -41,6 +41,7 @@ from .spaces import (
     Position,
     ProjectionMap,
     check_same_space,
+    exact_block,
     group_rows,
     reachable_window,
 )
@@ -58,9 +59,6 @@ logger = logging.getLogger(__name__)
 
 NULL_TOL = 1e-12
 HOMOGENEITY_TOL = 1e-12
-# Coin entries (sites x phases x dim) summed per _fiber_sums call when
-# several phases are projected at once: about 1 MB per scratch block.
-_FIBER_CHUNK = 1 << 16
 
 __all__ = [
     "NULL_TOL",
@@ -116,8 +114,8 @@ def project_state(
     ``NULL_TOL`` times the norm of the input, the regime of exact
     cancellation (an all-zero or empty input always raises).
 
-    The map acts on the state's coordinate block through
-    :meth:`~qwproj.spaces.ProjectionMap.rho_block` and ``sigma_block``.
+    The map acts on the state's coordinate block through its ``rho_array``
+    and ``sigma_array``.
     """
     sites, out = _project_phases(pmap, (phi,), state)
     projected = WalkState.from_blocks(pmap.target, sites, out[0])
@@ -129,71 +127,58 @@ def project_state(
 def _project_phases(
     pmap: ProjectionMap, phis: Sequence[float], state: WalkState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_state` at each of M phases in one pass: the target
-    sites, which every phase shares, and the ``(M, sites, dim)`` coin block.
-    NullProjection is raised for the first phase, in the given order, whose
-    projection cancels."""
+    """:func:`project_state` at each of M phases, grouping the fibers and
+    taking sigma once: the target sites and the ``(M, sites, dim)`` coin
+    block.  NullProjection is raised for the first phase, in the given
+    order, whose projection cancels."""
     check_same_space(state.space, pmap.source, "state fed to the projection")
     if pmap.target.coin_dimension != state.coin_dimension:
         raise SpaceMismatch(
             "target space does not preserve the coin dimension; "
             "was this projection map built by a quotient constructor?"
         )
-    if any(phi != 0.0 for phi in phis) and pmap.sigma is None:
+    phased = any(phi != 0.0 for phi in phis)
+    if phased and pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    sites, inverse = group_rows(pmap.rho_block(state.coords))
+    sites, inverse = group_rows(pmap.rho_array(state.coords))
+    sigma = pmap.sigma_array(state.coords) if phased else None
     out = np.empty((len(phis), len(sites), pmap.target.coin_dimension), dtype=np.complex128)
     source_norm = norm(state)
-    # Phases go through _fiber_sums in chunks, so its scratch blocks stay
-    # bounded however many phases are asked for.
-    chunk = max(1, _FIBER_CHUNK // max(state.coins.size, 1))
-    for lo in range(0, len(phis), chunk):
-        out[lo : lo + chunk] = _fiber_sums(pmap, phis[lo : lo + chunk], state, inverse, len(sites))
-        for coins in out[lo : lo + chunk]:
-            _check_not_null(pmap, coins, source_norm)
+    for j, phi in enumerate(phis):
+        out[j] = _fiber_sums(phi, state.coins, sigma, inverse, len(sites))
+        _check_not_null(pmap, out[j], source_norm)
     return sites, out
 
 
 def _fiber_sums(
-    pmap: ProjectionMap,
-    phis: Sequence[float],
-    state: WalkState,
+    phi: float,
+    coins: np.ndarray,
+    sigma: np.ndarray | None,
     inverse: np.ndarray,
     size: int,
     table: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The ``(M, size, dim)`` fiber sums of the state at each of M phases.
+    """The ``(size, dim)`` fiber sums of an ``(n, dim)`` coin block at phase phi.
 
-    ``inverse`` gives, for every site of the state, the row of its rho-image
-    among ``size`` target rows; a row that no site maps to sums to zero.
-    At phase phi the term at x is weighted by exp(i*phi*sigma(x)), and at
-    phi = 0 it is taken as it is.  A single phase may bring a ``table`` of
-    its weights (see :func:`_phase_weights`).
+    ``inverse`` gives, for every site, the row of its rho-image among
+    ``size`` target rows; a row that no site maps to sums to zero.  At
+    phi != 0 the term at a site is weighted by exp(i*phi*sigma), read off
+    the sites' ``sigma`` block or its ``table`` (see :func:`_phase_weights`);
+    at phi = 0 it is taken as it is.
     """
-    coins = state.coins
+    if phi != 0.0:
+        coins = coins * _phase_weights(phi, sigma, table)[:, None]
     width = 2 * coins.shape[-1]
-    if len(phis) == 1:
-        phi = phis[0]
-        if phi != 0.0:
-            coins = coins * _phase_weights(phi, pmap.sigma_block(state.coords), table)[:, None]
-        rows = inverse
-    else:
-        if any(phi != 0.0 for phi in phis):
-            sigma = pmap.sigma_block(state.coords)
-        coins = np.stack(
-            [coins if phi == 0.0 else coins * np.exp(1j * phi * sigma)[:, None] for phi in phis]
-        )
-        rows = np.arange(len(phis))[:, None] * size + inverse
-    # One bin per (phase, row, component, real or imaginary part) slot.
-    # bincount sums each bin in input order, as np.add.at would, so the
-    # sums are bitwise the same; viewing the summed parts as complex keeps
-    # them unchanged, where re + 1j*im would add a signed zero to each.
-    # The float view needs contiguous rows, which a state built from a
+    # One bin per (row, component, real or imaginary part) slot.  bincount
+    # sums each bin in input order, as np.add.at would, so the sums are
+    # bitwise the same; viewing the summed parts as complex keeps them
+    # unchanged, where re + 1j*im would add a signed zero to each.  The
+    # float view needs contiguous rows, which a state built from a
     # Fortran-ordered block lacks.
     parts = np.ascontiguousarray(coins).view(np.float64)
-    slots = (rows[..., None] * width + np.arange(width)).ravel()
-    sums = np.bincount(slots, parts.ravel(), len(phis) * size * width)
-    return sums.view(np.complex128).reshape(len(phis), size, width // 2)
+    slots = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, parts.ravel(), size * width)
+    return sums.view(np.complex128).reshape(size, width // 2)
 
 
 def _phase_weights(
@@ -226,7 +211,7 @@ def _phase_table(
     """
     if phi == 0.0:
         return None
-    sigma = pmap.sigma_block(psi0.coords)
+    sigma = pmap.sigma_array(psi0.coords)
     reach = n * max(abs(int(v)) for v in pmap.sigma_c.values())
     lo, hi = int(sigma.min()), int(sigma.max())
     if hi - lo > 2 * reach:
@@ -255,12 +240,12 @@ def check_coin_homogeneity(
     seen in each class, with tolerance ``HOMOGENEITY_TOL``; the first
     violating pair is reported together with its largest entry deviation.
     """
+    xs = sorted(set(tuple(p) for p in window))
+    targets = map(tuple, pmap.rho_array(exact_block(xs, pmap.source.dimension)).tolist())
     if walk.coin.is_homogeneous:
-        classes = len({pmap.rho(tuple(p)) for p in window})
-        return HomogeneityReport(True, classes)
+        return HomogeneityReport(True, len(set(targets)))
     reps: dict[Position, tuple[Position, np.ndarray]] = {}
-    for pos in sorted(set(tuple(p) for p in window)):
-        cls = pmap.rho(pos)
+    for pos, cls in zip(xs, targets):
         mat = walk.coin.at(pos)
         if cls not in reps:
             reps[cls] = (pos, mat)
@@ -380,9 +365,10 @@ def verify_commutation(
         ):
             last = held[t % 2] = (coords, _merge_images(induced.space, coords))
         coords, coins = _advance_block(induced, coords, coins, phases, last[1])
-        targets = pmap.rho_block(upper.coords)
+        targets = pmap.rho_array(upper.coords)
+        sigma = pmap.sigma_array(upper.coords) if phi != 0.0 else None
         sites, inverse = group_rows(np.concatenate([targets, coords]))
-        diff = _fiber_sums(pmap, (phi,), upper, inverse[: len(targets)], len(sites), table)[0]
+        diff = _fiber_sums(phi, upper.coins, sigma, inverse[: len(targets)], len(sites), table)
         # Rows that no parent site maps to hold exact zeros, so this is the
         # norm of the projection.
         _check_not_null(pmap, diff, norm(upper))

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, group_rows, pack_positions
+from .spaces import Position, ProjectionMap, exact_block, group_rows, pack_positions
 from .walk import WalkSpec, _advance_block, _step_count
 
 logger = logging.getLogger(__name__)
@@ -71,12 +71,10 @@ __all__ = [
 
 def sigma_support_bounds(state: WalkState, pmap: ProjectionMap) -> tuple[int, int]:
     """Smallest and largest sigma value over the state's support."""
-    if pmap.sigma is None:
+    if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    values = [pmap.sigma(pos) for pos in state.support]
-    if not values:
-        return (0, 0)
-    return (min(values), max(values))
+    values = pmap.sigma_array(exact_block(state.support, pmap.source.dimension))
+    return (int(values.min()), int(values.max())) if len(values) else (0, 0)
 
 
 def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
@@ -122,7 +120,7 @@ def phase_projection_family(
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
     differ only in their step phases.  psi0's fibers are therefore grouped
-    once and summed at many phases per call, and the walks advance together
+    and its sigma taken once for all phases, and the walks advance together
     as one ``(M, n, dim)`` coin block on one coordinate block, through the
     coin and step kernels of :func:`~qwproj.walk.apply_coin` and
     :func:`~qwproj.walk.apply_step`; the returned states share that
@@ -227,14 +225,14 @@ def reconstruct_support(
     the colliding pair); the grid can therefore be much smaller than the
     global sigma span whenever sigma varies little within each fiber.
     """
-    if pmap.sigma is None:
+    if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     states = _sorted_grid(projections)
     m = len(states)
     cand = sorted(set(tuple(p) for p in candidates))
     coords = pack_positions(cand, pmap.source.dimension)
-    targets = pmap.rho_block(coords)
-    bin_of = pmap.sigma_block(coords) % m
+    targets = pmap.rho_array(coords)
+    bin_of = pmap.sigma_array(coords) % m
     keys, key_of = group_rows(np.column_stack([targets, bin_of]))
     if len(keys) < len(cand):
         _, first = np.unique(key_of, return_index=True)

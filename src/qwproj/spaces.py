@@ -1,12 +1,14 @@
 """Position sets, displacement families, and quotient projection maps.
 
 A walking space is an (at most countable) set of positions together with an
-ordered family of injective displacements acting on it.  All spaces used here
-are realized on tuples of Python integers, so coordinate arithmetic is exact
-and unbounded.  Quotient constructors return :class:`ProjectionMap` objects
-bundling the surjection ``rho``, the optional additive weight ``sigma``, the
-induced displacement family on the quotient, and the bookkeeping needed to
-invert the ``(rho, sigma)`` coordinate pair where that is possible.
+ordered family of injective displacements acting on it.  Each position rule
+is defined once, as an action on an ``(n, d)`` coordinate block: int64 for
+the packed engine, or object-dtype Python integers (:func:`exact_block`),
+on which it is exact and unbounded and which its scalar form uses.
+Quotient constructors return :class:`ProjectionMap` objects bundling the
+surjection ``rho``, the optional additive weight ``sigma``, the induced
+displacement family on the quotient, and the bookkeeping needed to invert
+the ``(rho, sigma)`` coordinate pair where that is possible.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def pack_positions(positions: list[Position], d: int) -> np.ndarray:
         ) from None
     check_coordinate_bound(coords, COORD_LIMIT)
     return coords
+
+
+def exact_block(positions: Iterable[Position], d: int) -> np.ndarray:
+    """The ``(n, d)`` object-dtype block of the positions as Python integers."""
+    rows = [[int(c) for c in p] for p in positions]
+    return np.array(rows, dtype=object).reshape(len(rows), d)
+
+
+def _on_position(action: Callable[[np.ndarray], np.ndarray], p: Position) -> Position:
+    return tuple(action(exact_block([p], len(p)))[0].tolist())
 
 
 # group_rows keys a block by its bounding box when the block has at least
@@ -125,19 +137,19 @@ def _group_in_box(
 class Displacement:
     """One coin direction: an injective map on the position set.
 
-    ``apply`` moves a position forward, ``unapply`` is the inverse on the
-    image (total for all catalog spaces, whose displacements are bijections).
-    ``apply_array`` is the same map acting row-wise on an ``(n, d)`` int64
-    coordinate block; the packed evolution engine steps with it.
+    ``apply_array`` moves every row of an ``(n, d)`` coordinate block (int64
+    or exact object dtype, see the module docstring) forward, and
+    ``unapply_array`` is its inverse on the image (total for all catalog
+    spaces, whose displacements are bijections); :meth:`apply` and
+    :meth:`unapply` are the same maps on one position.
     ``delta`` is set for pure integer translations.  ``reach`` bounds how far
     one application moves any coordinate; it defaults to the largest
     ``|delta|`` entry and must be given for displacements without a delta.
     """
 
     label: str
-    apply: Callable[[Position], Position]
-    unapply: Callable[[Position], Position]
     apply_array: Callable[[np.ndarray], np.ndarray]
+    unapply_array: Callable[[np.ndarray], np.ndarray]
     delta: tuple[int, ...] | None = None
     reach: int | None = None
 
@@ -148,6 +160,12 @@ class Displacement:
                     f"displacement {self.label!r} needs a delta or a reach"
                 )
             object.__setattr__(self, "reach", max(abs(v) for v in self.delta))
+
+    def apply(self, p: Position) -> Position:
+        return _on_position(self.apply_array, p)
+
+    def unapply(self, p: Position) -> Position:
+        return _on_position(self.unapply_array, p)
 
 
 @dataclass(frozen=True)
@@ -187,10 +205,13 @@ class PositionSpace:
 
 
 def check_same_space(given: PositionSpace, expected: PositionSpace, what: str) -> None:
-    """Raise SpaceMismatch unless the two spaces have equal signatures;
-    ``what`` names the operand on ``given`` in the message."""
+    """Raise SpaceMismatch unless the two spaces have equal signatures; ``what``
+    names the operand on ``given``, and same-named spaces are told apart."""
     if given.signature != expected.signature:
-        raise SpaceMismatch(f"{what} is on {given.name!r}, expected {expected.name!r}")
+        got, want = repr(given.name), repr(expected.name)
+        if got == want:
+            got, want = f"{got} {given.signature}", f"{want} {expected.signature}"
+        raise SpaceMismatch(f"{what} is on {got}, expected {want}")
 
 
 @dataclass(frozen=True)
@@ -210,43 +231,31 @@ class ProjectionMap:
     source carries a group structure, ``sigma`` is an additive integer weight
     (``sigma(x . c) = sigma(x) + sigma_c[c]``) enabling phase-decorated
     projections, and ``section`` picks one representative per fiber.
+    ``rho_array`` and ``sigma_array`` define both on coordinate blocks (see
+    the module docstring), returning ``(n, d')`` targets and ``(n,)`` weights;
+    :meth:`rho` and :meth:`sigma` are the same maps on one position.
     ``invert_rs`` recovers the unique source position from the value pair
     ``(rho, sigma)`` for maps where that pair is a bijective coordinate
     change (the planar lattice quotients).
 
     The target space carries the induced displacement family under the same
     labels as the source, so projected states keep their coin dimension.
-
-    ``rho_array`` and ``sigma_array`` are ``rho`` and ``sigma`` acting on an
-    ``(n, d)`` int64 coordinate block, returning the ``(n, d')`` target
-    coordinates and the ``(n,)`` weights.  The quotient constructors set
-    them; :meth:`rho_block` and :meth:`sigma_block` use them, or evaluate
-    the scalar forms site by site for a map without them.
     """
 
     source: PositionSpace
     target: PositionSpace
-    rho: Callable[[Position], Position]
-    sigma: Callable[[Position], int] | None = None
+    rho_array: Callable[[np.ndarray], np.ndarray]
+    sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
     sigma_c: Mapping[str, int] | None = None
     section: Callable[[Position], Position] | None = None
     invert_rs: Callable[[int, int], Position] | None = None
     name: str = ""
-    rho_array: Callable[[np.ndarray], np.ndarray] | None = None
-    sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def rho_block(self, coords: np.ndarray) -> np.ndarray:
-        """``rho`` on an ``(n, d)`` int64 coordinate block: the ``(n, d')`` targets."""
-        if self.rho_array is not None:
-            return self.rho_array(coords)
-        images = [self.rho(p) for p in map(tuple, coords.tolist())]
-        return pack_positions(images, self.target.dimension)
+    def rho(self, p: Position) -> Position:
+        return _on_position(self.rho_array, p)
 
-    def sigma_block(self, coords: np.ndarray) -> np.ndarray:
-        """``sigma`` on an ``(n, d)`` int64 coordinate block: the ``(n,)`` weights."""
-        if self.sigma_array is not None:
-            return self.sigma_array(coords)
-        return pack_positions([(self.sigma(p),) for p in map(tuple, coords.tolist())], 1)[:, 0]
+    def sigma(self, p: Position) -> int:
+        return int(self.sigma_array(exact_block([p], len(p)))[0])
 
 
 @dataclass(frozen=True)
@@ -262,47 +271,38 @@ class ConsistencyReport:
 def _translation(label: str, delta: tuple[int, ...]) -> Displacement:
     d = tuple(int(v) for v in delta)
     arr = np.asarray(d, dtype=np.int64)
-    return Displacement(
-        label=label,
-        apply=lambda p, _d=d: tuple(a + b for a, b in zip(p, _d)),
-        unapply=lambda p, _d=d: tuple(a - b for a, b in zip(p, _d)),
-        delta=d,
-        apply_array=lambda c, _a=arr: c + _a,
-    )
+    return Displacement(label, lambda c: c + arr, lambda c: c - arr, delta=d)
 
 
 def _modular(label: str, delta: int, n: int) -> Displacement:
     return Displacement(
-        label=label,
-        apply=lambda p: ((p[0] + delta) % n,),
-        unapply=lambda p: ((p[0] - delta) % n,),
-        apply_array=lambda c: (c + delta) % n,
-        reach=abs(delta),
+        label, lambda c: (c + delta) % n, lambda c: (c - delta) % n, reach=abs(delta)
     )
 
 
-def _is_coordinate(c) -> bool:
+def _is_integer(c) -> bool:
     return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
 
 
 def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
     def contains(p: Position) -> bool:
-        return len(p) == dim and all(_is_coordinate(c) for c in p)
+        return len(p) == dim and all(_is_integer(c) for c in p)
 
     return contains
 
 
 def _linear_form(coeffs: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The map c -> sum_i coeffs[i] * c[:, i] on an int64 coordinate block.
+    """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block.
 
-    Refuses (InvalidPosition, naming the position) a block on which the
-    value could leave the int64 range, instead of wrapping around.
+    Refuses (InvalidPosition, naming the position) an int64 block on which
+    the value could leave the int64 range, instead of wrapping around.
     """
     weights = np.asarray(coeffs, dtype=np.int64)
     bound = COORD_LIMIT // max(1, sum(abs(a) for a in coeffs))
 
     def form(c: np.ndarray) -> np.ndarray:
-        check_coordinate_bound(c, bound)
+        if c.dtype != object:
+            check_coordinate_bound(c, bound)
         return c @ weights
 
     return form
@@ -334,7 +334,7 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> 
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
     def contains(p: Position) -> bool:
-        return len(p) == 1 and _is_coordinate(p[0]) and 0 <= p[0] < n
+        return len(p) == 1 and _is_integer(p[0]) and 0 <= p[0] < n
 
     return PositionSpace(
         f"circle{n}",
@@ -349,22 +349,16 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> 
 def _llattice_step(label: str, sign: int) -> Displacement:
     # Moves x+y by sign everywhere: along x at even parity, along y at odd
     # parity.  A step flips the parity, so unapply reads it off the image.
-    def apply(p: Position) -> Position:
-        x, y = p
-        return (x + sign, y) if (x + y) % 2 == 0 else (x, y + sign)
-
-    def unapply(p: Position) -> Position:
-        x, y = p
-        return (x - sign, y) if (x + y) % 2 == 1 else (x, y - sign)
-
-    def apply_array(c: np.ndarray) -> np.ndarray:
+    def move(c: np.ndarray, by: int, x_parity: int) -> np.ndarray:
         out = c.copy()
-        even = (c[:, 0] + c[:, 1]) % 2 == 0
-        out[even, 0] += sign
-        out[~even, 1] += sign
+        along_x = (c[:, 0] + c[:, 1]) % 2 == x_parity
+        out[along_x, 0] += by
+        out[~along_x, 1] += by
         return out
 
-    return Displacement(label, apply, unapply, apply_array, reach=1)
+    return Displacement(
+        label, lambda c: move(c, sign, 0), lambda c: move(c, -sign, 1), reach=1
+    )
 
 
 def llattice() -> PositionSpace:
@@ -443,14 +437,12 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
     return ProjectionMap(
         source=source,
         target=target,
-        rho=lambda p: (k * p[0] + l * p[1],),
-        sigma=lambda p: u * p[1] - v * p[0],
+        rho_array=lambda c: rho_form(c)[:, None],
+        sigma_array=_linear_form((-v, u)),
         sigma_c={"R": -v, "L": v, "U": u, "D": -u},
         section=lambda q: (u * q[0], v * q[0]),
         invert_rs=lambda r, s: (u * r - l * s, v * r + k * s),
         name=f"lattice(k={k},l={l})",
-        rho_array=lambda c: rho_form(c)[:, None],
-        sigma_array=_linear_form((-v, u)),
     )
 
 
@@ -470,13 +462,11 @@ def cyclic_quotient(n: int, source: PositionSpace | None = None) -> ProjectionMa
     return ProjectionMap(
         source=src,
         target=target,
-        rho=lambda p: (p[0] % n,),
-        sigma=lambda p: p[0],
+        rho_array=lambda c: c % n,
+        sigma_array=lambda c: c[:, 0],
         sigma_c={lbl: d for lbl, d in jumps},
         section=lambda q: (q[0],),
         name=f"mod{n}",
-        rho_array=lambda c: c % n,
-        sigma_array=lambda c: c[:, 0],
     )
 
 
@@ -492,13 +482,11 @@ def llattice_quotient() -> ProjectionMap:
     return ProjectionMap(
         source=source,
         target=target,
-        rho=lambda p: (p[0] + p[1],),
-        sigma=lambda p: p[0] + p[1],
+        rho_array=lambda c: diagonal(c)[:, None],
+        sigma_array=diagonal,
         sigma_c={"a": 1, "b": -1},
         section=lambda q: (q[0], 0),
         name="llattice-diag",
-        rho_array=lambda c: diagonal(c)[:, None],
-        sigma_array=diagonal,
     )
 
 
@@ -513,9 +501,10 @@ def check_rho_consistency(pmap: ProjectionMap, window: Iterable[Position]) -> Co
     xs = sorted(set(tuple(p) for p in window))
     n = len(xs)
     pairs = n * (n - 1) // 2
-    rho_of = {x: pmap.rho(x) for x in xs}
+    block = exact_block(xs, pmap.source.dimension)
+    rho_of = dict(zip(xs, map(tuple, pmap.rho_array(block).tolist())))
     for disp in pmap.source.displacements:
-        img = {x: pmap.rho(disp.apply(x)) for x in xs}
+        img = dict(zip(xs, map(tuple, pmap.rho_array(disp.apply_array(block)).tolist())))
         # forward: equal classes must keep equal image classes;
         # backward: equal image classes must come from equal classes.
         for direction, key, value in (("forward", rho_of, img), ("backward", img, rho_of)):

@@ -1,6 +1,6 @@
 """Coin and step operators and the one-step evolution U = SC.
 
-Two independent engines advance a state by one step:
+Two engines advance a state by one step:
 
 * :func:`evolve` works on the packed blocks of the state: the coin is one
   matrix product over the coin block, and the step moves the coordinate
@@ -22,12 +22,13 @@ Two independent engines advance a state by one step:
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
-  that c maps onto x.
+  that c maps onto x, on exact Python-integer positions.
 
-The engines share no stepping code, so their elementwise agreement is a
-meaningful cross-check.  Operators are never materialized as matrices on
-infinite spaces; :func:`dense_unitary` builds the full matrix for finite
-spaces only, as an oracle for tests.
+The engines share the displacement definitions but no stepping code: one
+scatters along ``apply_array``, the other gathers through ``unapply_array``,
+so their agreement checks each direction against the other.  Operators are
+never materialized as matrices on infinite spaces; :func:`dense_unitary`
+builds the full matrix for finite spaces only, as an oracle for tests.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from .spaces import (
     COORD_LIMIT,
     Position,
     PositionSpace,
+    _is_integer,
     check_coordinate_bound,
     check_same_space,
+    exact_block,
     group_rows,
 )
 
@@ -271,7 +274,7 @@ def _step_block(
 
 
 def _step_count(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise InvalidParameter(f"step count must be an integer, got {n!r}")
     if n < 0:
         raise InvalidParameter(f"step count must be >= 0, got {n}")
@@ -302,21 +305,19 @@ def evolve_recurrence(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
 
 def _recurrence_step(spec: WalkSpec, state: WalkState) -> WalkState:
     disps = spec.space.displacements
-    dim = len(disps)
     phases = spec.step_phases()
     coined = {pos: spec.coin.at(pos) @ vec for pos, vec in state.support.items()}
-    candidates: set[Position] = set()
-    for pos in coined:
-        for disp in disps:
-            candidates.add(disp.apply(pos))
-    out: dict[Position, np.ndarray] = {}
-    for x in sorted(candidates):
-        vec = np.zeros(dim, dtype=np.complex128)
-        for ci, disp in enumerate(disps):
-            src = coined.get(disp.unapply(x))
+    block = exact_block(coined, spec.space.dimension)
+    images = np.concatenate([disp.apply_array(block) for disp in disps])
+    candidates = sorted(set(map(tuple, images.tolist())))
+    targets = exact_block(candidates, spec.space.dimension)
+    out = {x: np.zeros(len(disps), dtype=np.complex128) for x in candidates}
+    for ci, disp in enumerate(disps):
+        # Entry ci at x comes from the preimage of x under displacement ci.
+        for x, y in zip(candidates, map(tuple, disp.unapply_array(targets).tolist())):
+            src = coined.get(y)
             if src is not None:
-                vec[ci] = src[ci] if phases is None else src[ci] * phases[ci]
-        out[x] = vec
+                out[x][ci] = src[ci] if phases is None else src[ci] * phases[ci]
     return WalkState(spec.space, out)
 
 
@@ -338,10 +339,10 @@ def dense_unitary(spec: WalkSpec) -> tuple[np.ndarray, tuple[Position, ...]]:
         cmat[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = spec.coin.at(p)
     phases = spec.step_phases()
     smat = np.zeros((total, total), dtype=np.complex128)
-    for p, i in index.items():
-        for ci, disp in enumerate(spec.space.displacements):
-            j = index[disp.apply(p)]
-            smat[j * dim + ci, i * dim + ci] = 1.0 if phases is None else phases[ci]
+    block = exact_block(pts, spec.space.dimension)
+    for ci, disp in enumerate(spec.space.displacements):
+        for i, image in enumerate(map(tuple, disp.apply_array(block).tolist())):
+            smat[index[image] * dim + ci, i * dim + ci] = 1.0 if phases is None else phases[ci]
     return smat @ cmat, pts
 
 

@@ -65,8 +65,8 @@ def identity_map(space):
     return ProjectionMap(
         source=space,
         target=space,
-        rho=lambda p: p,
-        sigma=lambda p: 0,
+        rho_array=lambda c: c,
+        sigma_array=lambda c: 0 * c[:, 0],
         sigma_c={lbl: 0 for lbl in space.labels},
         section=lambda q: q,
         name=f"identity({space.name})",

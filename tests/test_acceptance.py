@@ -246,7 +246,7 @@ def test_criterion_6_consistency_checker():
         assert rep.passed and rep.pairs >= 10_000, (pmap.name, rep.pairs)
         total_pairs.append(rep.pairs)
     bad = ProjectionMap(
-        source=lattice_2d(), target=line(), rho=lambda p: (p[0] ** 2,), name="x^2"
+        source=lattice_2d(), target=line(), rho_array=lambda c: c[:, :1] ** 2, name="x^2"
     )
     rep = check_rho_consistency(bad, [(i, j) for i in range(-3, 4) for j in range(-3, 4)])
     assert not rep.passed and rep.counterexample is not None

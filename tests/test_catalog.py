@@ -178,6 +178,24 @@ class TestScenarios:
         with pytest.raises(InvalidParameter, match="circle size"):
             scenario("line_to_circle", n_circle=0)
 
+    @pytest.mark.parametrize(
+        "name, param, value",
+        [
+            ("lattice_to_jumps", "k", 2.5),
+            ("lattice_to_jumps", "k", 3.0),
+            ("lattice_to_jumps", "k", True),
+            ("line_to_circle", "n_circle", 4.9),
+            ("line_to_circle", "n_circle", "4"),
+        ],
+    )
+    def test_non_integer_parameter_refused(self, name, param, value):
+        with pytest.raises(InvalidParameter, match=f"{param} must be an integer"):
+            scenario(name, **{param: value})
+
+    def test_numpy_integer_parameters_accepted(self):
+        assert scenario("lattice_to_jumps", k=np.int64(3)).params == {"k": 3, "l": 1}
+        assert scenario("line_to_circle", n_circle=np.int32(5)).pmap.target.name == "circle5"
+
     @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "lattice_to_jumps"])
     def test_k_refused_where_unread(self, name):
         with pytest.raises(InvalidParameter, match="k is read by lattice_to_jumps only"):

@@ -1,9 +1,6 @@
 """The packed state layout, and property checks of the array kernels against
 the dict-based reference paths."""
 
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +9,12 @@ from hypothesis import strategies as st
 from qwproj import (
     WalkState,
     apply_step,
-    cyclic_quotient,
     evolve,
     evolve_recurrence,
     lattice_2d,
-    lattice_quotient,
     line,
-    llattice_quotient,
     max_abs_difference,
     norm,
-    project_state,
     state_new,
 )
 from conftest import random_sparse_state, walk_zoo
@@ -112,29 +105,3 @@ def test_engines_agree_far_from_origin(index, seed, offset, steps):
     assert max_abs_difference(a, b) <= 1e-12
 
 
-QUOTIENTS = [
-    lattice_quotient(1, 0),
-    lattice_quotient(2, 1),
-    lattice_quotient(3, -5),
-    cyclic_quotient(4),
-    cyclic_quotient(3, source=lattice_quotient(2, 1).target),
-    llattice_quotient(),
-]
-
-
-@pytest.mark.parametrize("pmap", QUOTIENTS, ids=lambda pm: pm.name)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    offset=st.tuples(OFFSET, OFFSET),
-    phi=st.sampled_from([0.0, math.pi / 3, -1.25]),
-)
-@PROPERTY
-def test_array_projection_matches_scalar_rho(pmap, seed, offset, phi):
-    assert pmap.rho_array is not None and pmap.sigma_array is not None
-    scalar = dataclasses.replace(pmap, rho_array=None, sigma_array=None)
-    psi = far_state(pmap.source, seed, offset, points=6)
-    a = project_state(pmap, phi, psi)
-    b = project_state(scalar, phi, psi)
-    np.testing.assert_array_equal(a.coords, b.coords)
-    np.testing.assert_array_equal(a.coins, b.coins)
-    assert all(pmap.target.contains(p) for p in a.support)

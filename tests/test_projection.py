@@ -125,8 +125,8 @@ class TestProjectState:
 
         terms = psi.coins
         if phi != 0.0:
-            terms = terms * np.exp(1j * phi * pm.sigma_block(psi.coords))[:, None]
-        fibers, inverse = np.unique(pm.rho_block(psi.coords), axis=0, return_inverse=True)
+            terms = terms * np.exp(1j * phi * pm.sigma_array(psi.coords))[:, None]
+        fibers, inverse = np.unique(pm.rho_array(psi.coords), axis=0, return_inverse=True)
         expected = np.zeros((len(fibers), 4), dtype=np.complex128)
         np.add.at(expected, inverse.ravel(), terms)
         assert np.array_equal(out.coords, fibers)
@@ -153,7 +153,7 @@ class TestProjectState:
         bare = ProjectionMap(
             source=Z2,
             target=lattice_quotient(1, 0).target,
-            rho=lambda p: (p[0],),
+            rho_array=lambda c: c[:, :1],
             name="no-sigma",
         )
         psi = state_new(Z2, [((0, 0), GENERIC4)])
@@ -394,12 +394,11 @@ def shifted_line_map(offset):
     return ProjectionMap(
         source=line(),
         target=line(),
-        rho=lambda p: (p[0] + offset,),
-        sigma=lambda p: 0,
+        rho_array=lambda c: c + offset,
+        sigma_array=lambda c: 0 * c[:, 0],
         sigma_c={"R": 0, "L": 0},
         section=lambda q: (q[0] - offset,),
         name=f"shift({offset})",
-        rho_array=lambda c: c + offset,
     )
 
 
@@ -581,19 +580,17 @@ class TestRepeatingInducedMerges:
         pm = ProjectionMap(
             source=base.source,
             target=base.target,
-            rho=base.rho,
-            sigma=lambda p: 3 * p[0],
+            rho_array=base.rho_array,
+            sigma_array=lambda c: 3 * c[:, 0],
             sigma_c=base.sigma_c,
             section=base.section,
             name="mod4-tripled-sigma",
-            rho_array=base.rho_array,
-            sigma_array=lambda c: 3 * c[:, 0],
         )
         phi, n = 0.7, 30
         psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])
         lo, values = projection_module._phase_table(pm, phi, psi, n)
         final = evolve(HADAMARD_LINE, psi, n)
-        assert pm.sigma_block(final.coords).max() >= lo + len(values)
+        assert pm.sigma_array(final.coords).max() >= lo + len(values)
         report = verify_commutation(HADAMARD_LINE, pm, phi, psi, n)
         expected = reference_residuals(HADAMARD_LINE, pm, phi, psi, n)
         assert bits(report.residuals).tobytes() == bits(expected).tobytes()
@@ -606,13 +603,13 @@ class TestRepeatingInducedMerges:
         coins[::7] = complex(-0.0, -0.0)
         psi = state_new(Z2, list(zip(sites, coins)))
         pm = lattice_quotient(1, 0)
-        fibers, inverse = np.unique(pm.rho_block(psi.coords), axis=0, return_inverse=True)
+        fibers, inverse = np.unique(pm.rho_array(psi.coords), axis=0, return_inverse=True)
         inverse = inverse.ravel()
-        sums = projection_module._fiber_sums
-        alone = sums(pm, (phi,), psi, inverse, len(fibers))
-        family = sums(pm, (0.3, phi, 0.0), psi, inverse, len(fibers))
-        assert alone.shape == (1, len(fibers), 4)
-        assert bits(alone[0]).tobytes() == bits(family[1]).tobytes()
+        sigma = pm.sigma_array(psi.coords)
+        alone = projection_module._fiber_sums(phi, psi.coins, sigma, inverse, len(fibers))
+        sites, family = projection_module._project_phases(pm, (0.3, phi, 0.0), psi)
+        assert alone.shape == (len(fibers), 4) and np.array_equal(sites, fibers)
+        assert bits(alone).tobytes() == bits(family[1]).tobytes()
         table = projection_module._phase_table(pm, phi, psi, 1)
-        tabled = sums(pm, (phi,), psi, inverse, len(fibers), table)
+        tabled = projection_module._fiber_sums(phi, psi.coins, sigma, inverse, len(fibers), table)
         assert bits(tabled).tobytes() == bits(alone).tobytes()

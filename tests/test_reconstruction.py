@@ -1,6 +1,5 @@
 """Phase-grid inversion: sigma bookkeeping, round trips, and failure modes."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +34,6 @@ from qwproj import (
     sigma_support_bounds,
     state_new,
 )
-from qwproj import projection as projection_module
 from qwproj.reconstruction import _fiber_stacks
 from conftest import random_sparse_state
 
@@ -78,7 +76,7 @@ class TestSigmaBounds:
         from qwproj import ProjectionMap
 
         bare = ProjectionMap(
-            source=Z2, target=lattice_quotient(1, 0).target, rho=lambda p: (p[0],)
+            source=Z2, target=lattice_quotient(1, 0).target, rho_array=lambda c: c[:, :1]
         )
         with pytest.raises(MissingSigma):
             sigma_support_bounds(origin_state(), bare)
@@ -124,17 +122,6 @@ class TestRoundTrip:
         candidates = reachable_window(Z2, [(0, 0)], 8)
         recovered = reconstruct_support(family, pm, candidates)
         assert max_abs_difference(recovered, evolved) < 1e-10
-
-    def test_scalar_map_inverts_like_array_map(self):
-        pm = lattice_quotient(3, 5)
-        scalar = dataclasses.replace(pm, rho_array=None, sigma_array=None)
-        evolved = evolve(GROVER2D, origin_state(), 8)
-        family = projection_family_direct(pm, evolved, 17)
-        candidates = reachable_window(Z2, [(0, 0)], 8)
-        a = reconstruct_support(family, pm, candidates)
-        b = reconstruct_support(family, scalar, candidates)
-        assert a.coords.tobytes() == b.coords.tobytes()
-        assert a.coins.tobytes() == b.coins.tobytes()
 
     def test_family_from_induced_evolutions_matches_direct(self):
         # the intertwining identity makes both routes produce the same family
@@ -364,36 +351,7 @@ class TestFamilyProperties:
 
 
 class TestFamilyProjection:
-    """The family groups psi0's fibers once and sums many phases per call."""
-
-    def test_one_fiber_sum_call_for_all_phases(self, monkeypatch):
-        calls = []
-        sums = projection_module._fiber_sums
-        monkeypatch.setattr(
-            projection_module, "_fiber_sums", lambda *args: calls.append(1) or sums(*args)
-        )
-        phase_projection_family(GROVER2D, lattice_quotient(2, 1), origin_state(), 3, 9)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("phases_per_call", [1, 3, 7])
-    def test_chunked_sums_equal_each_projection(self, rng, monkeypatch, phases_per_call):
-        pm = lattice_quotient(2, 1)
-        psi = random_sparse_state(Z2, rng, points=6, radius=3)
-        monkeypatch.setattr(projection_module, "_FIBER_CHUNK", phases_per_call * psi.coins.size)
-        sizes = []
-        sums = projection_module._fiber_sums
-        monkeypatch.setattr(
-            projection_module,
-            "_fiber_sums",
-            lambda pmap, phis, *rest: sizes.append(len(phis)) or sums(pmap, phis, *rest),
-        )
-        grid = phase_grid(7, 0.3)
-        sites, block = projection_module._project_phases(pm, grid, psi)
-        assert max(sizes) == phases_per_call and sum(sizes) == 7
-        for phi, coins in zip(grid, block):
-            alone = project_state(pm, phi, psi)
-            assert np.array_equal(sites, alone.coords)
-            assert np.array_equal(coins, alone.coins)
+    """The family groups psi0's fibers and takes its sigma once for all phases."""
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_states_equal_separate_evolutions(self, rng, n):
@@ -404,13 +362,9 @@ class TestFamilyProjection:
             assert np.array_equal(state.coords, alone.coords)
             assert np.array_equal(state.coins, alone.coins)
 
-    @pytest.mark.parametrize("chunk", [projection_module._FIBER_CHUNK, 1])
-    def test_null_projection_names_the_first_cancelling_phase(self, monkeypatch, chunk):
+    def test_null_projection_names_the_first_cancelling_phase(self):
         # The fiber x = 0 holds g at sigma 0 and c*g at sigma 1, with c
-        # chosen so that the two cancel at the third grid phase only.  The
-        # check holds both with all phases in one fiber-sum call and with
-        # one phase per call.
-        monkeypatch.setattr(projection_module, "_FIBER_CHUNK", chunk)
+        # chosen so that the two cancel at the third grid phase only.
         pm = lattice_quotient(1, 0)
         grid = phase_grid(5)
         c = -np.exp(-1j * grid[2])

@@ -12,6 +12,7 @@ from qwproj import (
     InvalidParameter,
     InvalidPosition,
     ProjectionMap,
+    SpaceMismatch,
     bezout,
     check_rho_consistency,
     circle,
@@ -25,7 +26,7 @@ from qwproj import (
     reachable_window,
 )
 from qwproj import spaces
-from qwproj.spaces import group_rows
+from qwproj.spaces import check_same_space, group_rows
 from conftest import identity_map
 
 
@@ -59,11 +60,11 @@ class TestDisplacementApply:
             displacement_apply(lattice_2d(), (0, 0), "Q")
 
     def test_displacement_needs_delta_or_reach(self):
-        same = lambda p: p  # noqa: E731
+        same = lambda c: c  # noqa: E731
         with pytest.raises(InvalidParameter):
-            Displacement("x", same, same, lambda c: c)
-        assert Displacement("x", same, same, lambda c: c, reach=0).reach == 0
-        assert Displacement("x", same, same, lambda c: c, delta=(2, -3)).reach == 3
+            Displacement("x", same, same)
+        assert Displacement("x", same, same, reach=0).reach == 0
+        assert Displacement("x", same, same, delta=(2, -3)).reach == 3
 
     @pytest.mark.parametrize(
         "space, pos",
@@ -114,8 +115,11 @@ class TestDisplacementStructure:
             np.testing.assert_array_equal(disp.apply_array(coords), expected)
 
 
+B = 2**70  # far beyond int64, where only exact integer arithmetic is right
+
 # (space, label, position, its image), written out by hand: every catalog
-# displacement, the circle's wrap at both ends and the L-lattice's two parities.
+# displacement, the circle's wrap at both ends and the L-lattice's two
+# parities, near the origin and at +-2**70.
 DISPLACEMENT_TABLE = [
     (lattice_2d(), "R", (3, -5), (4, -5)),
     (lattice_2d(), "L", (3, -5), (2, -5)),
@@ -140,6 +144,19 @@ DISPLACEMENT_TABLE = [
     (llattice(), "b", (-3, 0), (-3, -1)),
     (llattice_quotient().target, "a", (0,), (1,)),
     (llattice_quotient().target, "b", (0,), (-1,)),
+    (lattice_2d(), "R", (B, -B), (B + 1, -B)),
+    (lattice_2d(), "L", (-B, B), (-B - 1, B)),
+    (lattice_2d(), "U", (B, B), (B, B + 1)),
+    (lattice_2d(), "D", (-B, -B), (-B, -B - 1)),
+    (line(), "R", (B,), (B + 1,)),
+    (line(), "L", (-B,), (-B - 1,)),
+    (lattice_quotient(2, 1).target, "R", (B,), (B + 2,)),
+    (lattice_quotient(3, -5).target, "U", (-B,), (-B - 5,)),
+    (llattice(), "a", (B, -B), (B + 1, -B)),
+    (llattice(), "a", (B + 1, -B), (B + 1, -B + 1)),
+    (llattice(), "b", (-B, B), (-B - 1, B)),
+    (llattice(), "b", (-B, B + 1), (-B, B)),
+    (llattice_quotient().target, "a", (-B,), (-B + 1,)),
 ]
 
 
@@ -152,8 +169,81 @@ def test_displacement_table(space, label, pos, image):
     disp = space.displacement(label)
     assert disp.apply(pos) == image
     assert disp.unapply(image) == pos
-    block = disp.apply_array(np.array([pos], dtype=np.int64))
-    assert block.dtype == np.int64 and block.tolist() == [list(image)]
+    assert all(type(c) is int for c in disp.apply(pos) + disp.unapply(image))
+    if max(map(abs, pos)) < 2**31:
+        block = disp.apply_array(np.array([pos], dtype=np.int64))
+        assert block.dtype == np.int64 and block.tolist() == [list(image)]
+        block = disp.unapply_array(np.array([image], dtype=np.int64))
+        assert block.dtype == np.int64 and block.tolist() == [list(pos)]
+
+
+# Every catalog space on unbounded coordinates (a circle's positions are
+# 0..n-1, so it has none beyond int64).
+UNBOUNDED_SPACES = [
+    lattice_2d(),
+    line(),
+    llattice(),
+    lattice_quotient(1, 0).target,
+    lattice_quotient(2, 1).target,
+    lattice_quotient(3, -5).target,
+    llattice_quotient().target,
+]
+
+
+@pytest.mark.parametrize("space", UNBOUNDED_SPACES, ids=lambda sp: str(sp.signature))
+@pytest.mark.parametrize("far", [B, -B])
+def test_every_displacement_round_trips_beyond_int64(space, far):
+    pos = (far,) * space.dimension
+    for disp in space.displacements:
+        image = disp.apply(pos)
+        assert disp.unapply(image) == pos and all(type(c) is int for c in image)
+        if disp.delta is not None:
+            assert image == tuple(c + d for c, d in zip(pos, disp.delta))
+
+
+# (map, position, rho, sigma), written out by hand from each map's formula:
+# lattice(k, l): rho = k*x + l*y, sigma = u*y - v*x with the canonical
+# Bezout pair, (1, 0) for k=1,l=0, (0, 1) for k=2,l=1, (2, 1) for k=3,l=-5;
+# mod n: rho = x mod n, sigma = x; the L-lattice diagonal: x + y twice.
+MAP_TABLE = [
+    (lattice_quotient(1, 0), (3, -5), (3,), -5),
+    (lattice_quotient(1, 0), (-7, 2), (-7,), 2),
+    (lattice_quotient(1, 0), (B, -B), (B,), -B),
+    (lattice_quotient(2, 1), (3, -5), (1,), -3),
+    (lattice_quotient(2, 1), (-7, 2), (-12,), 7),
+    (lattice_quotient(2, 1), (B, -B), (B,), -B),
+    (lattice_quotient(2, 1), (-B, 3), (-2 * B + 3,), B),
+    (lattice_quotient(3, -5), (3, -5), (34,), -13),
+    (lattice_quotient(3, -5), (-7, 2), (-31,), 11),
+    (lattice_quotient(3, -5), (B, B), (-2 * B,), B),
+    (lattice_quotient(3, -5), (-B, B), (-8 * B,), 3 * B),
+    (cyclic_quotient(3), (7,), (1,), 7),
+    (cyclic_quotient(3), (-7,), (2,), -7),
+    (cyclic_quotient(3), (B,), (1,), B),
+    (cyclic_quotient(3), (-B,), (2,), -B),
+    (cyclic_quotient(4), (7,), (3,), 7),
+    (cyclic_quotient(4), (-7,), (1,), -7),
+    (cyclic_quotient(4), (B + 3,), (3,), B + 3),
+    (cyclic_quotient(4), (-B - 1,), (3,), -B - 1),
+    (llattice_quotient(), (3, -5), (-2,), -2),
+    (llattice_quotient(), (-7, 2), (-5,), -5),
+    (llattice_quotient(), (B, B), (2 * B,), 2 * B),
+    (llattice_quotient(), (-B, 1), (-B + 1,), -B + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "pmap, pos, rho, sigma",
+    MAP_TABLE,
+    ids=[f"{pm.name}-{i}" for i, (pm, _, _, _) in enumerate(MAP_TABLE)],
+)
+def test_map_table(pmap, pos, rho, sigma):
+    assert pmap.rho(pos) == rho and pmap.sigma(pos) == sigma
+    assert all(type(c) is int for c in pmap.rho(pos)) and type(pmap.sigma(pos)) is int
+    if max(map(abs, pos)) < 2**31:
+        block = np.array([pos], dtype=np.int64)
+        assert pmap.rho_array(block).tolist() == [list(rho)]
+        assert pmap.sigma_array(block).tolist() == [sigma]
 
 
 def brute_force_bezout(k, l):
@@ -308,6 +398,18 @@ class TestLLatticeQuotient:
             assert pm.rho(pm.source.displacement("b").apply(p)) == (pm.rho(p)[0] - 1,)
 
 
+def test_space_mismatch_tells_same_named_spaces_apart():
+    lazy, doubled = lattice_quotient(1, 0).target, lattice_quotient(1, 1).target
+    assert lazy.name == doubled.name == "z1"
+    with pytest.raises(SpaceMismatch) as raised:
+        check_same_space(lazy, doubled, "state")
+    assert str(raised.value) == (
+        f"state is on 'z1' {lazy.signature}, expected 'z1' {doubled.signature}"
+    )
+    with pytest.raises(SpaceMismatch, match="^state is on 'z2', expected 'z1'$"):
+        check_same_space(lattice_2d(), line(), "state")
+
+
 class TestConsistencyCheck:
     def test_lattice_quotient_passes(self):
         report = check_rho_consistency(lattice_quotient(2, 1), square_window(5))
@@ -317,7 +419,7 @@ class TestConsistencyCheck:
         bad = ProjectionMap(
             source=lattice_2d(),
             target=line(),
-            rho=lambda p: (p[0] * p[0],),
+            rho_array=lambda c: c[:, :1] * c[:, :1],
             name="x-squared",
         )
         report = check_rho_consistency(bad, square_window(3))
