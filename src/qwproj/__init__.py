@@ -84,7 +84,6 @@ from .reconstruction import (
     plan_reconstruction,
     reconstruct,
     reconstruct_support,
-    sigma_support_bounds,
 )
 from .catalog import (
     SCENARIO_NAMES,

@@ -178,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance(p_rec)
     p_rec.add_argument("--k", type=int, required=True, help="quotient coefficient k")
     p_rec.add_argument("--l", type=int, required=True, help="quotient coefficient l")
-    p_rec.add_argument("--phi-samples", type=_SAMPLES, default=None, help="grid size (default: auto)")
+    p_rec.add_argument(
+        "--phi-samples",
+        type=_SAMPLES,
+        default=None,
+        help="grid size (default: largest per-fiber sigma span of the candidate window)",
+    )
     p_rec.add_argument("--out-state", default=None, help="recovered state dump (JSON)")
     p_rec.add_argument("--out-report", default=None, help="reconstruction report (JSON)")
     return parser
@@ -237,11 +242,13 @@ def cmd_reconstruct(args) -> int:
     parent = desc.walk
     psi0 = _initial_state(desc, args)
     n = args.steps
+    # One candidate block for planning and inversion; the grid is checked
+    # against it before any walk is evolved.
+    candidates = reconstruction._candidate_block(
+        pmap, reachable_window(parent.space, psi0.support, n)
+    )
+    samples = reconstruction.plan_reconstruction(pmap, candidates, args.phi_samples)
     reference = evolve(parent, psi0, n)
-    samples = args.phi_samples
-    if samples is None:
-        samples = reconstruction.plan_reconstruction(reference, pmap)
-    candidates = reachable_window(parent.space, psi0.support, n)
     family = reconstruction.phase_projection_family(parent, pmap, psi0, n, samples)
     recovered = reconstruction.reconstruct_support(family, pmap, candidates)
     max_error = hilbert.max_abs_difference(recovered, reference)

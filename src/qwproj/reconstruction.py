@@ -19,13 +19,17 @@ only modulo M:
 Recovery of a coefficient is therefore exact whenever no other support
 point of the same fiber has sigma congruent to it mod M.  The one inversion
 routine, :func:`reconstruct_support`, checks this congruence condition
-directly on a caller-supplied candidate region, which admits much smaller
-grids when the per-fiber sigma spread is narrow.  :func:`reconstruct` is its
-front end for a global sigma window: all sigma values to be recovered fit
-into M consecutive integers, a sufficient condition, and the window's
-(r, s) pairs are the candidates.  The grid offset delta is
-not corrected for: recovered coefficients at sigma = s carry exp(i*s*delta),
-and the default grids start at zero.
+directly on a caller-supplied candidate region.  Distinct sigma values in a
+range no wider than M stay distinct mod M, so the grid only has to span the
+sigma values inside each fiber: :func:`plan_reconstruction` sizes it by the
+largest per-fiber sigma span of the candidates, far below the global span
+when fibers are narrow (for a lattice quotient (k, l) a fiber is a line in
+direction (-l, k)).  :func:`reconstruct` is the front end for a global
+sigma window: all sigma values to be recovered fit into M consecutive
+integers, a sufficient condition, and the window's (r, s) pairs are the
+candidates.  The grid offset delta is not corrected for: recovered
+coefficients at sigma = s carry exp(i*s*delta), and the default grids start
+at zero.
 
 The family is computed as one batched block.  Projection keeps every fiber
 of the initial state at every phase, so the M induced walks share their
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, exact_block, group_rows, pack_positions
+from .spaces import Position, ProjectionMap, group_rows, pack_positions
 from .walk import WalkSpec, _advance_block, _step_count
 
 logger = logging.getLogger(__name__)
@@ -61,20 +66,11 @@ GRID_TOL = 1e-9
 
 __all__ = [
     "plan_reconstruction",
-    "sigma_support_bounds",
     "phase_grid",
     "phase_projection_family",
     "reconstruct",
     "reconstruct_support",
 ]
-
-
-def sigma_support_bounds(state: WalkState, pmap: ProjectionMap) -> tuple[int, int]:
-    """Smallest and largest sigma value over the state's support."""
-    if pmap.sigma_array is None:
-        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    values = pmap.sigma_array(exact_block(state.support, pmap.source.dimension))
-    return (int(values.min()), int(values.max())) if len(values) else (0, 0)
 
 
 def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
@@ -84,20 +80,88 @@ def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
 
 
-def plan_reconstruction(
-    state: WalkState, pmap: ProjectionMap, samples: int | None = None
-) -> int:
-    """The number of grid phases for recovering ``state``'s support window.
+@dataclass(eq=False)
+class _Candidates:
+    """A candidate source region as one block, built once by
+    :func:`_candidate_block` and read by planning and inversion alike.
 
-    The default is the global sigma span rounded up to the next odd integer;
-    an explicit smaller count raises GridTooCoarse.
+    ``coords`` holds the distinct positions in lexicographic order, with
+    their targets under rho and their sigma values.  ``checked`` keeps the
+    grid size whose sigma bins were last found free of collisions, with
+    those bins, so that a grid checked while planning is not checked again.
+    Iterating yields the positions, so the block stands wherever an iterable
+    of positions does.
     """
-    sigma_min, sigma_max = sigma_support_bounds(state, pmap)
-    width = sigma_max - sigma_min + 1
+
+    pmap: ProjectionMap
+    coords: np.ndarray
+    targets: np.ndarray
+    sigma: np.ndarray
+    checked: tuple[int, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __iter__(self) -> Iterator[Position]:
+        return map(tuple, self.coords.tolist())
+
+
+def _candidate_block(pmap: ProjectionMap, candidates: Iterable[Position]) -> _Candidates:
+    """The candidates as one block for ``pmap``; a block built for it is
+    returned as it is."""
+    if isinstance(candidates, _Candidates) and candidates.pmap is pmap:
+        return candidates
+    if pmap.sigma_array is None:
+        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    coords = pack_positions(sorted(set(tuple(p) for p in candidates)), pmap.source.dimension)
+    return _Candidates(pmap, coords, pmap.rho_array(coords), pmap.sigma_array(coords))
+
+
+def _bins(block: _Candidates, m: int) -> np.ndarray:
+    """Every candidate's sigma bin mod ``m``.
+
+    GridTooCoarse names the first candidate (in order) that shares its fiber
+    and bin with an earlier one, and that earlier one.
+    """
+    if block.checked is not None and block.checked[0] == m:
+        return block.checked[1]
+    bin_of = block.sigma % m
+    keys, key_of = group_rows(np.column_stack([block.targets, bin_of]))
+    if len(keys) < len(block):
+        _, first = np.unique(key_of, return_index=True)
+        clash = int(np.argmax(first[key_of] != np.arange(len(block))))
+        other = int(first[key_of[clash]])
+        pair = [tuple(block.coords[i].tolist()) for i in (other, clash)]
+        raise GridTooCoarse(
+            f"candidates {pair[0]} and {pair[1]} share fiber "
+            f"{tuple(block.targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
+        )
+    block.checked = (m, bin_of)
+    return bin_of
+
+
+def plan_reconstruction(
+    pmap: ProjectionMap, candidates: Iterable[Position], samples: int | None = None
+) -> int:
+    """The number of grid phases for recovering the candidate region.
+
+    The default is the largest per-fiber sigma span (max - min + 1 over the
+    candidates of one fiber), and 1 for no candidates.  Either grid is
+    checked against the candidates here, so that a caller can refuse it
+    before evolving any walk: GridTooCoarse names two candidates of one
+    fiber that share a sigma bin.
+    """
+    block = _candidate_block(pmap, candidates)
     if samples is None:
-        samples = width if width % 2 == 1 else width + 1
-    elif samples < width:
-        raise GridTooCoarse(f"{samples} samples cannot resolve a sigma span of {width}")
+        fibers, fiber_of = group_rows(block.targets)
+        low = np.full(len(fibers), np.iinfo(np.int64).max)
+        high = np.full(len(fibers), np.iinfo(np.int64).min)
+        np.minimum.at(low, fiber_of, block.sigma)
+        np.maximum.at(high, fiber_of, block.sigma)
+        samples = int((high - low).max()) + 1 if len(fibers) else 1
+    elif samples < 1:
+        raise InvalidParameter(f"need at least one phase sample, got {samples}")
+    _bins(block, samples)
     return samples
 
 
@@ -222,34 +286,21 @@ def reconstruct_support(
     Recovers the amplitude at every candidate position from the DFT bin of
     its fiber at sigma mod M.  This is exact as long as no two candidates of
     one fiber share a bin, which is checked directly (GridTooCoarse names
-    the colliding pair); the grid can therefore be much smaller than the
-    global sigma span whenever sigma varies little within each fiber.
+    the colliding pair) unless :func:`plan_reconstruction` checked the same
+    candidate block at this M; the grid can therefore be much smaller than
+    the global sigma span whenever sigma varies little within each fiber.
     """
-    if pmap.sigma_array is None:
-        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    block = _candidate_block(pmap, candidates)
     states = _sorted_grid(projections)
-    m = len(states)
-    cand = sorted(set(tuple(p) for p in candidates))
-    coords = pack_positions(cand, pmap.source.dimension)
-    targets = pmap.rho_array(coords)
-    bin_of = pmap.sigma_array(coords) % m
-    keys, key_of = group_rows(np.column_stack([targets, bin_of]))
-    if len(keys) < len(cand):
-        _, first = np.unique(key_of, return_index=True)
-        clash = int(np.argmax(first[key_of] != np.arange(len(cand))))
-        other = int(first[key_of[clash]])
-        raise GridTooCoarse(
-            f"candidates {cand[other]} and {cand[clash]} share fiber "
-            f"{tuple(targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
-        )
+    bin_of = _bins(block, len(states))
     fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
     # Locate each candidate's fiber among the family's target positions.
-    _, where = group_rows(np.concatenate([fibers, targets]))
+    _, where = group_rows(np.concatenate([fibers, block.targets]))
     fiber_of = np.full(len(where), -1)
     fiber_of[where[: len(fibers)]] = np.arange(len(fibers))
     fiber_of = fiber_of[where[len(fibers) :]]
     found = fiber_of >= 0
-    vecs = np.zeros((len(cand), pmap.source.coin_dimension), dtype=np.complex128)
+    vecs = np.zeros((len(block), pmap.source.coin_dimension), dtype=np.complex128)
     vecs[found] = bins[bin_of[found], fiber_of[found]]
     keep = vecs.any(axis=1)
-    return WalkState.from_blocks(pmap.source, coords[keep], vecs[keep])
+    return WalkState.from_blocks(pmap.source, block.coords[keep], vecs[keep])

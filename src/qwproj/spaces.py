@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPosition, SpaceMismatch
+from .errors import InvalidParameter, InvalidPosition, MissingSigma, SpaceMismatch
 
 Position = tuple[int, ...]
 
@@ -255,6 +255,8 @@ class ProjectionMap:
         return _on_position(self.rho_array, p)
 
     def sigma(self, p: Position) -> int:
+        if self.sigma_array is None:
+            raise MissingSigma(f"projection {self.name!r} has no sigma homomorphism")
         return int(self.sigma_array(exact_block([p], len(p)))[0])
 
 

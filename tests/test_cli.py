@@ -362,6 +362,37 @@ class TestReconstructCommand:
         )
         assert code == 0
 
+    UNIT_INIT = json.dumps(
+        {"space": "z2", "support": [
+            {"pos": [0, 0], "coin": [[0.5, 0], [0, 0.5], [-0.5, 0], [0, -0.5]]}]}
+    )
+
+    def test_benchmark_call_uses_the_per_fiber_grid(self, tmp_path):
+        # the widest fiber of the 48-step window spans 33 sigma values,
+        # against 97 over the whole window; every window site comes back
+        report = tmp_path / "rec.json"
+        code = main(["reconstruct", "--k", "2", "--l", "1", "--steps", "48",
+                     "--init", self.UNIT_INIT, "--out-report", str(report)])
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["phi_samples"] == 33
+        assert data["passed"] is True and data["max_error"] < 1e-10
+        assert len(data["recovered_state"]["support"]) == 4705
+
+    def test_coarse_grid_refused_before_evolving(self, tmp_path, capsys, monkeypatch):
+        def no_walks(*args, **kwargs):
+            raise AssertionError("a walk was evolved for a grid that is too coarse")
+
+        args = ["reconstruct", "--k", "2", "--l", "1", "--steps", "48",
+                "--init", self.UNIT_INIT, "--out-report", str(tmp_path / "rec.json")]
+        with monkeypatch.context() as patch:
+            patch.setattr("qwproj.cli.evolve", no_walks)
+            patch.setattr("qwproj.reconstruction.phase_projection_family", no_walks)
+            assert main([*args, "--phi-samples", "32"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: candidates (") and err.endswith("sigma bin 0 of 32\n")
+        assert main([*args, "--phi-samples", "33"]) == 0
+
     @pytest.mark.parametrize("factor", [1e-8, 1e8])
     def test_tolerance_relative_to_initial_norm(self, tmp_path, factor):
         report = tmp_path / "rec.json"

@@ -31,10 +31,9 @@ from qwproj import (
     reachable_window,
     reconstruct,
     reconstruct_support,
-    sigma_support_bounds,
     state_new,
 )
-from qwproj.reconstruction import _fiber_stacks
+from qwproj.reconstruction import _candidate_block, _fiber_stacks
 from conftest import random_sparse_state
 
 Z2 = lattice_2d()
@@ -47,6 +46,12 @@ def origin_state():
     return state_new(Z2, [((0, 0), GENERIC4)])
 
 
+def sigma_bounds(state, pmap):
+    """Smallest and largest sigma over the state's support: a global window."""
+    sigmas = [pmap.sigma(pos) for pos in state.support]
+    return min(sigmas), max(sigmas)
+
+
 def projection_family_direct(pmap, state, samples, delta=0.0):
     """Oracle family: project one evolved parent state at every grid phase."""
     return [(phi, project_state(pmap, phi, state)) for phi in phase_grid(samples, delta)]
@@ -55,48 +60,108 @@ def projection_family_direct(pmap, state, samples, delta=0.0):
 class TestSigmaBounds:
     def test_single_point(self):
         pm = lattice_quotient(2, 1)
-        assert sigma_support_bounds(origin_state(), pm) == (0, 0)
+        assert sigma_bounds(origin_state(), pm) == (0, 0)
 
     def test_column_support(self):
         pm = lattice_quotient(1, 0)  # sigma(x, y) = y
         psi = state_new(
             Z2, [((0, 0), GENERIC4), ((0, 1), GENERIC4), ((0, 2), GENERIC4)]
         )
-        assert sigma_support_bounds(psi, pm) == (0, 2)
+        assert sigma_bounds(psi, pm) == (0, 2)
 
     def test_growth_bounded_by_steps(self):
         pm = lattice_quotient(2, 1)
         step_weights = [abs(w) for w in pm.sigma_c.values()]
         for n in (3, 7):
             evolved = evolve(GROVER2D, origin_state(), n)
-            lo, hi = sigma_support_bounds(evolved, pm)
+            lo, hi = sigma_bounds(evolved, pm)
             assert -n * max(step_weights) <= lo <= hi <= n * max(step_weights)
 
-    def test_requires_sigma(self):
+    @staticmethod
+    def bare_map():
         from qwproj import ProjectionMap
 
-        bare = ProjectionMap(
+        return ProjectionMap(
             source=Z2, target=lattice_quotient(1, 0).target, rho_array=lambda c: c[:, :1]
         )
+
+    def test_requires_sigma(self):
+        bare = self.bare_map()
         with pytest.raises(MissingSigma):
-            sigma_support_bounds(origin_state(), bare)
+            plan_reconstruction(bare, [(0, 0)])
+        family = projection_family_direct(lattice_quotient(1, 0), origin_state(), 3)
+        with pytest.raises(MissingSigma):
+            reconstruct_support(family, bare, [(0, 0)])
+
+    def test_sigma_of_one_position_requires_sigma(self):
+        with pytest.raises(MissingSigma):
+            self.bare_map().sigma((0, 0))
+
+
+def widest_fiber(pmap, positions):
+    """Loop oracle: the largest sigma span (max - min + 1) within one fiber."""
+    fibers = {}
+    for pos in positions:
+        fibers.setdefault(pmap.rho(pos), []).append(pmap.sigma(pos))
+    return max(max(s) - min(s) + 1 for s in fibers.values())
 
 
 class TestPlan:
-    def test_auto_size_is_odd_and_sufficient(self):
-        pm = lattice_quotient(1, 0)
-        evolved = evolve(GROVER2D, origin_state(), 5)
-        samples = plan_reconstruction(evolved, pm)
-        sigma_min, sigma_max = sigma_support_bounds(evolved, pm)
-        assert samples >= sigma_max - sigma_min + 1 and samples % 2 == 1
-        grid = phase_grid(samples)
-        assert grid[0] == 0.0 and len(grid) == samples
+    @pytest.mark.parametrize("kl", [(1, 0), (2, 1), (3, 5)])
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_default_grid_is_the_widest_fiber_span(self, kl, n):
+        pm = lattice_quotient(*kl)
+        psi = origin_state()
+        window = reachable_window(Z2, psi.support, n)
+        samples = plan_reconstruction(pm, window)
+        assert samples == widest_fiber(pm, window)
+        # the per-fiber grid recovers the reference on every window site
+        reference = evolve(GROVER2D, psi, n)
+        family = phase_projection_family(GROVER2D, pm, psi, n, samples)
+        recovered = reconstruct_support(family, pm, window)
+        assert max_abs_difference(recovered, reference) < 1e-10
+        occupied = {pos for pos, vec in reference.support.items() if np.any(vec)}
+        assert occupied <= set(recovered.support) <= window
+        # one phase fewer aliases two sites of the widest fiber
+        with pytest.raises(GridTooCoarse, match=f"sigma bin .* of {samples - 1}$"):
+            plan_reconstruction(pm, window, samples - 1)
+
+    def test_global_span_would_be_wider(self):
+        # the benchmark's call: 97 phases by the global span, 33 per fiber
+        pm = lattice_quotient(2, 1)
+        window = reachable_window(Z2, [(0, 0)], 48)
+        sigmas = [pm.sigma(pos) for pos in window]
+        assert max(sigmas) - min(sigmas) + 1 == 97
+        assert plan_reconstruction(pm, window) == 33
+
+    def test_no_candidates_plan_one_phase(self):
+        pm = lattice_quotient(2, 1)
+        assert plan_reconstruction(pm, []) == 1
+        family = projection_family_direct(pm, origin_state(), 1)
+        assert reconstruct_support(family, pm, []).support == {}
 
     def test_explicit_undersized_grid_rejected(self):
         pm = lattice_quotient(1, 0)
-        evolved = evolve(GROVER2D, origin_state(), 5)
+        window = reachable_window(Z2, [(0, 0)], 5)  # the column x = 0 spans 11
         with pytest.raises(GridTooCoarse):
-            plan_reconstruction(evolved, pm, samples=8)
+            plan_reconstruction(pm, window, samples=8)
+        assert plan_reconstruction(pm, window, samples=11) == 11
+        with pytest.raises(InvalidParameter):
+            plan_reconstruction(pm, window, samples=0)
+
+    def test_planned_block_is_checked_once(self):
+        pm = lattice_quotient(2, 1)
+        psi = origin_state()
+        block = _candidate_block(pm, reachable_window(Z2, psi.support, 6))
+        samples = plan_reconstruction(pm, block)
+        checked = block.checked
+        assert checked[0] == samples
+        family = phase_projection_family(GROVER2D, pm, psi, 6, samples)
+        by_block = reconstruct_support(family, pm, block)
+        assert block.checked is checked
+        by_positions = reconstruct_support(family, pm, list(block))
+        assert by_block.coords.tobytes() == by_positions.coords.tobytes()
+        assert by_block.coins.tobytes() == by_positions.coins.tobytes()
 
 
 class TestRoundTrip:
@@ -110,7 +175,7 @@ class TestRoundTrip:
     def test_global_window_round_trip(self):
         pm = lattice_quotient(2, 1)
         evolved = evolve(GROVER2D, origin_state(), 10)
-        bounds = sigma_support_bounds(evolved, pm)
+        bounds = sigma_bounds(evolved, pm)
         family = projection_family_direct(pm, evolved, 21)
         recovered = reconstruct(family, pm, bounds)
         assert max_abs_difference(recovered, evolved) < 1e-10
@@ -159,7 +224,7 @@ class TestRoundTrip:
         if aliased:  # one window of M = 2n - 1 sigma values, short of the span
             samples, bounds = 2 * n - 1, (-n, n - 2)
         else:
-            bounds = sigma_support_bounds(evolved, pm)
+            bounds = sigma_bounds(evolved, pm)
             samples = bounds[1] - bounds[0] + 1
         family = projection_family_direct(pm, evolved, samples)
         recovered = reconstruct(family, pm, bounds)
@@ -199,7 +264,7 @@ class TestFailureModes:
     def test_grid_too_coarse_for_window(self):
         pm = lattice_quotient(1, 0)
         evolved = evolve(GROVER2D, origin_state(), 5)
-        bounds = sigma_support_bounds(evolved, pm)  # span 11
+        bounds = sigma_bounds(evolved, pm)  # span 11
         family = projection_family_direct(pm, evolved, 10)
         with pytest.raises(GridTooCoarse):
             reconstruct(family, pm, bounds)
@@ -258,7 +323,7 @@ class TestGridPhaseEquivariance:
     def test_shifted_grid_scales_coefficients(self):
         pm = lattice_quotient(1, 0)
         evolved = evolve(GROVER2D, origin_state(), 4)
-        bounds = sigma_support_bounds(evolved, pm)
+        bounds = sigma_bounds(evolved, pm)
         delta = 0.23
         family = projection_family_direct(pm, evolved, 9, delta=delta)
         recovered = reconstruct(family, pm, bounds)
