@@ -40,6 +40,7 @@ from .spaces import (
     COORD_LIMIT,
     Position,
     ProjectionMap,
+    _count,
     check_same_space,
     exact_block,
     group_rows,
@@ -49,9 +50,7 @@ from .walk import (
     CoinAssignment,
     StepPhase,
     WalkSpec,
-    _advance_block,
-    _merge_images,
-    _step_count,
+    _walk_blocks,
     evolve,
 )
 
@@ -328,43 +327,33 @@ def verify_commutation(
     projections cannot vanish because the induced evolution is unitary.
 
     The parent steps through :func:`~qwproj.walk.evolve`.  The induced walk
-    steps on bare coordinate and coin blocks through the same coin and step
-    kernels, with its step phases taken once.  A step's merge depends on
-    its coordinate block alone, so when the block equals the one of the
-    step two back, that step's merge is used again: on a finite quotient
-    the supports soon repeat (a 4-site circle's alternate between its two
-    parity classes, an odd circle's stay fixed), and at most two merges are
-    held.  Each step's projection and residual share one merge: the
-    parent's rho-images and the induced sites are grouped together, the
-    phase-weighted fiber sums are written onto that union and the induced
-    coins are subtracted there.  The parent's weights exp(i*phi*sigma) are
-    read off one table of the same np.exp values over the sigma range the
-    n steps can reach (see :func:`_phase_table`), and computed directly for
-    a step whose sigma leaves it.  The residuals are bitwise those of
-    :func:`project_state` followed by :func:`~qwproj.hilbert.diff_norm`.
+    steps on bare coordinate and coin blocks through the walk module's one
+    block loop, which reuses a step's merge when the supports repeat, as
+    they soon do on a finite quotient.  Each induced step is taken after
+    the parent's, so an error either branch raises comes at the step where
+    evolving that branch alone raises it.  Each step's projection and
+    residual share one merge: the parent's rho-images and the induced sites
+    are grouped together, the phase-weighted fiber sums are written onto
+    that union and the induced coins are subtracted there.  The parent's
+    weights exp(i*phi*sigma) are read off one table of the same np.exp
+    values over the sigma range the n steps can reach (see
+    :func:`_phase_table`), and computed directly for a step whose sigma
+    leaves it.  The residuals are bitwise those of :func:`project_state`
+    followed by :func:`~qwproj.hilbert.diff_norm`.
     """
-    n = _step_count(n)
+    n = _count(n, "step count")
     projected = project_state(pmap, phi, psi0)
     window = None
     if not walk.coin.is_homogeneous:
         window = reachable_window(walk.space, psi0.support, n)
     induced = induced_walk(walk, pmap, phi, window=window)
-    phases = induced.step_phases()
     table = _phase_table(pmap, phi, psi0, n)
-    coords, coins = projected.coords, projected.coins
-    # The (coordinate block, merge) of the last two induced steps.
-    held = [None, None]
+    lower = _walk_blocks(induced, projected.coords, projected.coins, n, induced.step_phases())
     residuals = []
     upper = psi0
-    for t in range(n):
+    for _ in range(n):
         upper = evolve(walk, upper, 1)
-        last = held[t % 2]
-        if last is None or not (
-            last[0] is coords
-            or last[0].shape == coords.shape and np.array_equal(last[0], coords)
-        ):
-            last = held[t % 2] = (coords, _merge_images(induced.space, coords))
-        coords, coins = _advance_block(induced, coords, coins, phases, last[1])
+        coords, coins = next(lower)
         targets = pmap.rho_array(upper.coords)
         sigma = pmap.sigma_array(upper.coords) if phi != 0.0 else None
         sites, inverse = group_rows(np.concatenate([targets, coords]))

@@ -57,8 +57,8 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, group_rows, pack_positions
-from .walk import WalkSpec, _advance_block, _step_count
+from .spaces import Position, ProjectionMap, _count, group_rows, pack_positions
+from .walk import WalkSpec, _walk_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,7 @@ __all__ = [
 
 def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
     """The uniform grid delta + 2*pi*j/samples for j = 0..samples-1."""
-    if samples < 1:
-        raise InvalidParameter(f"need at least one phase sample, got {samples}")
+    samples = _count(samples, "phase sample count", 1)
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
 
 
@@ -113,7 +112,7 @@ def _candidate_block(pmap: ProjectionMap, candidates: Iterable[Position]) -> _Ca
         return candidates
     if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = pack_positions(sorted(set(tuple(p) for p in candidates)), pmap.source.dimension)
+    coords = group_rows(pack_positions([tuple(p) for p in candidates], pmap.source.dimension))[0]
     return _Candidates(pmap, coords, pmap.rho_array(coords), pmap.sigma_array(coords))
 
 
@@ -159,8 +158,8 @@ def plan_reconstruction(
         np.minimum.at(low, fiber_of, block.sigma)
         np.maximum.at(high, fiber_of, block.sigma)
         samples = int((high - low).max()) + 1 if len(fibers) else 1
-    elif samples < 1:
-        raise InvalidParameter(f"need at least one phase sample, got {samples}")
+    else:
+        samples = _count(samples, "phase sample count", 1)
     _bins(block, samples)
     return samples
 
@@ -185,13 +184,13 @@ def phase_projection_family(
     fiber of psi0 survives projection at every phase, the support; they
     differ only in their step phases.  psi0's fibers are therefore grouped
     and its sigma taken once for all phases, and the walks advance together
-    as one ``(M, n, dim)`` coin block on one coordinate block, through the
-    coin and step kernels of :func:`~qwproj.walk.apply_coin` and
-    :func:`~qwproj.walk.apply_step`; the returned states share that
-    coordinate block.  Each state equals, entry for entry, the separate
-    evolution of its induced walk from :func:`~qwproj.projection.project_state`.
+    as one ``(M, n, dim)`` coin block on one coordinate block through the
+    walk module's block loop, which pays one shape comparison per step on a
+    growing support; the returned states share that coordinate block.  Each
+    state equals, entry for entry, the separate evolution of its induced
+    walk from :func:`~qwproj.projection.project_state`.
     """
-    steps = _step_count(n)
+    steps = _count(n, "step count")
     grid = phase_grid(samples, delta)
     specs = [induced_walk(walk, pmap, phi) for phi in grid]
     coords, block = _project_phases(pmap, grid, psi0)
@@ -201,8 +200,8 @@ def phase_projection_family(
     free = np.ones(space.coin_dimension, dtype=np.complex128)
     rows = [spec.step_phases() for spec in specs]
     phases = np.stack([free if row is None else row for row in rows])[:, None, :]
-    for _ in range(steps):
-        coords, block = _advance_block(specs[0], coords, block, phases)
+    for coords, block in _walk_blocks(specs[0], coords, block, steps, phases):
+        pass  # only the blocks after the last step are kept
     logger.debug("built projection family: %d phases, %d steps", samples, steps)
     return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 

@@ -286,6 +286,15 @@ def _is_integer(c) -> bool:
     return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
 
 
+def _count(n, what: str, least: int = 0) -> int:
+    """n as an int; InvalidParameter unless it is an integer, not a bool, >= least."""
+    if not _is_integer(n):
+        raise InvalidParameter(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise InvalidParameter(f"{what} must be >= {least}, got {n}")
+    return int(n)
+
+
 def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
     def contains(p: Position) -> bool:
         return len(p) == dim and all(_is_integer(c) for c in p)
@@ -330,8 +339,7 @@ def line(jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSp
 
 def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
     """A cycle of ``n`` vertices with modular steps; positions are 0..n-1."""
-    if n < 1:
-        raise InvalidParameter(f"circle size must be >= 1, got {n}")
+    n = _count(n, "circle size", 1)
     jumps = tuple((str(lbl), int(d)) for lbl, d in jumps)
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
@@ -528,7 +536,7 @@ def reachable_window(space: PositionSpace, start: Iterable[Position], steps: int
     bound = COORD_LIMIT - max(d.reach for d in disps)
     seen = pack_positions(sorted(set(tuple(p) for p in start)), space.dimension)
     frontier = seen
-    for _ in range(steps):
+    for _ in range(_count(steps, "step count")):
         if not len(frontier):
             break
         check_coordinate_bound(frontier, bound)

@@ -13,12 +13,12 @@ Two engines advance a state by one step:
   phases advances in one call
   (:func:`~qwproj.reconstruction.phase_projection_family`).  The coin
   and the step each have one block kernel; :func:`apply_coin` and
-  :func:`apply_step` wrap them for states, and loops that step bare
-  blocks (the phase family, the induced walk of
-  :func:`~qwproj.projection.verify_commutation`) call both through
-  ``_advance_block``.  The merge of a step depends on the coordinate block
-  alone; ``_merge_images`` computes it, and a loop whose supports repeat
-  can hand a held merge back to the step.
+  :func:`apply_step` wrap them for states, and one generator,
+  ``_walk_blocks``, runs them on bare blocks for the phase family and the
+  induced walk of :func:`~qwproj.projection.verify_commutation`.  A step's
+  merge depends on the coordinate block alone; ``_merge_images`` computes
+  it, and the generator reuses it when a block repeats the one two steps
+  back.
 * :func:`evolve_recurrence` computes the next state in gather form, reading
   the new coin vector at a position x componentwise from the preimages:
   the c-th entry at x is the c-th entry of (C alpha) taken at the position
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .spaces import (
     COORD_LIMIT,
     Position,
     PositionSpace,
-    _is_integer,
+    _count,
     check_coordinate_bound,
     check_same_space,
     exact_block,
@@ -209,24 +209,10 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
     check_same_space(state.space, spec.space, "state fed to the walk")
     if not len(state.coins):
         return state
-    sites, out = _step_block(spec.space, state.coords, state.coins, spec.step_phases())
+    sites, out = _step_block(
+        state.coins, spec.step_phases(), _merge_images(spec.space, state.coords)
+    )
     return WalkState.from_blocks(spec.space, sites, out)
-
-
-def _advance_block(
-    spec: WalkSpec,
-    coords: np.ndarray,
-    coins: np.ndarray,
-    phases: np.ndarray | None,
-    merge: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step U = SC on packed blocks, as :func:`apply_coin` then
-    :func:`apply_step` take it on a state: the image coordinate and coin
-    blocks.  ``phases`` is the walk's :meth:`WalkSpec.step_phases`, taken
-    once by a loop that owns its steps, or the ``(M, 1, dim)`` stack of a
-    family; ``merge`` is :func:`_merge_images` of ``coords``, if the caller
-    holds it (see :func:`_step_block`)."""
-    return _step_block(spec.space, coords, _coin_block(spec.coin, coords, coins), phases, merge)
 
 
 def _merge_images(space: PositionSpace, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,26 +230,20 @@ def _merge_images(space: PositionSpace, coords: np.ndarray) -> tuple[np.ndarray,
 
 
 def _step_block(
-    space: PositionSpace,
-    coords: np.ndarray,
-    coins: np.ndarray,
-    phases: np.ndarray | None,
-    merge: tuple[np.ndarray, np.ndarray] | None = None,
+    coins: np.ndarray, phases: np.ndarray | None, merge: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step on packed blocks: the image coordinate and coin blocks.
 
-    ``coins`` is ``(..., n, dim)``: the coin block of one walk over the
+    ``coins`` is ``(..., n, dim)``: the coin block of one walk over an
     ``(n, d)`` coordinate block, or with a leading batch axis, one block per
     walk of a family sharing that support.  ``phases`` is None or the
     per-direction step phases shaped ``(..., dim)`` to broadcast against
-    ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.  The
-    coordinate bound, the merge of coinciding images and the index
-    arithmetic are done once for the whole batch; ``merge``, when given, is
-    :func:`_merge_images` of ``coords``, taken earlier.
+    ``coins``: ``(dim,)`` for one walk, ``(M, 1, dim)`` for M walks.
+    ``merge`` is :func:`_merge_images` of the coordinate block; it and the
+    index arithmetic serve the whole batch.
     """
-    dim = len(space.displacements)
-    n = len(coords)
-    sites, inverse = _merge_images(space, coords) if merge is None else merge
+    n, dim = coins.shape[-2:]
+    sites, inverse = merge
     amps = coins if phases is None else coins * phases
     out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)
     # Image rows are grouped by displacement, so entry [k, c] of this index
@@ -273,17 +253,37 @@ def _step_block(
     return sites, out
 
 
-def _step_count(n) -> int:
-    if not _is_integer(n):
-        raise InvalidParameter(f"step count must be an integer, got {n!r}")
-    if n < 0:
-        raise InvalidParameter(f"step count must be >= 0, got {n}")
-    return int(n)
+def _walk_blocks(
+    spec: WalkSpec, coords: np.ndarray, coins: np.ndarray, n: int, phases: np.ndarray | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Advance bare blocks by n steps of U = SC and yield the coordinate and
+    coin blocks after each, as :func:`apply_coin` then :func:`apply_step`
+    leave them.  ``coins`` and ``phases`` are shaped as :func:`_step_block`
+    takes them; the caller takes the phases once.
+
+    A step reuses the merge of the step two back when its coordinate block
+    equals that step's, as on a finite quotient, whose supports soon repeat
+    (a 4-site circle's alternate between its two parity classes, an odd
+    circle's stay fixed); a growing support pays one shape comparison per
+    step.  At most two merges are held.
+    """
+    held = [None, None]  # (coordinate block, merge) of the last two steps
+    for t in range(n):
+        last = held[t % 2]
+        if last is None or not (
+            last[0] is coords
+            or last[0].shape == coords.shape and np.array_equal(last[0], coords)
+        ):
+            last = held[t % 2] = (coords, _merge_images(spec.space, coords))
+        coords, coins = _step_block(_coin_block(spec.coin, coords, coins), phases, last[1])
+        yield coords, coins
 
 
 def evolve(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
     """Apply n steps of U = (step . coin) to the state."""
-    for _ in range(_step_count(n)):
+    # Steps go through apply_coin and apply_step, not _walk_blocks: a traced
+    # benchmark run reads the final support as the largest apply_step output.
+    for _ in range(_count(n, "step count")):
         state = apply_step(spec, apply_coin(spec, state))
     return state
 
@@ -296,7 +296,7 @@ def evolve_recurrence(spec: WalkSpec, state: WalkState, n: int) -> WalkState:
     Results agree with :func:`evolve` elementwise to machine precision.
     Positions are exact Python integers of any size.
     """
-    n = _step_count(n)
+    n = _count(n, "step count")
     check_same_space(state.space, spec.space, "state fed to the walk")
     for _ in range(n):
         state = _recurrence_step(spec, state)

@@ -36,3 +36,27 @@ def test_package_imports_resolve():
     for module, name in imports:
         source = importlib.import_module(f"qwproj.{module}")
         assert getattr(qwproj, name) is getattr(source, name, None), (module, name)
+
+
+STEP_KERNELS = {"_step_block", "_merge_images", "_coin_block"}
+SOURCES = sorted(Path(qwproj.__file__).parent.glob("*.py"))
+
+
+def referenced_names(path):
+    """Every name a module's source refers to: bare names, attributes and
+    imported names."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_step_kernels_stay_in_walk(path):
+    # Any other module steps a walk through evolve or walk._walk_blocks, so
+    # that no second stepping loop grows outside walk.
+    used = STEP_KERNELS & set(referenced_names(path))
+    assert used == (STEP_KERNELS if path.name == "walk.py" else set())

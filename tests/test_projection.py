@@ -494,15 +494,18 @@ class TestRepeatingInducedMerges:
 
     @staticmethod
     def induced_merges(monkeypatch):
-        """The coordinate block of each merge verify_commutation computes."""
+        """The coordinate block of each merge verify_commutation computes on
+        the induced walk's finite circle; the parent's merges on the line are
+        not counted."""
         blocks = []
-        merge = projection_module._merge_images
+        merge = walk_module._merge_images
 
         def counted(space, coords):
-            blocks.append(coords.copy())
+            if space.positions is not None:
+                blocks.append(coords.copy())
             return merge(space, coords)
 
-        monkeypatch.setattr(projection_module, "_merge_images", counted)
+        monkeypatch.setattr(walk_module, "_merge_images", counted)
         return blocks
 
     @staticmethod

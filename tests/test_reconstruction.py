@@ -149,6 +149,29 @@ class TestPlan:
         with pytest.raises(InvalidParameter):
             plan_reconstruction(pm, window, samples=0)
 
+    @pytest.mark.parametrize("samples", [0, -2, True, 2.5, 13.0, np.float64(11.0), "11"])
+    def test_sample_counts_follow_one_rule(self, samples):
+        pm = lattice_quotient(1, 0)
+        window = reachable_window(Z2, [(0, 0)], 5)
+        with pytest.raises(InvalidParameter, match="phase sample count"):
+            plan_reconstruction(pm, window, samples)
+        with pytest.raises(InvalidParameter, match="phase sample count"):
+            phase_grid(samples)
+        with pytest.raises(InvalidParameter, match="phase sample count"):
+            phase_projection_family(GROVER2D, pm, origin_state(), 2, samples)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.5, 2.0])
+    def test_family_refuses_a_bad_step_count(self, n):
+        with pytest.raises(InvalidParameter, match="step count"):
+            phase_projection_family(GROVER2D, lattice_quotient(1, 0), origin_state(), n, 5)
+
+    def test_numpy_sample_counts_are_plain_ints(self):
+        pm = lattice_quotient(1, 0)
+        window = reachable_window(Z2, [(0, 0)], 5)
+        samples = plan_reconstruction(pm, window, np.int64(11))
+        assert samples == 11 and type(samples) is int
+        assert phase_grid(np.int32(3)) == phase_grid(3)
+
     def test_planned_block_is_checked_once(self):
         pm = lattice_quotient(2, 1)
         psi = origin_state()

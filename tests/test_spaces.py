@@ -481,6 +481,20 @@ class TestWindows:
         with pytest.raises(InvalidPosition, match=str(top)):
             reachable_window(line(), [(top,)], 1)
 
+    @pytest.mark.parametrize("steps", [-1, True, 2.5, 3.0, "3"])
+    def test_reachable_window_refuses_a_bad_step_count(self, steps):
+        with pytest.raises(InvalidParameter, match="step count"):
+            reachable_window(line(), [(0,)], steps)
+
+    def test_reachable_window_takes_numpy_step_counts(self):
+        assert reachable_window(line(), [(0,)], np.int64(2)) == reachable_window(line(), [(0,)], 2)
+
+
+@pytest.mark.parametrize("n", [0, -4, True, 2.5, 4.0])
+def test_circle_refuses_a_bad_size(n):
+    with pytest.raises(InvalidParameter, match="circle size"):
+        circle(n)
+
 
 
 TOP = spaces.COORD_LIMIT  # 2**63 - 1
