@@ -89,7 +89,7 @@ def _checked(convert, rule: str, ok):
 
 _STEPS = _checked(int, ">= 0", lambda n: n >= 0)
 _SAMPLES = _checked(int, ">= 1", lambda n: n >= 1)
-_TOL = _checked(float, "> 0", lambda t: t > 0)
+_TOL = _checked(float, "finite and > 0", lambda t: math.isfinite(t) and t > 0)
 
 
 def _configure_logging() -> None:
@@ -242,11 +242,8 @@ def cmd_reconstruct(args) -> int:
     parent = desc.walk
     psi0 = _initial_state(desc, args)
     n = args.steps
-    # One candidate block for planning and inversion; the grid is checked
-    # against it before any walk is evolved.
-    candidates = reconstruction._candidate_block(
-        pmap, reachable_window(parent.space, psi0.support, n)
-    )
+    # The grid is checked against the candidate window before any walk is evolved.
+    candidates = reachable_window(parent.space, psi0.coords, n)
     samples = reconstruction.plan_reconstruction(pmap, candidates, args.phi_samples)
     reference = evolve(parent, psi0, n)
     family = reconstruction.phase_projection_family(parent, pmap, psi0, n, samples)

@@ -137,7 +137,8 @@ def state_new(
 
     Duplicate positions are summed.  Every position must belong to the space
     (InvalidPosition), every coin vector must have exactly one entry per
-    displacement (DimensionMismatch), and all amplitudes must be finite.
+    displacement (DimensionMismatch), and all amplitudes must be finite
+    (InvalidParameter).
     """
     dim = space.coin_dimension
     support: dict[Position, np.ndarray] = {}
@@ -151,7 +152,7 @@ def state_new(
                 f"coin vector at {pos} has length {arr.size}, space needs {dim}"
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError(f"non-finite amplitude at {pos}")
+            raise InvalidParameter(f"non-finite amplitude at {pos}")
         pos = tuple(int(c) for c in pos)
         if pos in support:
             support[pos] = support[pos] + arr

@@ -231,15 +231,19 @@ def _check_not_null(pmap: ProjectionMap, coins: np.ndarray, source_norm: float) 
 
 
 def check_coin_homogeneity(
-    walk: WalkSpec, pmap: ProjectionMap, window: Iterable[Position]
+    walk: WalkSpec, pmap: ProjectionMap, window: np.ndarray | Iterable[Position]
 ) -> HomogeneityReport:
     """Check that the coin matrix is constant on every rho-class of the window.
 
+    The window is a coordinate block or an iterable of position tuples; the
+    coin function and the report see positions as tuples of Python ints.
     Positional coins are compared entrywise against the first representative
     seen in each class, with tolerance ``HOMOGENEITY_TOL``; the first
     violating pair is reported together with its largest entry deviation.
     """
-    xs = sorted(set(tuple(p) for p in window))
+    if isinstance(window, np.ndarray):
+        window = window.tolist()
+    xs = sorted(set(map(tuple, window)))
     targets = map(tuple, pmap.rho_array(exact_block(xs, pmap.source.dimension)).tolist())
     if walk.coin.is_homogeneous:
         return HomogeneityReport(True, len(set(targets)))
@@ -260,7 +264,7 @@ def induced_walk(
     walk: WalkSpec,
     pmap: ProjectionMap,
     phi: float = 0.0,
-    window: Iterable[Position] | None = None,
+    window: np.ndarray | Iterable[Position] | None = None,
 ) -> WalkSpec:
     """The walk induced on the quotient space.
 
@@ -270,9 +274,9 @@ def induced_walk(
     phases per direction.
 
     A homogeneous coin descends unconditionally.  A positional coin needs a
-    ``window`` of source positions over which fiber-constancy is checked
-    (InhomogeneousCoin on failure); pass the causally relevant region, e.g.
-    :func:`~qwproj.spaces.reachable_window` of the initial support.
+    ``window`` of source positions (a block or position tuples) over which
+    fiber-constancy is checked (InhomogeneousCoin on failure); pass the
+    causally relevant region, e.g. the initial support's reachable window.
     """
     check_same_space(walk.space, pmap.source, "walk fed to the projection")
     if walk.coin.is_homogeneous:
@@ -322,7 +326,8 @@ def verify_commutation(
 
     computed incrementally (both branches advance one step per iteration).
     The check passes when the largest residual is below ``tol`` times the
-    norm of psi0, so scaling psi0 does not change the verdict.
+    norm of psi0, so scaling psi0 does not change the verdict; ``tol`` must
+    be finite and > 0 (InvalidParameter otherwise).
     A NullProjection on the initial state propagates to the caller; later
     projections cannot vanish because the induced evolution is unitary.
 
@@ -342,10 +347,10 @@ def verify_commutation(
     followed by :func:`~qwproj.hilbert.diff_norm`.
     """
     n = _count(n, "step count")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameter(f"tol must be finite and > 0, got {tol!r}")
     projected = project_state(pmap, phi, psi0)
-    window = None
-    if not walk.coin.is_homogeneous:
-        window = reachable_window(walk.space, psi0.support, n)
+    window = None if walk.coin.is_homogeneous else reachable_window(walk.space, psi0.coords, n)
     induced = induced_walk(walk, pmap, phi, window=window)
     table = _phase_table(pmap, phi, psi0, n)
     lower = _walk_blocks(induced, projected.coords, projected.coins, n, induced.step_phases())

@@ -19,7 +19,9 @@ only modulo M:
 Recovery of a coefficient is therefore exact whenever no other support
 point of the same fiber has sigma congruent to it mod M.  The one inversion
 routine, :func:`reconstruct_support`, checks this congruence condition
-directly on a caller-supplied candidate region.  Distinct sigma values in a
+directly on a caller-supplied candidate region, held by planning and
+inversion alike as one sorted, distinct ``(n, d)`` int64 block (the form of
+a state's coordinates and of a reachable window).  Distinct sigma values in a
 range no wider than M stay distinct mod M, so the grid only has to span the
 sigma values inside each fiber: :func:`plan_reconstruction` sizes it by the
 largest per-fiber sigma span of the candidates, far below the global span
@@ -44,8 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, _count, group_rows, pack_positions
+from .spaces import Position, ProjectionMap, _count, _integer, _position_block, group_rows
 from .walk import WalkSpec, _walk_blocks
 
 logger = logging.getLogger(__name__)
@@ -79,88 +80,54 @@ def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
 
 
-@dataclass(eq=False)
-class _Candidates:
-    """A candidate source region as one block, built once by
-    :func:`_candidate_block` and read by planning and inversion alike.
-
-    ``coords`` holds the distinct positions in lexicographic order, with
-    their targets under rho and their sigma values.  ``checked`` keeps the
-    grid size whose sigma bins were last found free of collisions, with
-    those bins, so that a grid checked while planning is not checked again.
-    Iterating yields the positions, so the block stands wherever an iterable
-    of positions does.
-    """
-
-    pmap: ProjectionMap
-    coords: np.ndarray
-    targets: np.ndarray
-    sigma: np.ndarray
-    checked: tuple[int, np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self) -> Iterator[Position]:
-        return map(tuple, self.coords.tolist())
-
-
-def _candidate_block(pmap: ProjectionMap, candidates: Iterable[Position]) -> _Candidates:
-    """The candidates as one block for ``pmap``; a block built for it is
-    returned as it is."""
-    if isinstance(candidates, _Candidates) and candidates.pmap is pmap:
-        return candidates
-    if pmap.sigma_array is None:
-        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = group_rows(pack_positions([tuple(p) for p in candidates], pmap.source.dimension))[0]
-    return _Candidates(pmap, coords, pmap.rho_array(coords), pmap.sigma_array(coords))
-
-
-def _bins(block: _Candidates, m: int) -> np.ndarray:
-    """Every candidate's sigma bin mod ``m``.
+def _bins(pmap: ProjectionMap, coords: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The targets under rho of a sorted, distinct candidate block and every
+    candidate's sigma bin mod ``m``.
 
     GridTooCoarse names the first candidate (in order) that shares its fiber
     and bin with an earlier one, and that earlier one.
     """
-    if block.checked is not None and block.checked[0] == m:
-        return block.checked[1]
-    bin_of = block.sigma % m
-    keys, key_of = group_rows(np.column_stack([block.targets, bin_of]))
-    if len(keys) < len(block):
+    targets = pmap.rho_array(coords)
+    bin_of = pmap.sigma_array(coords) % m
+    keys, key_of = group_rows(np.column_stack([targets, bin_of]))
+    if len(keys) < len(coords):
         _, first = np.unique(key_of, return_index=True)
-        clash = int(np.argmax(first[key_of] != np.arange(len(block))))
+        clash = int(np.argmax(first[key_of] != np.arange(len(coords))))
         other = int(first[key_of[clash]])
-        pair = [tuple(block.coords[i].tolist()) for i in (other, clash)]
+        pair = [tuple(coords[i].tolist()) for i in (other, clash)]
         raise GridTooCoarse(
             f"candidates {pair[0]} and {pair[1]} share fiber "
-            f"{tuple(block.targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
+            f"{tuple(targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
         )
-    block.checked = (m, bin_of)
-    return bin_of
+    return targets, bin_of
 
 
 def plan_reconstruction(
-    pmap: ProjectionMap, candidates: Iterable[Position], samples: int | None = None
+    pmap: ProjectionMap, candidates: np.ndarray | Iterable[Position], samples: int | None = None
 ) -> int:
     """The number of grid phases for recovering the candidate region.
 
-    The default is the largest per-fiber sigma span (max - min + 1 over the
-    candidates of one fiber), and 1 for no candidates.  Either grid is
-    checked against the candidates here, so that a caller can refuse it
-    before evolving any walk: GridTooCoarse names two candidates of one
-    fiber that share a sigma bin.
+    ``candidates`` is a coordinate block, such as a reachable window, or an
+    iterable of position tuples.  The default is the largest per-fiber sigma
+    span (max - min + 1 over the candidates of one fiber), and 1 for no
+    candidates.  Either grid is checked against the candidates here, so that
+    a caller can refuse it before evolving any walk: GridTooCoarse names two
+    candidates of one fiber that share a sigma bin.
     """
-    block = _candidate_block(pmap, candidates)
+    if pmap.sigma_array is None:
+        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    coords = _position_block(candidates, pmap.source.dimension)
     if samples is None:
-        fibers, fiber_of = group_rows(block.targets)
+        fibers, fiber_of = group_rows(pmap.rho_array(coords))
+        sigma = pmap.sigma_array(coords)
         low = np.full(len(fibers), np.iinfo(np.int64).max)
         high = np.full(len(fibers), np.iinfo(np.int64).min)
-        np.minimum.at(low, fiber_of, block.sigma)
-        np.maximum.at(high, fiber_of, block.sigma)
+        np.minimum.at(low, fiber_of, sigma)
+        np.maximum.at(high, fiber_of, sigma)
         samples = int((high - low).max()) + 1 if len(fibers) else 1
     else:
         samples = _count(samples, "phase sample count", 1)
-    _bins(block, samples)
+    _bins(pmap, coords, samples)
     return samples
 
 
@@ -250,21 +217,21 @@ def reconstruct(
 ) -> WalkState:
     """Invert a projection family over a global sigma window.
 
-    ``bounds`` is the inclusive window of sigma values to recover; every
-    (r, s) with r a target position of the family and s in the window maps
-    back to the unique source position with rho = r and sigma = s, and
-    these positions are the candidates handed to
-    :func:`reconstruct_support`.  The window must fit into the grid
-    (GridTooCoarse when M < window width), and the family's phases must be
-    uniform with spacing 2*pi/M (InconsistentGrid otherwise).  Exactness
-    additionally requires the source support's sigma values to lie inside
-    the window; use :func:`reconstruct_support` when they do not.
+    ``bounds`` is the inclusive window of sigma values to recover, two
+    integers (InvalidParameter otherwise); every (r, s) with r a target
+    position of the family and s in the window maps back to the unique
+    source position with rho = r and sigma = s, and these positions are the
+    candidates handed to :func:`reconstruct_support`.  The window must fit
+    into the grid (GridTooCoarse when M < window width), and the family's
+    phases must be uniform with spacing 2*pi/M (InconsistentGrid otherwise).
+    Exactness additionally requires the source support's sigma values to lie
+    inside the window; use :func:`reconstruct_support` when they do not.
     """
     if pmap.invert_rs is None:
         raise InvalidParameter(
             f"projection {pmap.name!r} does not invert (rho, sigma) coordinates"
         )
-    window = range(int(bounds[0]), int(bounds[1]) + 1)
+    window = range(_integer(bounds[0], "sigma bound"), _integer(bounds[1], "sigma bound") + 1)
     if not window:
         raise InvalidParameter(f"empty sigma window {bounds}")
     m = len(projections)
@@ -278,28 +245,31 @@ def reconstruct(
 def reconstruct_support(
     projections: Sequence[tuple[float, WalkState]],
     pmap: ProjectionMap,
-    candidates: Iterable[Position],
+    candidates: np.ndarray | Iterable[Position],
 ) -> WalkState:
     """Invert a projection family onto a candidate source region.
 
-    Recovers the amplitude at every candidate position from the DFT bin of
-    its fiber at sigma mod M.  This is exact as long as no two candidates of
-    one fiber share a bin, which is checked directly (GridTooCoarse names
-    the colliding pair) unless :func:`plan_reconstruction` checked the same
-    candidate block at this M; the grid can therefore be much smaller than
-    the global sigma span whenever sigma varies little within each fiber.
+    ``candidates`` is a coordinate block, such as a reachable window, or an
+    iterable of position tuples.  Recovers the amplitude at every candidate
+    position from the DFT bin of its fiber at sigma mod M.  This is exact as
+    long as no two candidates of one fiber share a bin, which is checked
+    directly (GridTooCoarse names the colliding pair); the grid can
+    therefore be much smaller than the global sigma span whenever sigma
+    varies little within each fiber.
     """
-    block = _candidate_block(pmap, candidates)
+    if pmap.sigma_array is None:
+        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    coords = _position_block(candidates, pmap.source.dimension)
     states = _sorted_grid(projections)
-    bin_of = _bins(block, len(states))
+    targets, bin_of = _bins(pmap, coords, len(states))
     fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
     # Locate each candidate's fiber among the family's target positions.
-    _, where = group_rows(np.concatenate([fibers, block.targets]))
+    _, where = group_rows(np.concatenate([fibers, targets]))
     fiber_of = np.full(len(where), -1)
     fiber_of[where[: len(fibers)]] = np.arange(len(fibers))
     fiber_of = fiber_of[where[len(fibers) :]]
     found = fiber_of >= 0
-    vecs = np.zeros((len(block), pmap.source.coin_dimension), dtype=np.complex128)
+    vecs = np.zeros((len(coords), pmap.source.coin_dimension), dtype=np.complex128)
     vecs[found] = bins[bin_of[found], fiber_of[found]]
     keep = vecs.any(axis=1)
-    return WalkState.from_blocks(pmap.source, block.coords[keep], vecs[keep])
+    return WalkState.from_blocks(pmap.source, coords[keep], vecs[keep])

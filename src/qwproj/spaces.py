@@ -43,9 +43,9 @@ def check_coordinate_bound(coords: np.ndarray, bound: int) -> None:
         )
 
 
-def pack_positions(positions: list[Position], d: int) -> np.ndarray:
-    """The ``(len(positions), d)`` int64 block of the position tuples, in
-    their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
+def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray:
+    """The ``(len(positions), d)`` int64 block of the positions (tuples or block
+    rows), in their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
     try:
         coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
     except OverflowError:
@@ -55,6 +55,14 @@ def pack_positions(positions: list[Position], d: int) -> np.ndarray:
         ) from None
     check_coordinate_bound(coords, COORD_LIMIT)
     return coords
+
+
+def _position_block(positions: np.ndarray | Iterable[Position], d: int) -> np.ndarray:
+    """The sorted, distinct ``(n, d)`` int64 block of a coordinate block or of
+    position tuples; InvalidPosition names a position beyond int64."""
+    if not isinstance(positions, np.ndarray):
+        positions = [tuple(p) for p in positions]
+    return group_rows(pack_positions(positions, d))[0]
 
 
 def exact_block(positions: Iterable[Position], d: int) -> np.ndarray:
@@ -286,13 +294,24 @@ def _is_integer(c) -> bool:
     return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
 
 
-def _count(n, what: str, least: int = 0) -> int:
-    """n as an int; InvalidParameter unless it is an integer, not a bool, >= least."""
+def _integer(n, what: str) -> int:
+    """n as an int; InvalidParameter unless it is an integer and not a bool."""
     if not _is_integer(n):
         raise InvalidParameter(f"{what} must be an integer, got {n!r}")
+    return int(n)
+
+
+def _count(n, what: str, least: int = 0) -> int:
+    """n as an int; InvalidParameter unless it is an integer, not a bool, >= least."""
+    n = _integer(n, what)
     if n < least:
         raise InvalidParameter(f"{what} must be >= {least}, got {n}")
-    return int(n)
+    return n
+
+
+def _jump_family(jumps: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The (label, step) pairs of a line's jumps; InvalidParameter names a non-integral step."""
+    return tuple((str(lbl), _integer(d, f"step of jump {lbl!r}")) for lbl, d in jumps)
 
 
 def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
@@ -332,7 +351,7 @@ def lattice_2d() -> PositionSpace:
 
 def line(jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
     """The integer line; ``jumps`` gives the (label, step) displacement family."""
-    jumps = tuple((str(lbl), int(d)) for lbl, d in jumps)
+    jumps = _jump_family(jumps)
     disp = tuple(_translation(lbl, (d,)) for lbl, d in jumps)
     return PositionSpace("z1", 1, disp, _int_tuple_predicate(1), signature=("z1", jumps))
 
@@ -340,7 +359,7 @@ def line(jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSp
 def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
     """A cycle of ``n`` vertices with modular steps; positions are 0..n-1."""
     n = _count(n, "circle size", 1)
-    jumps = tuple((str(lbl), int(d)) for lbl, d in jumps)
+    jumps = _jump_family(jumps)
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
     def contains(p: Position) -> bool:
@@ -415,9 +434,9 @@ def bezout(k: int, l: int) -> BezoutPair:
     even) is broken toward the smaller, i.e. negative, u.  When l = 0 the
     solution is (k, 0) since k must be +-1.
 
-    Raises InvalidParameter unless gcd(k, l) == 1.
+    Raises InvalidParameter unless k and l are integers with gcd(k, l) == 1.
     """
-    k, l = int(k), int(l)
+    k, l = _integer(k, "k"), _integer(l, "l")
     if math.gcd(k, l) != 1:
         raise InvalidParameter(f"gcd({k}, {l}) != 1")
     if l == 0:
@@ -439,6 +458,7 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
     Bezout pair, making (rho, sigma) a unimodular coordinate change whose
     inverse is (x, y) = (u*r - l*s, v*r + k*s).
     """
+    k, l = _integer(k, "k"), _integer(l, "l")
     pair = bezout(k, l)
     u, v = pair.u, pair.v
     source = lattice_2d()
@@ -526,15 +546,20 @@ def check_rho_consistency(pmap: ProjectionMap, window: Iterable[Position]) -> Co
     return ConsistencyReport(True, n, pairs)
 
 
-def reachable_window(space: PositionSpace, start: Iterable[Position], steps: int) -> set[Position]:
+def reachable_window(
+    space: PositionSpace, start: np.ndarray | Iterable[Position], steps: int
+) -> np.ndarray:
     """All positions reachable from ``start`` in at most ``steps`` displacement hops.
 
-    The search runs on int64 coordinate blocks and raises InvalidPosition,
+    ``start`` is a coordinate block or an iterable of position tuples.  The
+    window comes back as the sorted, distinct ``(n, d)`` int64 block that
+    :attr:`~qwproj.hilbert.WalkState.coords` also is; test membership on
+    ``set(map(tuple, window.tolist()))``.  The search raises InvalidPosition,
     naming the position, before a hop that could leave the int64 range.
     """
     disps = space.displacements
     bound = COORD_LIMIT - max(d.reach for d in disps)
-    seen = pack_positions(sorted(set(tuple(p) for p in start)), space.dimension)
+    seen = _position_block(start, space.dimension)
     frontier = seen
     for _ in range(_count(steps, "step count")):
         if not len(frontier):
@@ -546,5 +571,5 @@ def reachable_window(space: PositionSpace, start: Iterable[Position], steps: int
         known[inverse[: len(seen)]] = True
         frontier = merged[~known]
         seen = merged
-    return set(map(tuple, seen.tolist()))
+    return seen
 

@@ -247,6 +247,7 @@ class TestArgumentChecks:
             (["verify", "--scenario", "grover2d_to_lazy", "--steps", "-1"], "--steps"),
             (["reconstruct", "--k", "2", "--l", "1", "--steps", "-1"], "--steps"),
             (["reconstruct", "--k", "2", "--l", "1", "--tol", "nan"], "--tol"),
+            (["verify", "--scenario", "grover2d_to_lazy", "--tol", "inf"], "--tol"),
             (["reconstruct", "--k", "2", "--l", "1", "--phi-samples", "0"], "--phi-samples"),
             (["verify", "--scenario", "grover2d_to_lazy", "--steps", "2.5"], "--steps"),
             (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/0"], "--phi"),
@@ -278,6 +279,8 @@ class TestMalformedInput:
             ('{"space":"z1","support":5}', '"support"'),
             ('{"space":"z1","support":[{"pos":[5],"coin":[["x",0],[0,0]]}]}', "entry 0"),
             (None, "JSON object"),  # a file holding a JSON list
+            ('{"space":"z1","support":[{"pos":[5],"coin":[[NaN,0],[0,0]]}]}',
+             "non-finite amplitude at (5,)"),
         ],
     )
     def test_malformed_init(self, tmp_path, capsys, init, where):

@@ -60,3 +60,27 @@ def test_step_kernels_stay_in_walk(path):
     # that no second stepping loop grows outside walk.
     used = STEP_KERNELS & set(referenced_names(path))
     assert used == (STEP_KERNELS if path.name == "walk.py" else set())
+
+
+def test_cli_uses_public_names_only():
+    # The command-line front end is a client of the library: it may refer to
+    # private names it defines itself, and to dunders, but to no other.
+    path = Path(qwproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text())
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    private = {
+        name
+        for name in referenced_names(path)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert private - defined == set()

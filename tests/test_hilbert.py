@@ -63,7 +63,7 @@ class TestStateNew:
             state_new(Z2, [((True, 0), R4)])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(0, 0\)"):
             state_new(Z2, [((0, 0), (float("nan"), 0, 0, 0))])
 
     def test_norm_invariant_under_permutation(self, rng):

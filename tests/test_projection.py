@@ -210,6 +210,24 @@ class TestCoinHomogeneity:
         x, y, dev = report.witness
         assert x[0] == y[0] and dev > 0.4
 
+    def test_block_window_is_the_tuple_window(self):
+        seen = []
+
+        def coin(p):
+            seen.append(p)
+            return grover_coin() if p[1] % 2 == 0 else np.eye(4)
+
+        spec = WalkSpec(Z2, CoinAssignment.positional(coin, 4))
+        pm = lattice_quotient(1, 0)
+        by_tuples = check_coin_homogeneity(spec, pm, self.window())
+        asked = len(seen)
+        by_block = check_coin_homogeneity(spec, pm, np.array(self.window(), dtype=np.int64))
+        assert by_block == by_tuples
+        # the coin function and the witness see tuples of Python ints
+        assert seen[asked:] == seen[:asked]
+        assert all(type(c) is int for p in seen for c in p)
+        assert all(type(c) is int for p in by_block.witness[:2] for c in p)
+
 
 # Every entry point that checks the space of its operand, given a state or a
 # walk on the plane where one on the line is expected.
@@ -341,6 +359,23 @@ class TestVerifyCommutation:
         psi = state_new(Z2, [((0, 0), GENERIC4)])
         with pytest.raises(InvalidParameter):
             verify_commutation(GROVER2D, lattice_quotient(1, 0), 0.0, psi, n)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        psi = state_new(Z2, [((0, 0), GENERIC4)])
+        with pytest.raises(InvalidParameter, match="tol must be finite and > 0"):
+            verify_commutation(GROVER2D, lattice_quotient(1, 0), 0.0, psi, 3, tol=tol)
+
+    def test_inhomogeneous_coin_names_plain_tuples(self):
+        # The coin changes with the parity of y inside every column x, and
+        # the first column with two sites in the 2-step window is x = -1.
+        coin = CoinAssignment.positional(
+            lambda p: grover_coin() if p[1] % 2 == 0 else np.eye(4), 4
+        )
+        psi = state_new(Z2, [((0, 0), GENERIC4)])
+        with pytest.raises(InhomogeneousCoin) as err:
+            verify_commutation(WalkSpec(Z2, coin), lattice_quotient(1, 0), 0.0, psi, 2)
+        assert "rho((-1, -1)) = rho((-1, 0))" in str(err.value)
 
 
 class TestScaleRelativeTolerance:

@@ -33,7 +33,7 @@ from qwproj import (
     reconstruct_support,
     state_new,
 )
-from qwproj.reconstruction import _candidate_block, _fiber_stacks
+from qwproj.reconstruction import _fiber_stacks
 from conftest import random_sparse_state
 
 Z2 = lattice_2d()
@@ -114,14 +114,14 @@ class TestPlan:
         psi = origin_state()
         window = reachable_window(Z2, psi.support, n)
         samples = plan_reconstruction(pm, window)
-        assert samples == widest_fiber(pm, window)
+        assert samples == widest_fiber(pm, map(tuple, window.tolist()))
         # the per-fiber grid recovers the reference on every window site
         reference = evolve(GROVER2D, psi, n)
         family = phase_projection_family(GROVER2D, pm, psi, n, samples)
         recovered = reconstruct_support(family, pm, window)
         assert max_abs_difference(recovered, reference) < 1e-10
         occupied = {pos for pos, vec in reference.support.items() if np.any(vec)}
-        assert occupied <= set(recovered.support) <= window
+        assert occupied <= set(recovered.support) <= set(map(tuple, window.tolist()))
         # one phase fewer aliases two sites of the widest fiber
         with pytest.raises(GridTooCoarse, match=f"sigma bin .* of {samples - 1}$"):
             plan_reconstruction(pm, window, samples - 1)
@@ -130,8 +130,8 @@ class TestPlan:
         # the benchmark's call: 97 phases by the global span, 33 per fiber
         pm = lattice_quotient(2, 1)
         window = reachable_window(Z2, [(0, 0)], 48)
-        sigmas = [pm.sigma(pos) for pos in window]
-        assert max(sigmas) - min(sigmas) + 1 == 97
+        sigmas = pm.sigma_array(window)
+        assert len(window) == 4705 and sigmas.max() - sigmas.min() + 1 == 97
         assert plan_reconstruction(pm, window) == 33
 
     def test_no_candidates_plan_one_phase(self):
@@ -172,19 +172,20 @@ class TestPlan:
         assert samples == 11 and type(samples) is int
         assert phase_grid(np.int32(3)) == phase_grid(3)
 
-    def test_planned_block_is_checked_once(self):
+    def test_block_and_tuples_give_the_same_results(self):
         pm = lattice_quotient(2, 1)
         psi = origin_state()
-        block = _candidate_block(pm, reachable_window(Z2, psi.support, 6))
+        block = reachable_window(Z2, psi.support, 6)
+        positions = list(map(tuple, block.tolist()))[::-1]
         samples = plan_reconstruction(pm, block)
-        checked = block.checked
-        assert checked[0] == samples
+        assert plan_reconstruction(pm, positions) == samples
         family = phase_projection_family(GROVER2D, pm, psi, 6, samples)
         by_block = reconstruct_support(family, pm, block)
-        assert block.checked is checked
-        by_positions = reconstruct_support(family, pm, list(block))
+        by_positions = reconstruct_support(family, pm, positions)
         assert by_block.coords.tobytes() == by_positions.coords.tobytes()
         assert by_block.coins.tobytes() == by_positions.coins.tobytes()
+        # the candidate block is read, not kept: the state owns its coordinates
+        assert not np.shares_memory(by_block.coords, block)
 
 
 class TestRoundTrip:
@@ -333,6 +334,20 @@ class TestFailureModes:
             # (0, 0) and (0, 5) share the fiber x=0 and the sigma bin 0 mod 5
             reconstruct_support(family, pm, [(0, 0), (0, 5)])
 
+    @pytest.mark.parametrize("bounds", [(-2.7, 2.9), (-2, 2.0), (True, 2), (-2, "2")])
+    def test_non_integral_bounds_rejected(self, bounds):
+        pm = lattice_quotient(1, 0)
+        family = projection_family_direct(pm, origin_state(), 5)
+        with pytest.raises(InvalidParameter, match="sigma bound must be an integer"):
+            reconstruct(family, pm, bounds)
+
+    def test_numpy_bounds_accepted(self):
+        pm = lattice_quotient(1, 0)
+        family = projection_family_direct(pm, origin_state(), 5)
+        by_numpy = reconstruct(family, pm, (np.int64(-2), np.int32(2)))
+        by_int = reconstruct(family, pm, (-2, 2))
+        assert by_numpy.coins.tobytes() == by_int.coins.tobytes()
+
     def test_inconsistent_grid_rejected(self):
         pm = lattice_quotient(1, 0)
         psi = origin_state()
@@ -413,8 +428,8 @@ class TestFamilyProperties:
         pm = lattice_quotient(*kl)
         psi = random_sparse_state(Z2, np.random.default_rng(seed), points=points, radius=2)
         candidates = reachable_window(Z2, psi.support, n)
-        sigmas = [pm.sigma(pos) for pos in candidates]
-        samples = max(sigmas) - min(sigmas) + 1
+        sigmas = pm.sigma_array(candidates)
+        samples = int(sigmas.max() - sigmas.min()) + 1
         delta = offset * 2 * math.pi / samples
         family = phase_projection_family(GROVER2D, pm, psi, n, samples, delta)
 

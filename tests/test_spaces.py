@@ -282,6 +282,14 @@ class TestBezout:
             with pytest.raises(InvalidParameter):
                 bezout(k, l)
 
+    @pytest.mark.parametrize(
+        "k,l,named", [(2.5, 1, "k"), (2, 1.0, "l"), (True, 0, "k"), (1, False, "l"), ("2", 1, "k")]
+    )
+    def test_refuses_non_integers(self, k, l, named):
+        for build in (bezout, lattice_quotient):
+            with pytest.raises(InvalidParameter, match=f"^{named} must be an integer"):
+                build(k, l)
+
     def test_unimodular_matrix_inverse(self):
         for k, l in [(1, 0), (2, 1), (3, 5), (-4, 7)]:
             pair = bezout(k, l)
@@ -293,6 +301,12 @@ class TestBezout:
 
 
 class TestLatticeQuotient:
+    def test_numpy_coefficients_are_plain_ints(self):
+        pm = lattice_quotient(np.int64(2), np.int32(1))
+        assert pm.name == "lattice(k=2,l=1)"
+        assert all(type(c) is int for c in pm.invert_rs(1, 1))
+        assert pm.invert_rs(1, 1) == lattice_quotient(2, 1).invert_rs(1, 1)
+
     def test_projection_along_y(self):
         pm = lattice_quotient(1, 0)
         assert pm.rho((7, -3)) == (7,)
@@ -445,13 +459,12 @@ class TestWindows:
     def test_reachable_window_growth(self):
         sp = line()
         window = reachable_window(sp, [(0,)], 3)
-        assert window == {(i,) for i in range(-3, 4)}
+        assert window.tolist() == [[i] for i in range(-3, 4)]
 
     def test_reachable_window_llattice(self):
         sp = llattice()
         window = reachable_window(sp, [(0, 0)], 2)
-        for p in window:
-            assert abs(p[0]) + abs(p[1]) <= 2
+        assert (np.abs(window).sum(axis=1) <= 2).all()
 
     @pytest.mark.parametrize(
         "space, start",
@@ -470,14 +483,21 @@ class TestWindows:
         for _ in range(steps):
             frontier = {d.apply(p) for p in frontier for d in space.displacements} - seen
             seen |= frontier
-        assert reachable_window(space, start, steps) == seen
+        window = reachable_window(space, start, steps)
+        assert window.dtype == np.int64 and window.shape == (len(seen), space.dimension)
+        assert np.array_equal(group_rows(window)[0], window)  # sorted and distinct
+        assert window.tolist() == [list(p) for p in sorted(seen)]
+        # a block start, in any order and with repeats, is the same start
+        block = np.array(start[::-1] * 2, dtype=np.int64)
+        assert np.array_equal(reachable_window(space, block, steps), window)
 
     def test_reachable_window_empty_start(self):
-        assert reachable_window(lattice_2d(), [], 5) == set()
+        window = reachable_window(lattice_2d(), [], 5)
+        assert window.shape == (0, 2) and window.dtype == np.int64
 
     def test_reachable_window_refuses_int64_overflow(self):
         top = 2**63 - 1
-        assert reachable_window(line(), [(top,)], 0) == {(top,)}
+        assert reachable_window(line(), [(top,)], 0).tolist() == [[top]]
         with pytest.raises(InvalidPosition, match=str(top)):
             reachable_window(line(), [(top,)], 1)
 
@@ -487,7 +507,26 @@ class TestWindows:
             reachable_window(line(), [(0,)], steps)
 
     def test_reachable_window_takes_numpy_step_counts(self):
-        assert reachable_window(line(), [(0,)], np.int64(2)) == reachable_window(line(), [(0,)], 2)
+        by_numpy = reachable_window(line(), [(0,)], np.int64(2))
+        assert np.array_equal(by_numpy, reachable_window(line(), [(0,)], 2))
+
+    def test_reachable_window_refuses_a_start_beyond_int64(self):
+        with pytest.raises(InvalidPosition, match=str(2**63)):
+            reachable_window(line(), [(0,), (2**63,)], 0)
+
+
+@pytest.mark.parametrize("step", [1.5, 1.0, True, "1"])
+@pytest.mark.parametrize("build", [line, lambda jumps: circle(4, jumps)])
+def test_jump_steps_must_be_integers(build, step):
+    with pytest.raises(InvalidParameter, match="step of jump 'R' must be an integer"):
+        build([("R", step), ("L", -1)])
+
+
+def test_numpy_jump_steps_are_accepted():
+    jumps = [("R", np.int64(2)), ("L", np.int32(-1))]
+    assert line(jumps).signature == line([("R", 2), ("L", -1)]).signature
+    assert [type(d) for _, d in line(jumps).signature[1]] == [int, int]
+    assert circle(5, jumps).signature == circle(5, [("R", 2), ("L", -1)]).signature
 
 
 @pytest.mark.parametrize("n", [0, -4, True, 2.5, 4.0])
