@@ -27,7 +27,6 @@ together with a windowed consistency check of rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,6 +37,7 @@ from .projection import project_state
 from .spaces import (
     PositionSpace,
     ProjectionMap,
+    _Record,
     _is_integer,
     check_rho_consistency,
     lattice_2d,
@@ -129,8 +129,7 @@ def projected_trapped_state(kind: str, x: int, y: int, sign: int) -> WalkState:
     raise InvalidParameter(f"unknown projected trapped kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioDescriptor:
+class ScenarioDescriptor(_Record):
     """A parent walk wired to its quotient, with named initial states."""
 
     name: str

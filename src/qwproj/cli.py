@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import re
@@ -21,8 +20,6 @@ from .errors import NullProjection, QwprojError
 from .projection import induced_walk, project_state, verify_commutation
 from .spaces import lattice_quotient, reachable_window
 from .walk import evolve
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,14 +91,18 @@ _TOL = _checked(float, "finite and > 0", lambda t: math.isfinite(t) and t > 0)
 
 def _configure_logging() -> None:
     level_name = os.environ.get("QWPROJ_LOG", "off").lower()
-    levels = {"off": None, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
+    if level_name not in ("off", "info", "debug"):
         raise QwprojError(f"QWPROJ_LOG must be off, info, or debug, not {level_name!r}")
-    level = levels[level_name]
-    if level is not None:
-        logging.basicConfig(
-            level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-        )
+    if level_name != "off":
+        import logging
+
+        fmt = "%(levelname)s %(name)s: %(message)s"
+        logging.basicConfig(level=level_name.upper(), stream=sys.stderr, format=fmt)
+
+
+def _info(msg: str, *args) -> None:
+    if "logging" in sys.modules:  # else no handler can have been set up to show it
+        sys.modules["logging"].getLogger(__name__).info(msg, *args)
 
 
 def _load_initial_state(space, text: str):
@@ -114,7 +115,7 @@ def _load_initial_state(space, text: str):
 
 def _write_text(path: str, content: str) -> None:
     Path(path).write_text(content)
-    logger.info("wrote %s", path)
+    _info("wrote %s", path)
 
 
 def _write_json(path: str, obj) -> None:
@@ -123,7 +124,7 @@ def _write_json(path: str, obj) -> None:
     pieces = hilbert.json_chunks(obj)  # refuses a bad document before the file is opened
     with open(path, "w") as f:
         f.writelines(pieces)
-    logger.info("wrote %s", path)
+    _info("wrote %s", path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +212,7 @@ def cmd_run(args) -> int:
     projected = project_state(desc.pmap, phi, psi0, normalize=True)
     spec = induced_walk(desc.walk, desc.pmap, phi)
     final = evolve(spec, projected, args.steps)
-    logger.info(
+    _info(
         "ran %s for %d steps: %d support positions", desc.name, args.steps, len(final.coins)
     )
     if args.out_state:

@@ -21,9 +21,7 @@ amplitude sequences, so no such states are representable.)
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +38,9 @@ from .spaces import (
     COORD_LIMIT,
     Position,
     ProjectionMap,
+    _Record,
     _count,
+    _debug,
     check_same_space,
     exact_block,
     group_rows,
@@ -53,8 +53,6 @@ from .walk import (
     _walk_blocks,
     evolve,
 )
-
-logger = logging.getLogger(__name__)
 
 NULL_TOL = 1e-12
 HOMOGENEITY_TOL = 1e-12
@@ -71,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(_Record):
     """Whether the coin is constant on the rho-classes of a window."""
 
     passed: bool
@@ -80,8 +77,7 @@ class HomogeneityReport:
     witness: tuple[Position, Position, float] | None = None  # (x, y, max deviation)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(_Record):
     """Residuals of project-then-evolve against evolve-then-project."""
 
     steps: int
@@ -371,7 +367,8 @@ def verify_commutation(
         residuals.append(math.sqrt(float(np.vdot(diff, diff).real)))
     max_residual = max(residuals, default=0.0)
     passed = max_residual < tol * norm(psi0)
-    logger.debug(
+    _debug(
+        __name__,
         "commutation check %s over %d steps: max residual %.3e (tol %.1e)",
         pmap.name,
         n,

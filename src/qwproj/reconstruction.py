@@ -44,7 +44,6 @@ phase axis of the stacked ``(M, F, dim)`` block.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Iterable, Sequence
 
@@ -58,10 +57,8 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, _count, _integer, _position_block, group_rows
+from .spaces import Position, ProjectionMap, _count, _debug, _integer, _position_block, group_rows
 from .walk import WalkSpec, _walk_blocks
-
-logger = logging.getLogger(__name__)
 
 GRID_TOL = 1e-9
 
@@ -169,7 +166,7 @@ def phase_projection_family(
     phases = np.stack([free if row is None else row for row in rows])[:, None, :]
     for coords, block in _walk_blocks(specs[0], coords, block, steps, phases):
         pass  # only the blocks after the last step are kept
-    logger.debug("built projection family: %d phases, %d steps", samples, steps)
+    _debug(__name__, "built projection family: %d phases, %d steps", samples, steps)
     return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 
 

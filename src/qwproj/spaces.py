@@ -14,7 +14,8 @@ the ``(rho, sigma)`` coordinate pair where that is possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -45,13 +46,22 @@ def check_coordinate_bound(coords: np.ndarray, bound: int) -> None:
 
 def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray:
     """The ``(len(positions), d)`` int64 block of the positions (tuples or block
-    rows), in their order; InvalidPosition names the first one outside +-COORD_LIMIT."""
+    rows), in their order; InvalidPosition names the first one with a coordinate
+    that :func:`_is_integer` refuses (any in a float block) or beyond +-COORD_LIMIT."""
+    if isinstance(positions, np.ndarray) and positions.dtype.kind != "i":
+        # checked entry by entry: a cast would truncate floats and wrap uint64
+        positions = positions.reshape(len(positions), d).tolist()
+    if not isinstance(positions, np.ndarray) and not all(
+        map(_integer_type, set(map(type, chain.from_iterable(positions))))
+    ):
+        bad = next(p for p in positions if not all(map(_is_integer, p)))
+        raise InvalidPosition(f"position {tuple(bad)} has a coordinate that is not an integer")
     try:
         coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
     except OverflowError:
         bad = next(p for p in positions if any(abs(c) > COORD_LIMIT for c in p))
         raise InvalidPosition(
-            f"position {bad} does not fit the int64 coordinate block of a packed state"
+            f"position {tuple(bad)} does not fit the int64 coordinate block of a packed state"
         ) from None
     check_coordinate_bound(coords, COORD_LIMIT)
     return coords
@@ -141,8 +151,65 @@ def _group_in_box(
     return sites, inverse
 
 
-@dataclass(frozen=True)
-class Displacement:
+class _Record:
+    """Base of the public record classes: frozen, without generated code.
+
+    A subclass lists its fields as annotations in its class body, in
+    constructor order; a field given a value there takes it as its default.
+    The constructor takes the fields positionally or by keyword, raises
+    TypeError for an unknown, missing or repeated argument, then runs
+    ``__post_init__``, which may set a field with ``object.__setattr__``.
+    After that, assigning or deleting an attribute raises AttributeError.
+    Records of one class are equal when their field values are equal; the
+    hash and the ``repr``, ``Name(field=value, ...)``, use the same values.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args))
+        wrong = [k for k in kwargs if k in values or k not in fields]
+        values = {**self._defaults, **values, **kwargs}
+        missing = [f for f in fields if f not in values]
+        if len(args) > len(fields) or wrong or missing:
+            raise TypeError(
+                f"{type(self).__name__}{fields} got {len(args)} positional arguments; "
+                f"unknown or repeated: {wrong}, missing: {missing}"
+            )
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    # The instance dict holds exactly the fields, in order.
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in vars(self).items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _debug(logger: str, msg: str, *args) -> None:
+    """Log ``msg`` at DEBUG to ``logger`` once the application has loaded
+    ``logging``: before that no handler can be set up to show it."""
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(logger).debug(msg, *args)
+
+
+class Displacement(_Record):
     """One coin direction: an injective map on the position set.
 
     ``apply_array`` moves every row of an ``(n, d)`` coordinate block (int64
@@ -176,8 +243,7 @@ class Displacement:
         return _on_position(self.unapply_array, p)
 
 
-@dataclass(frozen=True)
-class PositionSpace:
+class PositionSpace(_Record):
     """A named position set with its ordered displacement family.
 
     ``signature`` is a structural identity: two space instances with equal
@@ -222,16 +288,14 @@ def check_same_space(given: PositionSpace, expected: PositionSpace, what: str) -
         raise SpaceMismatch(f"{what} is on {got}, expected {want}")
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(_Record):
     """Integers with u*k + v*l = 1 for the coprime pair they were built from."""
 
     u: int
     v: int
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(_Record):
     """A surjection of walking spaces consistent with every displacement.
 
     ``rho`` maps source positions onto target positions; its fibers are the
@@ -268,8 +332,7 @@ class ProjectionMap:
         return int(self.sigma_array(exact_block([p], len(p)))[0])
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Record):
     """Result of a windowed consistency check of rho against the displacements."""
 
     passed: bool
@@ -290,8 +353,12 @@ def _modular(label: str, delta: int, n: int) -> Displacement:
     )
 
 
+def _integer_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 def _is_integer(c) -> bool:
-    return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+    return _integer_type(type(c))
 
 
 def _integer(n, what: str) -> int:

@@ -34,7 +34,6 @@ builds the full matrix for finite spaces only, as an oracle for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -45,6 +44,7 @@ from .spaces import (
     COORD_LIMIT,
     Position,
     PositionSpace,
+    _Record,
     _count,
     check_coordinate_bound,
     check_same_space,
@@ -110,8 +110,7 @@ def _check_unitaries(mats, dim: int, positions=None) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True)
-class CoinAssignment:
+class CoinAssignment(_Record):
     """A coin operator: one unitary shared by all positions, or one per position."""
 
     dimension: int
@@ -139,16 +138,14 @@ class CoinAssignment:
         return _check_unitary(self.matrix_fn(pos), self.dimension)
 
 
-@dataclass(frozen=True)
-class StepPhase:
+class StepPhase(_Record):
     """Per-direction phases picked up by the step: exp(i*phi*sigma_c[label])."""
 
     phi: float
     sigma_c: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class WalkSpec:
+class WalkSpec(_Record):
     """A walk: a space, a coin assignment, and optional step phases."""
 
     space: PositionSpace

@@ -1,12 +1,20 @@
 """End-to-end command-line behaviour, exit codes, and artifact formats."""
 
 import json
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qwproj.cli import main, parse_phi
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ANTISYMMETRIC_INIT = json.dumps(
     {
@@ -454,6 +462,54 @@ class TestLogging:
     def test_bad_log_level(self, monkeypatch):
         monkeypatch.setenv("QWPROJ_LOG", "verbose")
         assert main(["run", "--scenario", "grover2d_to_lazy"]) == 2
+
+    # Each command with the DEBUG line its library call logs.
+    COMMANDS = {
+        "verify": (
+            ["verify", "--scenario", "grover2d_to_lazy", "--steps", "3", "--out-report"],
+            r"DEBUG qwproj\.projection: commutation check lattice\(k=1,l=0\) over 3 steps: "
+            r"max residual \S+ \(tol 1\.0e-10\)",
+        ),
+        "reconstruct": (
+            ["reconstruct", "--k", "2", "--l", "1", "--steps", "2", "--out-state"],
+            r"DEBUG qwproj\.reconstruction: built projection family: \d+ phases, 2 steps",
+        ),
+    }
+
+    @pytest.mark.parametrize("level", [None, "info", "debug"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_log_lines_on_stderr(self, tmp_path, command, level):
+        # A fresh interpreter, as the installed qwproj command starts: the
+        # lines appear only when QWPROJ_LOG asks for them.
+        argv, debug_line = self.COMMANDS[command]
+        out = tmp_path / "out.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        env.pop("QWPROJ_LOG", None)
+        if level is not None:
+            env["QWPROJ_LOG"] = level
+        run = subprocess.run(
+            [sys.executable, "-c", "from qwproj.cli import console_entry; console_entry()",
+             *argv, str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        wrote = re.escape(f"INFO qwproj.cli: wrote {out}")
+        expected = {None: [], "info": [wrote], "debug": [debug_line, wrote]}[level]
+        lines = run.stderr.splitlines()
+        assert len(lines) == len(expected), run.stderr
+        for pattern, line in zip(expected, lines):
+            assert re.fullmatch(pattern, line), line
+
+    def test_library_records_reach_logging(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("QWPROJ_LOG", raising=False)
+        caplog.set_level(logging.DEBUG)
+        for argv, _ in self.COMMANDS.values():
+            assert main(argv + [str(tmp_path / "out.json")]) == 0
+        debug = [r.name for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == ["qwproj.projection", "qwproj.reconstruction"]
 
 
 class TestNegativePhiToken:

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,30 @@ def test_cli_uses_public_names_only():
         if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     }
     assert private - defined == set()
+
+
+def loaded_modules(code):
+    """The modules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    env = dict(os.environ)
+    src = str(Path(qwproj.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(run.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_logging():
+    # Generating dataclass methods and importing logging each cost every CLI
+    # call milliseconds of start-up; the records and log lines need neither.
+    own = loaded_modules("import qwproj.cli") - loaded_modules("import numpy, argparse, json")
+    assert own & {"dataclasses", "logging"} == set()
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

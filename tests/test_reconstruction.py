@@ -149,6 +149,18 @@ class TestPlan:
         with pytest.raises(InvalidParameter):
             plan_reconstruction(pm, window, samples=0)
 
+    @pytest.mark.parametrize(
+        "candidates", [[(0, 0), (0.7, 0.2)], np.array([[0.7, 0.2]])], ids=["tuples", "block"]
+    )
+    def test_non_integer_candidates_refused(self, candidates):
+        # not truncated to a plan for (0, 0)
+        pm = lattice_quotient(1, 0)
+        with pytest.raises(InvalidPosition, match=r"\(0\.7, 0\.2\)"):
+            plan_reconstruction(pm, candidates)
+        family = phase_projection_family(GROVER2D, pm, origin_state(), 1, 3)
+        with pytest.raises(InvalidPosition, match=r"\(0\.7, 0\.2\)"):
+            reconstruct_support(family, pm, candidates)
+
     @pytest.mark.parametrize("samples", [0, -2, True, 2.5, 13.0, np.float64(11.0), "11"])
     def test_sample_counts_follow_one_rule(self, samples):
         pm = lattice_quotient(1, 0)

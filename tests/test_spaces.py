@@ -1,6 +1,8 @@
 """Spaces, displacements, Bezout arithmetic, and quotient consistency."""
 
 import math
+import re
+from collections.abc import Hashable
 
 import numpy as np
 import pytest
@@ -8,11 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwproj import (
+    BezoutPair,
+    CoinAssignment,
+    CommutationReport,
+    ConsistencyReport,
     Displacement,
+    HomogeneityReport,
     InvalidParameter,
     InvalidPosition,
+    PositionSpace,
     ProjectionMap,
+    ScenarioDescriptor,
     SpaceMismatch,
+    StepPhase,
+    WalkSpec,
     bezout,
     check_rho_consistency,
     circle,
@@ -65,6 +76,11 @@ class TestDisplacementApply:
             Displacement("x", same, same)
         assert Displacement("x", same, same, reach=0).reach == 0
         assert Displacement("x", same, same, delta=(2, -3)).reach == 3
+
+    def test_displacement_labels_must_differ(self):
+        twice = 2 * line().displacements
+        with pytest.raises(InvalidParameter, match="duplicate displacement labels"):
+            PositionSpace("z1", 1, twice, line().contains, ("z1",))
 
     @pytest.mark.parametrize(
         "space, pos",
@@ -514,6 +530,30 @@ class TestWindows:
         with pytest.raises(InvalidPosition, match=str(2**63)):
             reachable_window(line(), [(0,), (2**63,)], 0)
 
+    @pytest.mark.parametrize(
+        "start, named",
+        [
+            (np.array([[0], [2**63]], dtype=object), (2**63,)),
+            (np.array([[0], [2**64 - 1]], dtype=np.uint64), (2**64 - 1,)),
+            ([(0,), (0.5,)], (0.5,)),
+            ([(1.0,)], (1.0,)),
+            ([(True,)], (True,)),
+            (np.array([[1], [0.5]], dtype=object), (0.5,)),
+            (np.array([[0], [0.5]]), (0.0,)),  # a float block is refused whole
+            (np.array([[False]]), (False,)),
+        ],
+    )
+    def test_a_start_that_is_no_int64_position_is_named(self, start, named):
+        # As a tuple, whatever form the start came in, and before a hop.
+        with pytest.raises(InvalidPosition, match=re.escape(f"position {named} ")):
+            reachable_window(line(), start, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16])
+    def test_reachable_window_takes_any_integer_block(self, dtype):
+        block = np.array([[3], [1]], dtype=dtype)
+        by_tuples = reachable_window(line(), [(3,), (1,)], 2)
+        assert np.array_equal(reachable_window(line(), block, 2), by_tuples)
+
 
 @pytest.mark.parametrize("step", [1.5, 1.0, True, "1"])
 @pytest.mark.parametrize("build", [line, lambda jumps: circle(4, jumps)])
@@ -605,3 +645,106 @@ class TestGroupRows:
         )
         self.check(rows)
         assert bool(calls) == boxed
+
+
+def _negate(c):
+    return -c
+
+
+def _pred(p):
+    return True
+
+
+def _hadamard_at(p):
+    return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+_COIN = CoinAssignment(2, None, _hadamard_at)
+_MAP_FIELDS = (line(), line(), _negate, _negate, {"R": 1, "L": -1}, _negate, None, "neg")
+
+# One record of every public record class: its fields in constructor order
+# and a value for each.
+RECORDS = [
+    (Displacement, "label apply_array unapply_array delta reach",
+     ("x", _negate, _negate, (2, -3), 3)),
+    (PositionSpace, "name dimension displacements contains signature positions",
+     ("z1", 1, line().displacements, _pred, ("z1",), None)),
+    (BezoutPair, "u v", (2, -1)),
+    (ProjectionMap, "source target rho_array sigma_array sigma_c section invert_rs name",
+     _MAP_FIELDS),
+    (ConsistencyReport, "passed positions pairs counterexample",
+     (False, 3, 3, ((0,), (1,), "R", "forward"))),
+    (CoinAssignment, "dimension matrix matrix_fn", (2, None, _hadamard_at)),
+    (StepPhase, "phi sigma_c", (0.5, {"R": 1, "L": -1})),
+    (WalkSpec, "space coin phase", (line(), _COIN, None)),
+    (HomogeneityReport, "passed classes witness", (False, 2, ((0,), (1,), 0.5))),
+    (CommutationReport, "steps residuals max_residual passed", (2, (0.0, 1e-3), 1e-3, False)),
+    (ScenarioDescriptor, "name walk pmap phi distinguished_states params",
+     ("neg", WalkSpec(line(), _COIN), ProjectionMap(*_MAP_FIELDS), 0.0, {}, {"k": None})),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=lambda x: getattr(x, "__name__", ""))
+class TestRecords:
+    """The public record classes keep the contract of frozen dataclasses."""
+
+    def test_fields_by_position_or_keyword(self, cls, names, values):
+        names = names.split()
+        record = cls(*values)
+        assert [getattr(record, f) for f in names] == list(values)
+        assert cls(**dict(zip(names, values))) == record
+        assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+
+    def test_equal_fields_compare_and_hash_equal(self, cls, names, values):
+        record, twin = cls(*values), cls(*values)
+        assert record == twin and not record != twin
+        assert record != values  # nor equal to a tuple of its fields
+        if all(isinstance(v, Hashable) for v in values):
+            assert hash(record) == hash(twin)
+        else:  # an unhashable field makes the record unhashable
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_repr_lists_the_fields(self, cls, names, values):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(names.split(), values))
+        assert repr(cls(*values)) == f"{cls.__name__}({shown})"
+
+    def test_frozen(self, cls, names, values):
+        record = cls(*values)
+        for f in names.split():
+            with pytest.raises(AttributeError):
+                setattr(record, f, None)
+            with pytest.raises(AttributeError):
+                delattr(record, f)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert [getattr(record, f) for f in names.split()] == list(values)
+
+    def test_bad_arguments_raise_type_error(self, cls, names, values):
+        first, *rest = names.split()
+        for args, kwargs in [
+            ((), dict(zip(rest, values[1:]))),  # the first field missing
+            (values, {"unknown": 1}),
+            (values, {first: values[0]}),  # repeated
+            ((*values, None), {}),  # one too many
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+def test_records_with_other_fields_differ():
+    assert BezoutPair(2, -1) != BezoutPair(-1, 2)
+    assert ConsistencyReport(True, 1, 0) != ConsistencyReport(True, 1, 1)
+    assert CommutationReport(1, (0.0,), 0.0, True) != HomogeneityReport(1, (0.0,), 0.0)
+
+
+def test_record_defaults():
+    assert ConsistencyReport(True, 1, 0).counterexample is None
+    assert HomogeneityReport(True, 1).witness is None
+    assert CoinAssignment(2).matrix is None and CoinAssignment(2).matrix_fn is None
+    assert WalkSpec(line(), _COIN).phase is None
+    assert PositionSpace("z1", 1, line().displacements, _pred, ("z1",)).positions is None
+    pmap = ProjectionMap(line(), line(), _negate)
+    assert (pmap.sigma_array, pmap.sigma_c, pmap.section, pmap.invert_rs, pmap.name) == (
+        None, None, None, None, ""
+    )

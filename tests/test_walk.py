@@ -10,6 +10,7 @@ from qwproj import (
     DimensionMismatch,
     InvalidParameter,
     InvalidPosition,
+    MissingSigma,
     NotUnitary,
     StepPhase,
     WalkSpec,
@@ -99,6 +100,10 @@ class TestCoinOperator:
     def test_coin_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             WalkSpec(Z2, CoinAssignment.homogeneous(hadamard_coin()))
+
+    def test_step_phase_needs_every_sigma_weight(self):
+        with pytest.raises(MissingSigma, match=r"\['L'\]"):
+            WalkSpec(line(), CoinAssignment.homogeneous(hadamard_coin()), StepPhase(0.5, {"R": 1}))
 
 
 class TestStepOperator:
