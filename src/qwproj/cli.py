@@ -101,8 +101,9 @@ def _configure_logging() -> None:
 
 
 def _info(msg: str, *args) -> None:
+    # Named, not __name__, which is "__main__" under python -m qwproj.cli.
     if "logging" in sys.modules:  # else no handler can have been set up to show it
-        sys.modules["logging"].getLogger(__name__).info(msg, *args)
+        sys.modules["logging"].getLogger("qwproj.cli").info(msg, *args)
 
 
 def _load_initial_state(space, text: str):

@@ -2,18 +2,18 @@
 
 A state assigns a complex coin vector to finitely many positions of a
 :class:`~qwproj.spaces.PositionSpace`; positions not listed carry the zero
-vector.  A state is held packed: an ``(n, d)`` int64 coordinate block
+vector.  A state is held packed: an ``(n, d)`` coordinate block
 (:attr:`WalkState.coords`, one row per position) and an ``(n, dim)``
 complex128 coin block (:attr:`WalkState.coins`) whose entries are ordered
 like the space's displacement family, with rows in lexicographic order of
-the positions.  :attr:`WalkState.support` is a read-only dict view from
-position tuples to the rows of the coin block, built on first use.
+the positions.  The coordinate block is int64, or exact Python integers
+(object dtype) once a coordinate leaves the int64 range; a block computed
+from an exact one stays exact.  :attr:`WalkState.support` is a read-only
+dict view from position tuples to the rows of the coin block, built on
+first use.
 
 States are immutable values: every operation returns a new state and never
-mutates its inputs, so states can be shared freely across threads.  A state
-built from a mapping may hold positions beyond int64 (the dict-based
-recurrence engine produces them); asking such a state for its coordinate
-block raises InvalidPosition naming the position.
+mutates its inputs, so states can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ class WalkState:
     """A finitely supported vector in the position (x) coin space.
 
     ``WalkState(space, {position: coin vector})`` copies the mapping into
-    the packed layout; kernels build states directly from blocks with
+    the packed layout.  Every position must belong to the space
+    (InvalidPosition), every coin vector must have exactly one entry per
+    displacement (DimensionMismatch), and all amplitudes must be finite
+    (InvalidParameter).  Kernels build states directly from blocks with
     :meth:`from_blocks`.  ``coords``, ``coins`` and ``support`` are
     read-only.  A site whose coin vector cancels to zero keeps an explicit
     zero row: no operation drops sites, so exact cancellations stay visible.
@@ -58,9 +61,12 @@ class WalkState:
     :func:`max_abs_difference`), not with ``==``.
     """
 
-    __slots__ = ("_space", "_coins", "_coords", "_positions", "_support")
+    __slots__ = ("_space", "_coins", "_coords", "_support")
 
     def __init__(self, space: PositionSpace, support: Mapping[Position, Iterable[complex]]):
+        for pos in support:
+            if not space.contains(pos):
+                raise InvalidPosition(f"{pos} is not a position of space {space.name!r}")
         positions = sorted(support)
         dim = space.coin_dimension
         coins = np.array([support[p] for p in positions], dtype=np.complex128)
@@ -70,32 +76,35 @@ class WalkState:
                     f"coin block has shape {coins.shape}, space needs {dim} entries per site"
                 )
             coins = np.empty((0, dim), dtype=np.complex128)
-        self._init(space, coins, None, positions)
+        finite = np.isfinite(coins).all(axis=1)
+        if not finite.all():
+            raise InvalidParameter(f"non-finite amplitude at {positions[finite.argmin()]}")
+        self._init(space, coins, pack_positions(positions, space.dimension))
 
-    def _init(self, space, coins, coords, positions) -> None:
+    def _init(self, space, coins, coords) -> None:
         coins.flags.writeable = False
-        if coords is not None:
-            coords.flags.writeable = False
+        coords.flags.writeable = False
         self._space = space
         self._coins = coins
         self._coords = coords
-        self._positions = positions
         self._support = None
 
     @classmethod
     def from_blocks(
         cls, space: PositionSpace, coords: np.ndarray, coins: np.ndarray
     ) -> "WalkState":
-        """Wrap packed blocks without copying: distinct int64 rows in
-        lexicographic order, and one coin row each.  Both become read-only."""
+        """Wrap packed blocks without copying: distinct coordinate rows in
+        lexicographic order, int64 or exact Python integers as
+        :func:`~qwproj.spaces.pack_positions` gives them, and one coin row
+        each.  Both become read-only."""
         state = cls.__new__(cls)
-        state._init(space, coins, coords, None)
+        state._init(space, coins, coords)
         return state
 
     def with_coins(self, coins: np.ndarray) -> "WalkState":
         """A state on the same positions with a new ``(n, dim)`` coin block."""
         state = WalkState.__new__(WalkState)
-        state._init(self._space, coins, self._coords, self._positions)
+        state._init(self._space, coins, self._coords)
         return state
 
     @property
@@ -108,17 +117,13 @@ class WalkState:
 
     @property
     def coords(self) -> np.ndarray:
-        if self._coords is None:
-            self._coords = pack_positions(self._positions, self.space.dimension)
-            self._coords.flags.writeable = False
         return self._coords
 
     @property
     def support(self) -> Mapping[Position, np.ndarray]:
         if self._support is None:
-            if self._positions is None:
-                self._positions = list(map(tuple, self._coords.tolist()))
-            self._support = MappingProxyType(dict(zip(self._positions, self._coins)))
+            positions = map(tuple, self._coords.tolist())
+            self._support = MappingProxyType(dict(zip(positions, self._coins)))
         return self._support
 
     @property
@@ -135,29 +140,19 @@ def state_new(
 ) -> WalkState:
     """Build a state from (position, coin vector) pairs.
 
-    Duplicate positions are summed.  Every position must belong to the space
-    (InvalidPosition), every coin vector must have exactly one entry per
-    displacement (DimensionMismatch), and all amplitudes must be finite
-    (InvalidParameter).
+    Duplicate positions are summed; the sums are checked as the
+    :class:`WalkState` constructor checks a mapping.
     """
     dim = space.coin_dimension
     support: dict[Position, np.ndarray] = {}
     for pos, vec in assignments:
         pos = tuple(pos)
-        if not space.contains(pos):
-            raise InvalidPosition(f"{pos} is not a position of space {space.name!r}")
         arr = np.array(vec, dtype=np.complex128)
         if arr.shape != (dim,):
             raise DimensionMismatch(
                 f"coin vector at {pos} has length {arr.size}, space needs {dim}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise InvalidParameter(f"non-finite amplitude at {pos}")
-        pos = tuple(int(c) for c in pos)
-        if pos in support:
-            support[pos] = support[pos] + arr
-        else:
-            support[pos] = arr
+        support[pos] = support[pos] + arr if pos in support else arr
     return WalkState(space, support)
 
 
@@ -224,16 +219,10 @@ def max_abs_difference(a: WalkState, b: WalkState) -> float:
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
-def _position_rows(state: WalkState, start: int = 0, stop: int | None = None) -> list[list[int]]:
-    if state._coords is None:  # built from a mapping, possibly beyond int64
-        return [[int(c) for c in pos] for pos in state._positions[start:stop]]
-    return state._coords[start:stop].tolist()
-
-
 def to_json_dict(state: WalkState) -> dict:
     """State dump: {"space": name, "support": [{"pos": [...], "coin": [[re, im], ...]}]}."""
     coins = np.stack([state.coins.real, state.coins.imag], axis=-1).tolist()
-    entries = [{"pos": pos, "coin": coin} for pos, coin in zip(_position_rows(state), coins)]
+    entries = [{"pos": pos, "coin": coin} for pos, coin in zip(state.coords.tolist(), coins)]
     return {"space": state.space.name, "support": entries}
 
 
@@ -295,7 +284,7 @@ def _entry_tokens(state: WalkState, start: int, stop: int) -> tuple[str, ...]:
     position.  One call of json's C encoder renders them all, so each token
     is json's own repr (``-0.0``, ``NaN`` and ``Infinity`` included)."""
     floats = np.ascontiguousarray(state.coins[start:stop]).view(np.float64).tolist()
-    rows = json.dumps([c + p for c, p in zip(floats, _position_rows(state, start, stop))])
+    rows = json.dumps([c + p for c, p in zip(floats, state.coords[start:stop].tolist())])
     return tuple(rows[2:-2].replace("], [", ", ").split(", "))
 
 

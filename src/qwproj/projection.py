@@ -184,9 +184,12 @@ def _phase_weights(
     ``table`` is None or a pair ``(lo, values)`` holding the same np.exp
     values for sigma = lo, lo + 1, ...; a block inside it is read off the
     table, bitwise equal to what np.exp returns, and any other block is
-    computed directly.
+    computed directly.  A block of exact Python integers is taken in
+    float64, which rounds it as the int64 path rounds its own entries.
     """
-    if table is not None:
+    if sigma.dtype == object:
+        sigma = sigma.astype(np.float64)
+    elif table is not None:
         lo, values = table
         if sigma.min() >= lo and sigma.max() < lo + len(values):
             return values[sigma - lo]
@@ -202,11 +205,14 @@ def _phase_table(
     sigma is additive, so a step moves it by at most s = max |sigma_c|: the
     table spans [min sigma(psi0) - n*s, max sigma(psi0) + n*s], clipped to
     the int64 coordinate range.  It is built only when psi0's own sigma
-    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries.
+    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries, and
+    sigma is an int64 block.
     """
     if phi == 0.0:
         return None
     sigma = pmap.sigma_array(psi0.coords)
+    if sigma.dtype == object:
+        return None
     reach = n * max(abs(int(v)) for v in pmap.sigma_c.values())
     lo, hi = int(sigma.min()), int(sigma.max())
     if hi - lo > 2 * reach:

@@ -20,16 +20,16 @@ Recovery of a coefficient is therefore exact whenever no other support
 point of the same fiber has sigma congruent to it mod M.  The one inversion
 routine, :func:`reconstruct_support`, checks this congruence condition
 directly on a caller-supplied candidate region, held by planning and
-inversion alike as one sorted, distinct ``(n, d)`` int64 block (the form of
-a state's coordinates and of a reachable window).  Distinct sigma values in a
-range no wider than M stay distinct mod M, so the grid only has to span the
-sigma values inside each fiber: :func:`plan_reconstruction` sizes it by the
-largest per-fiber sigma span of the candidates, far below the global span
-when fibers are narrow (for a lattice quotient (k, l) a fiber is a line in
-direction (-l, k)).  :func:`reconstruct` is the front end for a global
-sigma window: all sigma values to be recovered fit into M consecutive
-integers, a sufficient condition, and the window's (r, s) pairs are the
-candidates.  The grid offset delta is not corrected for: recovered
+inversion alike as one sorted, distinct ``(n, d)`` coordinate block (the
+form of a state's coordinates and of a reachable window).  Distinct sigma
+values in a range no wider than M stay distinct mod M, so the grid only has
+to span the sigma values inside each fiber: :func:`plan_reconstruction`
+sizes it by the largest per-fiber sigma span of the candidates, far below
+the global span when fibers are narrow (for a lattice quotient (k, l) a
+fiber is a line in direction (-l, k)).  :func:`reconstruct` is the front
+end for a global sigma window: all sigma values to be recovered fit into M
+consecutive integers, a sufficient condition, and the window's (r, s) pairs
+are the candidates.  The grid offset delta is not corrected for: recovered
 coefficients at sigma = s carry exp(i*s*delta), and the default grids start
 at zero.
 
@@ -85,7 +85,7 @@ def _bins(pmap: ProjectionMap, coords: np.ndarray, m: int) -> tuple[np.ndarray, 
     and bin with an earlier one, and that earlier one.
     """
     targets = pmap.rho_array(coords)
-    bin_of = pmap.sigma_array(coords) % m
+    bin_of = (pmap.sigma_array(coords) % m).astype(np.intp)
     keys, key_of = group_rows(np.column_stack([targets, bin_of]))
     if len(keys) < len(coords):
         _, first = np.unique(key_of, return_index=True)
@@ -117,8 +117,9 @@ def plan_reconstruction(
     if samples is None:
         fibers, fiber_of = group_rows(pmap.rho_array(coords))
         sigma = pmap.sigma_array(coords)
-        low = np.full(len(fibers), np.iinfo(np.int64).max)
-        high = np.full(len(fibers), np.iinfo(np.int64).min)
+        low = np.empty(len(fibers), dtype=sigma.dtype)
+        low[fiber_of] = sigma  # some sigma of each fiber
+        high = low.copy()
         np.minimum.at(low, fiber_of, sigma)
         np.maximum.at(high, fiber_of, sigma)
         samples = int((high - low).max()) + 1 if len(fibers) else 1

@@ -2,9 +2,11 @@
 
 A walking space is an (at most countable) set of positions together with an
 ordered family of injective displacements acting on it.  Each position rule
-is defined once, as an action on an ``(n, d)`` coordinate block: int64 for
-the packed engine, or object-dtype Python integers (:func:`exact_block`),
-on which it is exact and unbounded and which its scalar form uses.
+is defined once, as an action on an ``(n, d)`` coordinate block: int64
+while every coordinate fits, or object-dtype Python integers
+(:func:`exact_block`), on which it is exact and unbounded and which its
+scalar form uses.  A block that could leave the int64 range takes the
+exact form before the arithmetic, so coordinates never wrap around.
 Quotient constructors return :class:`ProjectionMap` objects bundling the
 surjection ``rho``, the optional additive weight ``sigma``, the induced
 displacement family on the quotient, and the bookkeeping needed to invert
@@ -25,29 +27,30 @@ from .errors import InvalidParameter, InvalidPosition, MissingSigma, SpaceMismat
 Position = tuple[int, ...]
 
 COORD_LIMIT = 2**63 - 1
-"""Largest |coordinate| held in an int64 coordinate block.  The range is
-kept symmetric so that negating a coordinate never wraps."""
+"""Largest |coordinate| of an int64 coordinate block.  The range is kept
+symmetric so that negating a coordinate never wraps; a block that reaches
+beyond it holds exact Python integers instead (see :func:`_exact_beyond`)."""
 
 
-def check_coordinate_bound(coords: np.ndarray, bound: int) -> None:
-    """Raise InvalidPosition unless every |coordinate| of the block is <= bound.
+def _exact_beyond(coords: np.ndarray, bound: int) -> np.ndarray:
+    """The block itself, or the block as exact Python integers (object dtype)
+    once some |coordinate| exceeds ``bound``.
 
     Array kernels call this before int64 arithmetic that stays exact only
-    within ``bound``; the error names the first offending position.
+    within ``bound``, so that the arithmetic never wraps around.
     """
-    if len(coords) and max(int(coords.max()), -int(coords.min())) > bound:
-        row = coords[((coords > bound) | (coords < -bound)).any(axis=1)][0]
-        raise InvalidPosition(
-            f"position {tuple(row.tolist())} is out of range for int64 array "
-            f"arithmetic (|coordinate| must be <= {bound}); "
-            "evolve_recurrence keeps exact integers"
-        )
+    if coords.dtype != object and len(coords):
+        if max(int(coords.max()), -int(coords.min())) > bound:
+            return coords.astype(object)
+    return coords
 
 
 def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray:
-    """The ``(len(positions), d)`` int64 block of the positions (tuples or block
-    rows), in their order; InvalidPosition names the first one with a coordinate
-    that :func:`_is_integer` refuses (any in a float block) or beyond +-COORD_LIMIT."""
+    """The ``(len(positions), d)`` coordinate block of the positions (tuples or
+    block rows), in their order: int64 when every coordinate is within
+    +-COORD_LIMIT, else exact Python integers.  InvalidPosition names the
+    first position with a coordinate that :func:`_is_integer` refuses (any
+    in a float block)."""
     if isinstance(positions, np.ndarray) and positions.dtype.kind != "i":
         # checked entry by entry: a cast would truncate floats and wrap uint64
         positions = positions.reshape(len(positions), d).tolist()
@@ -59,17 +62,13 @@ def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray
     try:
         coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
     except OverflowError:
-        bad = next(p for p in positions if any(abs(c) > COORD_LIMIT for c in p))
-        raise InvalidPosition(
-            f"position {tuple(bad)} does not fit the int64 coordinate block of a packed state"
-        ) from None
-    check_coordinate_bound(coords, COORD_LIMIT)
-    return coords
+        return exact_block(positions, d)
+    return _exact_beyond(coords, COORD_LIMIT)
 
 
 def _position_block(positions: np.ndarray | Iterable[Position], d: int) -> np.ndarray:
-    """The sorted, distinct ``(n, d)`` int64 block of a coordinate block or of
-    position tuples; InvalidPosition names a position beyond int64."""
+    """The sorted, distinct ``(n, d)`` coordinate block of a coordinate block
+    or of position tuples."""
     if not isinstance(positions, np.ndarray):
         positions = [tuple(p) for p in positions]
     return group_rows(pack_positions(positions, d))[0]
@@ -94,23 +93,24 @@ _DENSE_BOX_PER_ROW = 16
 
 
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an ``(m, d)`` int64 block, and where each row went.
+    """The distinct rows of an ``(m, d)`` coordinate block, and where each row went.
 
     Returns the distinct rows in lexicographic order and, for every input
     row, the ``intp`` index of its distinct row: what ``np.unique(rows,
     axis=0, return_inverse=True)`` returns (with the inverse raveled).
 
     Two branches compute it; the block's row count and bounding box pick one.
-    A block of at least 128 rows whose box has at most 16 cells per row is
-    grouped without sorting: each row becomes one int64 key, its row-major
-    offset in the box, so that key order is lexicographic order; an
+    An int64 block of at least 128 rows whose box has at most 16 cells per
+    row is grouped without sorting: each row becomes one int64 key, its
+    row-major offset in the box, so that key order is lexicographic order; an
     occupancy array over the box yields the distinct keys in order, and
     they unravel back to rows.  Every other block (empty or small, or with a
-    sparse box, which includes every box too large for an int64 key) is
-    grouped by a ``lexsort`` and a run-boundary diff.
+    sparse box, which includes every box too large for an int64 key, or of
+    exact Python integers) is grouped by a ``lexsort`` and a run-boundary
+    diff.
     """
     m, d = rows.shape
-    if m >= _DENSE_MIN_ROWS:
+    if m >= _DENSE_MIN_ROWS and rows.dtype != object:
         # Column by column: rows.min(axis=0) reduces a strided block far slower.
         cols = [rows[:, j] for j in range(d)]
         lows = [int(c.min()) for c in cols]
@@ -389,18 +389,13 @@ def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
 
 
 def _linear_form(coeffs: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block.
-
-    Refuses (InvalidPosition, naming the position) an int64 block on which
-    the value could leave the int64 range, instead of wrapping around.
-    """
+    """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block, taken in
+    exact Python integers where the value could leave the int64 range."""
     weights = np.asarray(coeffs, dtype=np.int64)
     bound = COORD_LIMIT // max(1, sum(abs(a) for a in coeffs))
 
     def form(c: np.ndarray) -> np.ndarray:
-        if c.dtype != object:
-            check_coordinate_bound(c, bound)
-        return c @ weights
+        return _exact_beyond(c, bound) @ weights
 
     return form
 
@@ -619,10 +614,9 @@ def reachable_window(
     """All positions reachable from ``start`` in at most ``steps`` displacement hops.
 
     ``start`` is a coordinate block or an iterable of position tuples.  The
-    window comes back as the sorted, distinct ``(n, d)`` int64 block that
-    :attr:`~qwproj.hilbert.WalkState.coords` also is; test membership on
-    ``set(map(tuple, window.tolist()))``.  The search raises InvalidPosition,
-    naming the position, before a hop that could leave the int64 range.
+    window comes back as the sorted, distinct ``(n, d)`` coordinate block
+    that :attr:`~qwproj.hilbert.WalkState.coords` also is; test membership
+    on ``set(map(tuple, window.tolist()))``.
     """
     disps = space.displacements
     bound = COORD_LIMIT - max(d.reach for d in disps)
@@ -631,7 +625,7 @@ def reachable_window(
     for _ in range(_count(steps, "step count")):
         if not len(frontier):
             break
-        check_coordinate_bound(frontier, bound)
+        frontier = _exact_beyond(frontier, bound)
         images = np.concatenate([d.apply_array(frontier) for d in disps])
         merged, inverse = group_rows(np.concatenate([seen, images]))
         known = np.zeros(len(merged), dtype=bool)

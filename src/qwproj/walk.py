@@ -46,7 +46,7 @@ from .spaces import (
     PositionSpace,
     _Record,
     _count,
-    check_coordinate_bound,
+    _exact_beyond,
     check_same_space,
     exact_block,
     group_rows,
@@ -200,8 +200,9 @@ def apply_step(spec: WalkSpec, state: WalkState) -> WalkState:
 
     When the walk carries step phases, the moved component is multiplied by
     exp(i*phi*sigma_c).  Positions receiving cancelling contributions keep
-    an explicit zero vector (no implicit pruning).  Raises InvalidPosition,
-    naming the position, when a step could leave the int64 coordinate range.
+    an explicit zero vector (no implicit pruning).  Coordinates are exact at
+    any size: a step that could leave the int64 range moves exact Python
+    integers instead.
     """
     check_same_space(state.space, spec.space, "state fed to the walk")
     if not len(state.coins):
@@ -217,12 +218,12 @@ def _merge_images(space: PositionSpace, coords: np.ndarray) -> tuple[np.ndarray,
     image rows, which are the next coordinate block, and the index among
     them of each image row, the rows taken displacement by displacement.
 
-    Raises InvalidPosition, naming the position, when a step could leave
-    the int64 coordinate range.  The merge depends on the coordinate block
-    alone, so equal blocks have equal merges.
+    A block from which a step could leave the int64 range moves as exact
+    Python integers.  The merge depends on the coordinate block alone, so
+    equal blocks have equal merges.
     """
     disps = space.displacements
-    check_coordinate_bound(coords, COORD_LIMIT - max(d.reach for d in disps))
+    coords = _exact_beyond(coords, COORD_LIMIT - max(d.reach for d in disps))
     return group_rows(np.concatenate([d.apply_array(coords) for d in disps]))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from qwproj import (
     ProjectionMap,
     WalkSpec,
     circle,
+    evolve,
+    evolve_recurrence,
     grover_coin,
     hadamard_coin,
     lattice_2d,
     line,
     llattice,
+    max_abs_difference,
     state_new,
 )
 
@@ -48,6 +53,26 @@ def random_sparse_state(
         if total > 0:
             state = scale(1.0 / total, state)
     return state
+
+
+def haar_unitary(dim, rng):
+    """A Haar-random unitary: QR of a complex Gaussian matrix with the phase
+    fix Q diag(R_ii / |R_ii|) (Mezzadri, "How to generate random matrices
+    from the classical compact groups", Notices AMS 54 (2007) 592)."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def evolve_both(spec, psi, steps):
+    """``evolve`` of psi, checked against ``evolve_recurrence``: the same
+    support and amplitudes within 1e-12."""
+    a = evolve(spec, psi, steps)
+    b = evolve_recurrence(spec, psi, steps)
+    assert set(a.support) == set(b.support)
+    assert max_abs_difference(a, b) <= 1e-12
+    return a
 
 
 def walk_zoo():

@@ -476,13 +476,9 @@ class TestLogging:
         ),
     }
 
-    @pytest.mark.parametrize("level", [None, "info", "debug"])
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_log_lines_on_stderr(self, tmp_path, command, level):
-        # A fresh interpreter, as the installed qwproj command starts: the
-        # lines appear only when QWPROJ_LOG asks for them.
-        argv, debug_line = self.COMMANDS[command]
-        out = tmp_path / "out.json"
+    @staticmethod
+    def stderr_lines(launcher, argv, level):
+        """The stderr lines of a fresh interpreter running the CLI."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -491,17 +487,36 @@ class TestLogging:
         if level is not None:
             env["QWPROJ_LOG"] = level
         run = subprocess.run(
-            [sys.executable, "-c", "from qwproj.cli import console_entry; console_entry()",
-             *argv, str(out)],
+            [sys.executable, *launcher, *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
+        return run.stderr.splitlines()
+
+    @pytest.mark.parametrize("level", [None, "info", "debug"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_log_lines_on_stderr(self, tmp_path, command, level):
+        # A fresh interpreter, as the installed qwproj command starts: the
+        # lines appear only when QWPROJ_LOG asks for them.
+        argv, debug_line = self.COMMANDS[command]
+        out = tmp_path / "out.json"
+        lines = self.stderr_lines(
+            ["-c", "from qwproj.cli import console_entry; console_entry()"],
+            argv + [str(out)],
+            level,
+        )
         wrote = re.escape(f"INFO qwproj.cli: wrote {out}")
         expected = {None: [], "info": [wrote], "debug": [debug_line, wrote]}[level]
-        lines = run.stderr.splitlines()
-        assert len(lines) == len(expected), run.stderr
+        assert len(lines) == len(expected), lines
         for pattern, line in zip(expected, lines):
             assert re.fullmatch(pattern, line), line
+
+    def test_module_run_logs_as_qwproj_cli(self, tmp_path):
+        # python -m qwproj.cli runs the module as __main__; its lines keep
+        # the logger name of the installed command.
+        argv = self.COMMANDS["verify"][0] + [str(tmp_path / "out.json")]
+        lines = self.stderr_lines(["-m", "qwproj.cli"], argv, "info")
+        assert lines == [f"INFO qwproj.cli: wrote {tmp_path / 'out.json'}"]
 
     def test_library_records_reach_logging(self, tmp_path, monkeypatch, caplog):
         monkeypatch.delenv("QWPROJ_LOG", raising=False)

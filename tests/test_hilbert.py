@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qwproj import (
     DimensionMismatch,
     WalkState,
+    circle,
     InvalidParameter,
     InvalidPosition,
     SpaceMismatch,
@@ -65,6 +66,12 @@ class TestStateNew:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(0, 0\)"):
             state_new(Z2, [((0, 0), (float("nan"), 0, 0, 0))])
+
+    def test_constructor_checks_a_mapping(self):
+        with pytest.raises(InvalidPosition, match=r"\(7,\) is not a position of space 'circle4'"):
+            WalkState(circle(4), {(7,): [1, 0]})
+        with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(2,\)"):
+            WalkState(circle(4), {(1,): [1, 0], (2,): [0, math.inf]})
 
     def test_norm_invariant_under_permutation(self, rng):
         assignments = [
@@ -335,20 +342,23 @@ def writer_states(draw):
             unique=True,
         )
     )
-    support = {}
-    for pos in positions:
+    rows = []
+    for _ in positions:
         if draw(st.booleans()):  # an explicit zero vector
-            support[pos] = np.zeros(space.coin_dimension)
+            rows.append(np.zeros(space.coin_dimension, dtype=np.complex128))
         else:
             parts = draw(st.lists(AMPLITUDE, min_size=2 * space.coin_dimension,
                                   max_size=2 * space.coin_dimension))
             # Viewed, not summed as re + 1j*im, which would turn -0.0 into
             # 0.0 and (0.5, inf) into (nan, inf).
-            support[pos] = np.array(parts, dtype=np.float64).view(np.complex128)
-    state = WalkState(space, support)
-    if limit < 2**63 and draw(st.booleans()):  # kernel-built, from the blocks
-        state = WalkState.from_blocks(space, state.coords, state.coins)
-    return state
+            rows.append(np.array(parts, dtype=np.float64).view(np.complex128))
+    # The constructor refuses non-finite amplitudes; they reach a state
+    # through with_coins, as through scale, and the writer renders them.
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    state = WalkState(space, dict.fromkeys(positions, np.zeros(space.coin_dimension)))
+    coins = np.array([rows[i] for i in order], dtype=np.complex128)
+    coins = coins.reshape(len(positions), space.coin_dimension)
+    return state.with_coins(coins)
 
 
 def reference_text(obj):

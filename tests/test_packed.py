@@ -3,23 +3,32 @@ the dict-based reference paths."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwproj import (
+    CoinAssignment,
+    WalkSpec,
     WalkState,
     apply_step,
     evolve,
     evolve_recurrence,
     lattice_2d,
     line,
-    max_abs_difference,
     norm,
     state_new,
 )
-from conftest import random_sparse_state, walk_zoo
+from conftest import evolve_both, haar_unitary, random_sparse_state, walk_zoo
 
-OFFSET = st.integers(-(2**40), 2**40)
+TOP = 2**63 - 1  # the int64 coordinate range is +-TOP
+# Offsets near the origin, far beyond int64, and at its edge, where a walk
+# leaves the int64 range while it runs.
+OFFSET = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([2**70, -(2**70)]),
+    st.integers(TOP - 10, TOP),
+    st.integers(-TOP, -TOP + 10),
+)
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
 
 
@@ -95,13 +104,30 @@ class TestExplicitZeros:
     offset=st.tuples(OFFSET, OFFSET),
     steps=st.integers(0, 12),
 )
+@example(seed=0, offset=(2**70, -(2**70)), steps=12)
+@example(seed=1, offset=(TOP - 4, -(TOP - 4)), steps=12)
+@example(seed=2, offset=(-(TOP - 4), TOP - 4), steps=12)
 @PROPERTY
 def test_engines_agree_far_from_origin(index, seed, offset, steps):
     spec = walk_zoo()[index]
-    psi = far_state(spec.space, seed, offset)
-    a = evolve(spec, psi, steps)
-    b = evolve_recurrence(spec, psi, steps)
-    assert set(a.support) == set(b.support)
-    assert max_abs_difference(a, b) <= 1e-12
+    evolve_both(spec, far_state(spec.space, seed, offset), steps)
 
 
+@pytest.mark.parametrize("index", range(len(walk_zoo())))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.tuples(OFFSET, OFFSET),
+    steps=st.integers(0, 8),
+    positional=st.booleans(),
+)
+@example(seed=3, offset=(2**70, TOP - 2), steps=8, positional=True)
+@PROPERTY
+def test_engines_agree_under_haar_coins(index, seed, offset, steps, positional):
+    space = walk_zoo()[index].space
+    rng = np.random.default_rng(seed)
+    mats = [haar_unitary(space.coin_dimension, rng) for _ in range(3)]
+    if positional:  # one of three coins, by the sum of the coordinates mod 3
+        coin = CoinAssignment.positional(lambda p: mats[sum(p) % 3], space.coin_dimension)
+    else:
+        coin = CoinAssignment.homogeneous(mats[0])
+    evolve_both(WalkSpec(space, coin), far_state(space, seed, offset), steps)

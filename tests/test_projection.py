@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwproj import (
     CoinAssignment,
     InhomogeneousCoin,
     InvalidParameter,
-    InvalidPosition,
     MissingSigma,
     NullProjection,
     ProjectionMap,
@@ -41,7 +42,7 @@ from qwproj import (
 )
 from qwproj import projection as projection_module
 from qwproj import walk as walk_module
-from conftest import identity_map, random_sparse_state
+from conftest import haar_unitary, identity_map, random_sparse_state
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -100,14 +101,18 @@ class TestProjectState:
         with pytest.raises(NullProjection):
             project_state(pm, 0.0, state_new(Z2, []))
 
-    def test_int64_overflow_is_typed(self):
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_projection_past_int64_is_exact(self, phi):
         edge = 2**62
+        pm = lattice_quotient(2, 1)
         psi = state_new(Z2, [((edge, edge), GENERIC4)])
-        with pytest.raises(InvalidPosition, match=str(edge)):
-            project_state(lattice_quotient(2, 1), 0.0, psi)
-        with pytest.raises(InvalidPosition, match=str(edge)):
-            project_state(llattice_quotient(), 0.0, state_new(
-                llattice_quotient().source, [((edge, edge), (1, 0))]))
+        out = project_state(pm, phi, psi)
+        assert out.coords.tolist() == [[3 * edge]]
+        weight = np.exp(1j * phi * np.array([float(pm.sigma((edge, edge)))]))
+        assert bits(out.coins).tobytes() == bits(GENERIC4 * weight).tobytes()
+        pm = llattice_quotient()
+        out = project_state(pm, phi, state_new(pm.source, [((edge, edge), (1, 0))]))
+        assert out.coords.tolist() == [[2 * edge]]
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi])
     def test_fiber_sums_match_add_at(self, rng, phi):
@@ -429,7 +434,7 @@ def shifted_line_map(offset):
     return ProjectionMap(
         source=line(),
         target=line(),
-        rho_array=lambda c: c + offset,
+        rho_array=lambda c: c.astype(object) + offset,  # exact, at any offset
         sigma_array=lambda c: 0 * c[:, 0],
         sigma_c={"R": 0, "L": 0},
         section=lambda q: (q[0] - offset,),
@@ -481,31 +486,44 @@ class TestFusedCommutationLoop:
         return sizes
 
     @pytest.mark.parametrize("offset", [TOP - 5, -(TOP - 5)])
-    def test_induced_overflow_raises_at_the_same_step(self, monkeypatch, offset):
+    def test_induced_walk_past_int64_is_exact(self, offset):
         # The parent stays near 0; the induced walk starts 5 sites from the
-        # int64 limit and crosses the step's bound on its sixth step.
+        # int64 limit and crosses it on its sixth step.
         pm = shifted_line_map(offset)
         psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])
-        induced = induced_walk(HADAMARD_LINE, pm)
-        with pytest.raises(InvalidPosition) as expected:
-            evolve(induced, project_state(pm, 0.0, psi), 10)
-        sizes = self.parent_steps(monkeypatch)
-        with pytest.raises(InvalidPosition) as raised:
-            verify_commutation(HADAMARD_LINE, pm, 0.0, psi, 10)
-        assert str(raised.value) == str(expected.value)
-        assert str(-TOP if offset < 0 else TOP) in str(raised.value)
-        assert len(sizes) == 6  # the parent's sixth step precedes the induced one
+        report = verify_commutation(HADAMARD_LINE, pm, 0.0, psi, 10)
+        expected = reference_residuals(HADAMARD_LINE, pm, 0.0, psi, 10)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        assert report.passed and report.max_residual == 0.0
+        induced = evolve(induced_walk(HADAMARD_LINE, pm), project_state(pm, 0.0, psi), 10)
+        assert max(abs(x) for (x,) in induced.support) == TOP + 5
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 3])
     @pytest.mark.parametrize("start", [TOP - 3, -(TOP - 3)])
-    def test_parent_overflow_raises_at_the_same_step(self, monkeypatch, start):
+    def test_parent_past_int64_is_exact(self, monkeypatch, start, phi):
+        # The parent crosses the int64 limit on its fourth step; its weights
+        # come off the table before that and are computed after.
+        pm = cyclic_quotient(4)
         psi = state_new(line(), [((start,), np.array([1, 1j]) / math.sqrt(2))])
-        with pytest.raises(InvalidPosition) as expected:
-            evolve(HADAMARD_LINE, psi, 10)
         sizes = self.parent_steps(monkeypatch)
-        with pytest.raises(InvalidPosition) as raised:
-            verify_commutation(HADAMARD_LINE, cyclic_quotient(4), math.pi / 3, psi, 10)
-        assert str(raised.value) == str(expected.value)
-        assert len(sizes) == 3  # the fourth step's check fails
+        report = verify_commutation(HADAMARD_LINE, pm, phi, psi, 10)
+        assert len(sizes) == 10
+        expected = reference_residuals(HADAMARD_LINE, pm, phi, psi, 10)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        if phi == 0.0:
+            assert report.passed
+
+    @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+    @pytest.mark.parametrize("far", [2**70, -(2**70)])
+    def test_scenarios_commute_far_beyond_int64(self, name, far):
+        desc = catalog.scenario(name)
+        rng = np.random.default_rng(len(name))
+        psi = random_sparse_state(desc.walk.space, rng, points=3, radius=3, offset=(far, -far))
+        assert psi.coords.dtype == object
+        report = verify_commutation(desc.walk, desc.pmap, 0.0, psi, 12)
+        expected = reference_residuals(desc.walk, desc.pmap, 0.0, psi, 12)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        assert report.passed
 
     def test_parent_steps_through_apply_step(self, monkeypatch):
         # A traced benchmark run reads the final parent support as the
@@ -517,6 +535,24 @@ class TestFusedCommutationLoop:
         assert report.passed
         assert len(sizes) == 100
         assert max(sizes) == sizes[-1] == 101 * 101
+
+
+@pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.tuples(*[st.sampled_from([0, 7, 2**70, -(2**70), TOP - 3, -(TOP - 3)])] * 2),
+)
+@settings(derandomize=True, max_examples=8, deadline=None)
+def test_positional_coins_constant_on_fibers_commute(name, seed, offset):
+    # A Haar coin picked by the fiber is constant on fibers, so the walk
+    # descends to the quotient, at any offset.
+    desc = catalog.scenario(name)
+    space, pm = desc.walk.space, desc.pmap
+    rng = np.random.default_rng(seed)
+    mats = [haar_unitary(space.coin_dimension, rng) for _ in range(3)]
+    coin = CoinAssignment.positional(lambda p: mats[sum(pm.rho(p)) % 3], space.coin_dimension)
+    psi = random_sparse_state(space, rng, points=3, radius=3, offset=offset)
+    assert verify_commutation(WalkSpec(space, coin), pm, 0.0, psi, 8).passed
 
 
 def bits(values):

@@ -224,6 +224,22 @@ class TestRoundTrip:
         recovered = reconstruct_support(family, pm, candidates)
         assert max_abs_difference(recovered, evolved) < 1e-10
 
+    @pytest.mark.parametrize("y", [2**70, -(2**70), TOP - 2, -(TOP - 2)])
+    def test_round_trip_far_along_a_fiber(self, y):
+        # For (k, l) = (2, 1) sigma is -x, so sites far out along y keep a
+        # small sigma while their coordinates and fibers leave int64.
+        pm = lattice_quotient(2, 1)
+        psi = state_new(Z2, [((0, y), GENERIC4), ((1, y - 2), GENERIC4[::-1])])
+        evolved = evolve(GROVER2D, psi, 6)
+        window = reachable_window(Z2, psi.coords, 6)
+        assert window.dtype == evolved.coords.dtype == object
+        family = phase_projection_family(GROVER2D, pm, psi, 6, plan_reconstruction(pm, window))
+        recovered = reconstruct_support(family, pm, window)
+        assert max_abs_difference(recovered, evolved) < 1e-12
+        bounds = sigma_bounds(evolved, pm)
+        family = phase_projection_family(GROVER2D, pm, psi, 6, bounds[1] - bounds[0] + 1)
+        assert max_abs_difference(reconstruct(family, pm, bounds), evolved) < 1e-12
+
     def test_family_from_induced_evolutions_matches_direct(self):
         # the intertwining identity makes both routes produce the same family
         pm = lattice_quotient(2, 1)
@@ -493,18 +509,15 @@ class TestFamilyProjection:
         assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("start", [TOP - 3, -(TOP - 3)])
-    def test_int64_bound_checked_at_the_same_step(self, start):
-        # Three steps fit below the step's bound and the fourth crosses it;
-        # the family raises there, naming the position apply_step names.
+    def test_family_steps_past_int64(self, start):
+        # Three steps fit in int64 and the fourth leaves it; the family goes
+        # on in exact integers, entry for entry each separate evolution.
         pm = lattice_quotient(1, 0)
         psi = state_new(Z2, [((start, 0), GENERIC4)])
-        phi = phase_grid(3)[1]
-        alone = induced_walk(GROVER2D, pm, phi)
-        family = phase_projection_family(GROVER2D, pm, psi, 3, 3)
-        expected = evolve(alone, project_state(pm, phi, psi), 3)
-        assert np.array_equal(family[1][1].coins, expected.coins)
-        with pytest.raises(InvalidPosition) as expected:
-            evolve(alone, project_state(pm, phi, psi), 4)
-        with pytest.raises(InvalidPosition) as raised:
-            phase_projection_family(GROVER2D, pm, psi, 4, 3)
-        assert str(raised.value) == str(expected.value)
+        family = phase_projection_family(GROVER2D, pm, psi, 6, 3)
+        for phi, state in family:
+            alone = evolve(induced_walk(GROVER2D, pm, phi), project_state(pm, phi, psi), 6)
+            assert state.coords.dtype == alone.coords.dtype == object
+            assert np.array_equal(state.coords, alone.coords)
+            assert state.coins.tobytes() == alone.coins.tobytes()
+        assert max(abs(x) for (x,) in family[0][1].support) == TOP + 3

@@ -511,11 +511,11 @@ class TestWindows:
         window = reachable_window(lattice_2d(), [], 5)
         assert window.shape == (0, 2) and window.dtype == np.int64
 
-    def test_reachable_window_refuses_int64_overflow(self):
+    def test_reachable_window_hops_past_int64(self):
         top = 2**63 - 1
-        assert reachable_window(line(), [(top,)], 0).tolist() == [[top]]
-        with pytest.raises(InvalidPosition, match=str(top)):
-            reachable_window(line(), [(top,)], 1)
+        assert reachable_window(line(), [(top,)], 0).dtype == np.int64
+        window = reachable_window(line(), [(top,)], 1)
+        assert window.dtype == object and window.tolist() == [[top - 1], [top], [top + 1]]
 
     @pytest.mark.parametrize("steps", [-1, True, 2.5, 3.0, "3"])
     def test_reachable_window_refuses_a_bad_step_count(self, steps):
@@ -526,15 +526,23 @@ class TestWindows:
         by_numpy = reachable_window(line(), [(0,)], np.int64(2))
         assert np.array_equal(by_numpy, reachable_window(line(), [(0,)], 2))
 
-    def test_reachable_window_refuses_a_start_beyond_int64(self):
-        with pytest.raises(InvalidPosition, match=str(2**63)):
-            reachable_window(line(), [(0,), (2**63,)], 0)
+    @pytest.mark.parametrize(
+        "start, far",
+        [
+            ([(0,), (2**63,)], 2**63),
+            (np.array([[0], [2**63]], dtype=object), 2**63),
+            (np.array([[0], [2**64 - 1]], dtype=np.uint64), 2**64 - 1),
+            ([(0,), (-(2**63),)], -(2**63)),  # fits int64, but not its symmetric range
+        ],
+    )
+    def test_a_start_beyond_int64_is_exact(self, start, far):
+        window = reachable_window(line(), start, 1)
+        assert window.dtype == object
+        assert window.tolist() == sorted([[-1], [0], [1], [far - 1], [far], [far + 1]])
 
     @pytest.mark.parametrize(
         "start, named",
         [
-            (np.array([[0], [2**63]], dtype=object), (2**63,)),
-            (np.array([[0], [2**64 - 1]], dtype=np.uint64), (2**64 - 1,)),
             ([(0,), (0.5,)], (0.5,)),
             ([(1.0,)], (1.0,)),
             ([(True,)], (True,)),
@@ -543,7 +551,7 @@ class TestWindows:
             (np.array([[False]]), (False,)),
         ],
     )
-    def test_a_start_that_is_no_int64_position_is_named(self, start, named):
+    def test_a_start_that_is_not_integral_is_named(self, start, named):
         # As a tuple, whatever form the start came in, and before a hop.
         with pytest.raises(InvalidPosition, match=re.escape(f"position {named} ")):
             reachable_window(line(), start, 1)
@@ -645,6 +653,29 @@ class TestGroupRows:
         )
         self.check(rows)
         assert bool(calls) == boxed
+
+
+    def test_exact_blocks_are_sorted_not_boxed(self, monkeypatch):
+        calls = []
+        in_box = spaces._group_in_box
+        monkeypatch.setattr(
+            spaces, "_group_in_box", lambda *args: calls.append(1) or in_box(*args)
+        )
+        rows = (np.arange(256).reshape(128, 2) % 5).astype(object) + 2**70
+        sites, inverse = group_rows(rows)
+        expected = sorted(set(map(tuple, rows.tolist())))
+        assert sites.dtype == object and list(map(tuple, sites.tolist())) == expected
+        assert inverse.tolist() == [expected.index(tuple(row)) for row in rows.tolist()]
+        assert not calls
+
+
+@pytest.mark.parametrize(
+    "far, exact", [(TOP, False), (-TOP, False), (TOP + 1, True), (-TOP - 1, True), (2**70, True)]
+)
+def test_packed_blocks_hold_exact_integers_past_int64(far, exact):
+    block = spaces.pack_positions([(0,), (far,)], 1)
+    assert (block.dtype == object) == exact and block.tolist() == [[0], [far]]
+    assert all(type(c) is int for c in block.ravel()) == exact
 
 
 def _negate(c):

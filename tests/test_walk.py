@@ -9,7 +9,6 @@ from qwproj import (
     CoinAssignment,
     DimensionMismatch,
     InvalidParameter,
-    InvalidPosition,
     MissingSigma,
     NotUnitary,
     StepPhase,
@@ -35,7 +34,7 @@ from qwproj import (
     state_to_vector,
 )
 from qwproj.spaces import group_rows
-from conftest import random_sparse_state, walk_zoo
+from conftest import evolve_both, random_sparse_state, walk_zoo
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -201,35 +200,39 @@ class TestEvolve:
 
 
 class TestCoordinateRange:
-    """The packed engine refuses what int64 cannot hold; the recurrence stays exact."""
+    """Past int64 the packed engine steps on exact Python integers, in
+    agreement with the recurrence."""
 
     def test_step_past_int64_max(self):
         top = 2**63 - 1
         psi = state_new(line(), [((top,), (1, 0))])
-        with pytest.raises(InvalidPosition, match=str(top)):
-            evolve(HADAMARD_LINE, psi, 1)
-        exact = evolve_recurrence(HADAMARD_LINE, psi, 1)
-        assert set(exact.support) == {(top + 1,), (top - 1,)}
+        assert psi.coords.dtype == np.int64
+        out = evolve_both(HADAMARD_LINE, psi, 1)
+        assert out.coords.dtype == object
+        assert out.coords.tolist() == [[top - 1], [top + 1]]
 
     def test_step_past_int64_min(self):
         bottom = -(2**63) + 1
         psi = state_new(line(), [((bottom,), (0, 1))])
-        with pytest.raises(InvalidPosition, match=str(bottom)):
-            evolve(HADAMARD_LINE, psi, 1)
+        out = evolve_both(HADAMARD_LINE, psi, 1)
+        assert out.coords.tolist() == [[bottom - 1], [bottom + 1]]
 
     def test_position_beyond_int64(self):
         far = 2**64
         psi = state_new(line(), [((far,), (1, 0))])
-        with pytest.raises(InvalidPosition, match=str(far)):
-            evolve(HADAMARD_LINE, psi, 1)
-        exact = evolve_recurrence(HADAMARD_LINE, psi, 2)
-        assert set(exact.support) == {(far + 2,), (far,), (far - 2,)}
+        assert psi.coords.dtype == object and psi.coords.tolist() == [[far]]
+        out = evolve_both(HADAMARD_LINE, psi, 2)
+        assert set(out.support) == {(far + 2,), (far,), (far - 2,)}
 
-    def test_planar_edge_names_the_position(self):
+    def test_planar_edge_steps_exactly(self):
         edge = (5, 2**63 - 1)
         psi = state_new(Z2, [((0, 0), (1, 0, 0, 0)), (edge, (0, 0, 1, 0))])
-        with pytest.raises(InvalidPosition, match=str(2**63 - 1)):
-            evolve(GROVER2D, psi, 1)
+        out = evolve_both(GROVER2D, psi, 3)
+        # The sites near the origin stay where int64 would put them.
+        assert {(x, y) for x, y in out.support if abs(y) < 10} == set(
+            evolve(GROVER2D, state_new(Z2, [((0, 0), (1, 0, 0, 0))]), 3).support
+        )
+        assert max(y for _, y in out.support) == 2**63 + 2
 
     def test_large_but_safe_positions_step(self):
         far = 2**62
