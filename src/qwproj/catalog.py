@@ -249,7 +249,9 @@ def restrict_to_three_coin(
     the coin matrix leaves the span of the first three directions invariant
     (SubspaceNotInvariant otherwise) and the state has no amplitude on the
     last direction (StateOutsideSubspace), the truncated walk evolves
-    identically to the original restricted to that subspace.
+    identically to the original restricted to that subspace.  The reduced
+    space is named after the full one with the slice of the displacement
+    family it keeps appended, ``[:3]`` for a four-direction coin.
     """
     dim = spec.coin.dimension
     if dim < 2:
@@ -275,11 +277,10 @@ def restrict_to_three_coin(
 
     kept = spec.space.displacements[: dim - 1]
     reduced_space = PositionSpace(
-        name=spec.space.name,
+        name=f"{spec.space.name}[:{dim - 1}]",
         dimension=spec.space.dimension,
         displacements=kept,
         contains=spec.space.contains,
-        signature=("restricted", spec.space.signature, dim - 1),
         positions=spec.space.positions,
     )
     if spec.coin.is_homogeneous:

@@ -251,7 +251,8 @@ def cmd_reconstruct(args) -> int:
     family = reconstruction.phase_projection_family(parent, pmap, psi0, n, samples)
     recovered = reconstruction.reconstruct_support(family, pmap, candidates)
     max_error = hilbert.max_abs_difference(recovered, reference)
-    passed = max_error < args.tol * hilbert.norm(psi0)
+    psi0_norm = hilbert.norm(psi0)
+    passed = max_error < args.tol * psi0_norm
     report = {
         "k": args.k,
         "l": args.l,
@@ -259,6 +260,7 @@ def cmd_reconstruct(args) -> int:
         "phi_samples": samples,
         "max_error": max_error,
         "passed": passed,
+        "psi0_norm": psi0_norm,
         "recovered_state": recovered,
     }
     if args.out_report:

@@ -52,13 +52,13 @@ class WalkState:
     ``WalkState(space, {position: coin vector})`` copies the mapping into
     the packed layout.  Every position must belong to the space
     (InvalidPosition), every coin vector must have exactly one entry per
-    displacement (DimensionMismatch), and all amplitudes must be finite
-    (InvalidParameter).  Kernels build states directly from blocks with
-    :meth:`from_blocks`.  ``coords``, ``coins`` and ``support`` are
-    read-only.  A site whose coin vector cancels to zero keeps an explicit
-    zero row: no operation drops sites, so exact cancellations stay visible.
-    Compare states numerically (:func:`diff_norm`,
-    :func:`max_abs_difference`), not with ``==``.
+    displacement (DimensionMismatch, naming a position whose vector is
+    off), and all amplitudes must be finite (InvalidParameter).  Kernels
+    build states directly from blocks with :meth:`from_blocks`.  ``coords``,
+    ``coins`` and ``support`` are read-only.  A site whose coin vector
+    cancels to zero keeps an explicit zero row: no operation drops sites, so
+    exact cancellations stay visible.  Compare states numerically
+    (:func:`diff_norm`, :func:`max_abs_difference`), not with ``==``.
     """
 
     __slots__ = ("_space", "_coins", "_coords", "_support")
@@ -69,13 +69,14 @@ class WalkState:
                 raise InvalidPosition(f"{pos} is not a position of space {space.name!r}")
         positions = sorted(support)
         dim = space.coin_dimension
-        coins = np.array([support[p] for p in positions], dtype=np.complex128)
-        if coins.shape != (len(positions), dim):
-            if positions:
-                raise DimensionMismatch(
-                    f"coin block has shape {coins.shape}, space needs {dim} entries per site"
-                )
-            coins = np.empty((0, dim), dtype=np.complex128)
+        vectors = [support[p] for p in positions]
+        try:  # one bulk copy when every vector fits
+            coins = np.array(vectors, dtype=np.complex128)
+        except ValueError:  # vectors of different lengths
+            coins = None
+        if coins is None or coins.shape[1:] != (dim,):
+            rows = [_coin_row(p, vec, dim) for p, vec in zip(positions, vectors)]
+            coins = np.array(rows, dtype=np.complex128).reshape(len(rows), dim)
         finite = np.isfinite(coins).all(axis=1)
         if not finite.all():
             raise InvalidParameter(f"non-finite amplitude at {positions[finite.argmin()]}")
@@ -134,25 +135,28 @@ class WalkState:
         return f"<WalkState on {self.space.name}: {len(self._coins)} positions, norm={norm(self):.6g}>"
 
 
+def _coin_row(pos: Position, vec: Iterable[complex], dim: int) -> np.ndarray:
+    """The coin vector at ``pos`` as a complex128 row; DimensionMismatch
+    unless it has ``dim`` entries."""
+    row = np.asarray(vec, dtype=np.complex128)
+    if row.shape != (dim,):
+        raise DimensionMismatch(f"coin vector at {pos} has length {row.size}, space needs {dim}")
+    return row
+
+
 def state_new(
     space: PositionSpace,
     assignments: Iterable[tuple[Position, Iterable[complex]]],
 ) -> WalkState:
-    """Build a state from (position, coin vector) pairs.
-
-    Duplicate positions are summed; the sums are checked as the
-    :class:`WalkState` constructor checks a mapping.
-    """
+    """Build a state from (position, coin vector) pairs: the :class:`WalkState`
+    of their mapping, with the vectors of a repeated position summed."""
     dim = space.coin_dimension
-    support: dict[Position, np.ndarray] = {}
+    support: dict[Position, Iterable[complex]] = {}
     for pos, vec in assignments:
         pos = tuple(pos)
-        arr = np.array(vec, dtype=np.complex128)
-        if arr.shape != (dim,):
-            raise DimensionMismatch(
-                f"coin vector at {pos} has length {arr.size}, space needs {dim}"
-            )
-        support[pos] = support[pos] + arr if pos in support else arr
+        if pos in support:
+            vec = _coin_row(pos, support[pos], dim) + _coin_row(pos, vec, dim)
+        support[pos] = vec
     return WalkState(space, support)
 
 
@@ -243,24 +247,20 @@ def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
         )
     if not isinstance(data.get("support"), list):
         raise InvalidParameter('a state dump\'s "support" is a list of entries')
-    assignments = []
+    support: dict[Position, list[complex]] = {}
     for i, entry in enumerate(data["support"]):
         try:
             pos = tuple(entry["pos"])
             vec = [complex(re, im) for re, im in entry["coin"]]
+            repeated = pos in support  # TypeError for a coordinate that is a list
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(
                 f'dump entry {i} is not {{"pos": [...], "coin": [[re, im], ...]}}: {exc}'
             ) from None
-        assignments.append((pos, vec))
-    state = state_new(space, assignments)
-    if len(state.coins) < len(assignments):
-        seen: set[Position] = set()
-        for pos, _ in assignments:
-            if pos in seen:
-                raise InvalidPosition(f"position {pos} appears more than once in the dump")
-            seen.add(pos)
-    return state
+        if repeated:
+            raise InvalidPosition(f"position {pos} appears more than once in the dump")
+        support[pos] = vec
+    return WalkState(space, support)
 
 
 # A string the writer puts where a state goes, and its JSON token.

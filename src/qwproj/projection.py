@@ -78,20 +78,18 @@ class HomogeneityReport(_Record):
 
 
 class CommutationReport(_Record):
-    """Residuals of project-then-evolve against evolve-then-project."""
+    """Residuals of project-then-evolve against evolve-then-project;
+    ``passed`` is ``max_residual < tol * psi0_norm``."""
 
     steps: int
     residuals: tuple[float, ...]
     max_residual: float
     passed: bool
+    psi0_norm: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-        }
+        """The fields by name; json writes the residuals as a list."""
+        return dict(vars(self))
 
 
 def project_state(
@@ -372,7 +370,8 @@ def verify_commutation(
         diff[inverse[len(targets) :]] -= coins
         residuals.append(math.sqrt(float(np.vdot(diff, diff).real)))
     max_residual = max(residuals, default=0.0)
-    passed = max_residual < tol * norm(psi0)
+    psi0_norm = norm(psi0)
+    passed = max_residual < tol * psi0_norm
     _debug(
         __name__,
         "commutation check %s over %d steps: max residual %.3e (tol %.1e)",
@@ -381,4 +380,4 @@ def verify_commutation(
         max_residual,
         tol,
     )
-    return CommutationReport(n, tuple(residuals), max_residual, passed)
+    return CommutationReport(n, tuple(residuals), max_residual, passed, psi0_norm)

@@ -246,16 +246,15 @@ class Displacement(_Record):
 class PositionSpace(_Record):
     """A named position set with its ordered displacement family.
 
-    ``signature`` is a structural identity: two space instances with equal
-    signatures are interchangeable (states may be compared across them).
-    ``positions`` enumerates the space when it is finite, else ``None``.
+    The name is the space's identity, so the constructors name each space by
+    its structure, its displacements included: states on spaces of one name
+    may be compared.  ``positions`` enumerates a finite space, else is ``None``.
     """
 
     name: str
     dimension: int
     displacements: tuple[Displacement, ...]
     contains: Callable[[Position], bool]
-    signature: tuple
     positions: tuple[Position, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -279,13 +278,10 @@ class PositionSpace(_Record):
 
 
 def check_same_space(given: PositionSpace, expected: PositionSpace, what: str) -> None:
-    """Raise SpaceMismatch unless the two spaces have equal signatures; ``what``
-    names the operand on ``given``, and same-named spaces are told apart."""
-    if given.signature != expected.signature:
-        got, want = repr(given.name), repr(expected.name)
-        if got == want:
-            got, want = f"{got} {given.signature}", f"{want} {expected.signature}"
-        raise SpaceMismatch(f"{what} is on {got}, expected {want}")
+    """Raise SpaceMismatch unless the two spaces have equal names; ``what``
+    names the operand on ``given``."""
+    if given.name != expected.name:
+        raise SpaceMismatch(f"{what} is on {given.name!r}, expected {expected.name!r}")
 
 
 class BezoutPair(_Record):
@@ -376,9 +372,16 @@ def _count(n, what: str, least: int = 0) -> int:
     return n
 
 
-def _jump_family(jumps: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """The (label, step) pairs of a line's jumps; InvalidParameter names a non-integral step."""
-    return tuple((str(lbl), _integer(d, f"step of jump {lbl!r}")) for lbl, d in jumps)
+_UNIT_JUMPS = (("R", 1), ("L", -1))
+
+
+def _jump_family(base: str, jumps: Iterable[tuple[str, int]]) -> tuple[str, tuple]:
+    """The name of a line or circle with these jumps, and their (label, step)
+    pairs.  The name is ``base``, followed by the pairs unless they are the
+    unit jumps, so no two families share one.  InvalidParameter names a
+    non-integral step."""
+    jumps = tuple((str(lbl), _integer(d, f"step of jump {lbl!r}")) for lbl, d in jumps)
+    return (base if jumps == _UNIT_JUMPS else f"{base}{jumps!r}"), jumps
 
 
 def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
@@ -408,33 +411,29 @@ def lattice_2d() -> PositionSpace:
         _translation("U", (0, 1)),
         _translation("D", (0, -1)),
     )
-    return PositionSpace("z2", 2, disp, _int_tuple_predicate(2), signature=("z2",))
+    return PositionSpace("z2", 2, disp, _int_tuple_predicate(2))
 
 
-def line(jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
-    """The integer line; ``jumps`` gives the (label, step) displacement family."""
-    jumps = _jump_family(jumps)
+def line(jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSpace:
+    """The integer line; ``jumps`` gives the (label, step) displacement family.
+    It is named ``z1`` for the unit jumps, else ``z1`` followed by the jumps,
+    e.g. ``z1(('R', 1), ('L', -1), ('U', 0), ('D', 0))``."""
+    name, jumps = _jump_family("z1", jumps)
     disp = tuple(_translation(lbl, (d,)) for lbl, d in jumps)
-    return PositionSpace("z1", 1, disp, _int_tuple_predicate(1), signature=("z1", jumps))
+    return PositionSpace(name, 1, disp, _int_tuple_predicate(1))
 
 
-def circle(n: int, jumps: Iterable[tuple[str, int]] = (("R", 1), ("L", -1))) -> PositionSpace:
-    """A cycle of ``n`` vertices with modular steps; positions are 0..n-1."""
+def circle(n: int, jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSpace:
+    """A cycle of ``n`` vertices with modular steps; positions are 0..n-1.
+    Its name is ``circle{n}``, followed by the jumps as in :func:`line`."""
     n = _count(n, "circle size", 1)
-    jumps = _jump_family(jumps)
+    name, jumps = _jump_family(f"circle{n}", jumps)
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
 
     def contains(p: Position) -> bool:
         return len(p) == 1 and _is_integer(p[0]) and 0 <= p[0] < n
 
-    return PositionSpace(
-        f"circle{n}",
-        1,
-        disp,
-        contains,
-        signature=("circle", n, jumps),
-        positions=tuple((m,) for m in range(n)),
-    )
+    return PositionSpace(name, 1, disp, contains, tuple((m,) for m in range(n)))
 
 
 def _llattice_step(label: str, sign: int) -> Displacement:
@@ -468,13 +467,8 @@ def llattice() -> PositionSpace:
     both advance the diagonal coordinate by the same amount.  No result
     computed here depends on identifying them.
     """
-    return PositionSpace(
-        "llattice",
-        2,
-        (_llattice_step("a", 1), _llattice_step("b", -1)),
-        _int_tuple_predicate(2),
-        signature=("llattice",),
-    )
+    steps = (_llattice_step("a", 1), _llattice_step("b", -1))
+    return PositionSpace("llattice", 2, steps, _int_tuple_predicate(2))
 
 
 def displacement_apply(space: PositionSpace, x: Position, label: str) -> Position:

@@ -297,7 +297,7 @@ def test_criterion_8_unitarity():
         phi = 0.7 if name == "line_to_circle" else 0.0
         desc = scenario(name, phi=phi)
         psi = desc.distinguished_states["origin"]()
-        parent_key = (desc.walk.space.signature, desc.walk.coin.matrix.tobytes())
+        parent_key = (desc.walk.space.name, desc.walk.coin.matrix.tobytes())
         if parent_key not in seen_parents:
             seen_parents.add(parent_key)
             drift = abs(norm(evolve(desc.walk, psi, n)) - norm(psi))

@@ -1,5 +1,6 @@
 """Catalog scenarios, trapped states, and the three-coin restriction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qwproj import (
     SubspaceNotInvariant,
     WalkSpec,
     check_rho_consistency,
+    circle,
     diff_norm,
     evolve,
     grover_coin,
@@ -247,3 +249,30 @@ class TestThreeCoinRestriction:
         psi = state_new(spec.space, [((0,), (0, 0, 0, 1))])
         with pytest.raises(StateOutsideSubspace):
             restrict_to_three_coin(spec, psi)
+
+
+def _structure(space):
+    """What tells two spaces apart: dimension, labels, and where each
+    displacement takes the positions of a finite space or of a small box."""
+    probe = space.positions or list(itertools.product(range(-2, 3), repeat=space.dimension))
+    images = tuple(tuple(d.apply(p) for p in probe) for d in space.displacements)
+    return space.dimension, space.labels, images
+
+
+def test_each_space_is_named_by_its_structure():
+    spaces = [lattice_quotient(2, 1).target, lattice_quotient(3, 1).target]
+    spaces += [circle(4), circle(5), circle(4, [("R", 2), ("L", -2)])]
+    for name in SCENARIO_NAMES:
+        desc = scenario(name)
+        spaces += [desc.walk.space, desc.pmap.target]
+    block = np.eye(4, dtype=complex)
+    block[:3, :3] = grover_coin(3)
+    lazy = scenario("grover2d_to_lazy").pmap.target
+    psi = state_new(lazy, [((0,), (1, 0, 0, 0))])
+    restricted, _ = restrict_to_three_coin(WalkSpec(lazy, CoinAssignment.homogeneous(block)), psi)
+    spaces += [lazy, restricted.space]
+    for a, b in itertools.combinations(spaces, 2):
+        assert (a.name == b.name) == (_structure(a) == _structure(b)), (a.name, b.name)
+    # z2, z1, llattice, five quotient targets, lattice_quotient(3, 1)'s line,
+    # two more circles and the restricted lazy line
+    assert len({sp.name for sp in spaces}) == 12

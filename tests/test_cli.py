@@ -75,7 +75,7 @@ class TestRunCommand:
         total = sum(float(r.split(",")[1]) for r in rows[1:])
         assert abs(total - 1.0) < 1e-10
         dump = json.loads(state.read_text())
-        assert dump["space"] == "z1" and dump["support"]
+        assert dump["space"] == "z1(('R', 1), ('L', -1), ('U', 0), ('D', 0))" and dump["support"]
 
     def test_negative_steps(self, tmp_path):
         code = main(
@@ -423,6 +423,35 @@ class TestReconstructCommand:
         # scaling the initial state keeps both verdicts
         assert reconstruct(factor * coin, 1e-10) == 0
         assert reconstruct(factor * coin, unit_error / 10) == 4
+
+
+class TestReportsCarryTheInitialNorm:
+    """Each report holds the norm of psi0, against which ``passed`` is judged."""
+
+    Z1_TRIPLE = json.dumps({"space": "z1", "support": [{"pos": [0], "coin": [[3, 0], [0, 0]]}]})
+    Z2_TRIPLE = json.dumps({"space": "z2", "support": [
+        {"pos": [0, 0], "coin": [[1.5, 0], [0, 1.5], [-1.5, 0], [0, -1.5]]}]})
+
+    @pytest.mark.parametrize("command, init, error", [
+        (["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/3",
+          "--steps", "20"], Z1_TRIPLE, "max_residual"),
+        (["reconstruct", "--k", "2", "--l", "1", "--steps", "12"], Z2_TRIPLE, "max_error"),
+    ], ids=["verify", "reconstruct"])
+    def test_passed_is_judged_against_psi0_norm(self, tmp_path, command, init, error):
+        out = tmp_path / "report.json"
+
+        def report(*tol):
+            code = main([*command, "--init", init, *tol, "--out-report", str(out)])
+            data = json.loads(out.read_text())
+            assert code == (0 if data["passed"] else 4)
+            return data
+
+        data = report()
+        assert data["psi0_norm"] == 3.0 and data["passed"] and data[error] > 0.0
+        # tol * 3 is 1.5 and 0.75 times the error
+        for tol, passed in [(data[error] / 2, True), (data[error] / 4, False)]:
+            data = report("--tol", repr(tol))
+            assert data["passed"] == (data[error] < tol * data["psi0_norm"]) == passed
 
 
 class TestOutputLayout:

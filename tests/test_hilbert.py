@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,12 @@ class TestStateNew:
     def test_constructor_checks_a_mapping(self):
         with pytest.raises(InvalidPosition, match=r"\(7,\) is not a position of space 'circle4'"):
             WalkState(circle(4), {(7,): [1, 0]})
+        with pytest.raises(DimensionMismatch, match=r"^coin vector at \(1,\) has length 3, space needs 2$"):
+            WalkState(line(), {(0,): [1, 0], (1,): [1, 0, 0]})
+        with pytest.raises(DimensionMismatch, match=r"^coin vector at \(0,\) has length 3, space needs 2$"):
+            WalkState(line(), {(1,): [1, 0, 0], (0,): [1, 0, 0]})
+        with pytest.raises(DimensionMismatch, match=r"at \(0,\) has length 2, space needs 2$"):
+            WalkState(line(), {(0,): [[1, 0]]})
         with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(2,\)"):
             WalkState(circle(4), {(1,): [1, 0], (2,): [0, math.inf]})
 
@@ -199,6 +206,7 @@ class TestSerialization:
             ({"space": "z1"}, '"support" is a list'),
             ({"space": "z1", "support": [{"pos": [0], "coin": [[1, 0], [0, 0]]}, 5]}, "entry 1"),
             ({"space": "z1", "support": [{"pos": 5, "coin": [[1, 0], [0, 0]]}]}, "entry 0"),
+            ({"space": "z1", "support": [{"pos": [[5]], "coin": [[1, 0], [0, 0]]}]}, "entry 0"),
             ({"space": "z1", "support": [{"pos": [5], "coin": [1, 2]}]}, "entry 0"),
             ({"space": "z1", "support": [{"pos": [5], "coin": [["x", 0], [0, 0]]}]}, "entry 0"),
             ({"space": "z1", "support": [{"pos": [5], "coin": [[1, 0, 0], [0, 0]]}]}, "entry 0"),
@@ -212,6 +220,23 @@ class TestSerialization:
     def test_state_new_still_sums_duplicates(self):
         psi = state_new(Z1, [((3,), (1, 0)), ((3,), (0.5, 1j))])
         assert np.array_equal(psi.support[(3,)], [1.5, 1j])
+        # summands are checked before they are added, so none broadcasts
+        for vectors in [[(1,), (1, 0)], [(1, 0), (1,)]]:
+            with pytest.raises(DimensionMismatch, match=r"coin vector at \(3,\) has length 1"):
+                state_new(Z1, [((3,), v) for v in vectors])
+
+    def test_coin_length_in_a_dump_names_the_position(self):
+        data = {"space": "z1", "support": [{"pos": [5], "coin": [[1, 0], [0, 0], [0, 0]]}]}
+        with pytest.raises(DimensionMismatch, match=r"^coin vector at \(5,\) has length 3"):
+            from_json_dict(Z1, data)
+
+    def test_dump_of_another_line_is_refused(self):
+        lazy, doubled = lattice_quotient(1, 0).target, lattice_quotient(1, 1).target
+        data = to_json_dict(state_new(lazy, [((0,), R4)]))
+        with pytest.raises(SpaceMismatch, match=re.escape(f"{lazy.name!r}, expected {doubled.name!r}")):
+            from_json_dict(doubled, data)
+        back = from_json_dict(lattice_quotient(1, 0).target, data)
+        np.testing.assert_array_equal(back.coins, [R4])
 
     def test_dump_shape(self):
         psi = state_new(Z1, [((2,), (0.5, -0.5j))])

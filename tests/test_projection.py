@@ -34,6 +34,7 @@ from qwproj import (
     line,
     llattice_quotient,
     max_abs_difference,
+    norm,
     project_state,
     reachable_window,
     scale,
@@ -269,12 +270,12 @@ class TestInducedWalk:
         pm = llattice_quotient()
         parent = WalkSpec(pm.source, CoinAssignment.homogeneous(hadamard_coin()))
         spec = induced_walk(parent, pm)
-        assert spec.space.name == "z1" and spec.coin.dimension == 2
+        assert spec.space.name == "z1(('a', 1), ('b', -1))" and spec.coin.dimension == 2
         assert [d.delta[0] for d in spec.space.displacements] == [1, -1]
 
     def test_identity_projection_reproduces_walk(self):
         spec = induced_walk(GROVER2D, identity_map(Z2))
-        assert spec.space.signature == GROVER2D.space.signature
+        assert spec.space.name == GROVER2D.space.name == "z2"
         assert spec.coin is GROVER2D.coin
 
     def test_inhomogeneous_coin_rejected(self):
@@ -355,9 +356,9 @@ class TestVerifyCommutation:
         psi = state_new(Z2, [((0, 0), GENERIC4)])
         report = verify_commutation(GROVER2D, lattice_quotient(1, 1), 0.0, psi, 3)
         data = report.to_json_dict()
-        assert set(data) == {"steps", "residuals", "max_residual", "passed"}
+        assert set(data) == {"steps", "residuals", "max_residual", "passed", "psi0_norm"}
         assert data["steps"] == 3 and len(data["residuals"]) == 3
-        assert data["passed"] is True
+        assert data["passed"] is True and data["psi0_norm"] == norm(psi)
 
     @pytest.mark.parametrize("n", [-1, True, 2.5, 3.0])
     def test_step_count_must_be_a_nonnegative_integer(self, n):

@@ -80,7 +80,7 @@ class TestDisplacementApply:
     def test_displacement_labels_must_differ(self):
         twice = 2 * line().displacements
         with pytest.raises(InvalidParameter, match="duplicate displacement labels"):
-            PositionSpace("z1", 1, twice, line().contains, ("z1",))
+            PositionSpace("z1", 1, twice, line().contains)
 
     @pytest.mark.parametrize(
         "space, pos",
@@ -206,7 +206,7 @@ UNBOUNDED_SPACES = [
 ]
 
 
-@pytest.mark.parametrize("space", UNBOUNDED_SPACES, ids=lambda sp: str(sp.signature))
+@pytest.mark.parametrize("space", UNBOUNDED_SPACES, ids=lambda sp: sp.name)
 @pytest.mark.parametrize("far", [B, -B])
 def test_every_displacement_round_trips_beyond_int64(space, far):
     pos = (far,) * space.dimension
@@ -428,16 +428,16 @@ class TestLLatticeQuotient:
             assert pm.rho(pm.source.displacement("b").apply(p)) == (pm.rho(p)[0] - 1,)
 
 
-def test_space_mismatch_tells_same_named_spaces_apart():
+def test_space_mismatch_names_both_lines():
     lazy, doubled = lattice_quotient(1, 0).target, lattice_quotient(1, 1).target
-    assert lazy.name == doubled.name == "z1"
+    assert lazy.name == "z1(('R', 1), ('L', -1), ('U', 0), ('D', 0))"
+    assert doubled.name == "z1(('R', 1), ('L', -1), ('U', 1), ('D', -1))"
     with pytest.raises(SpaceMismatch) as raised:
         check_same_space(lazy, doubled, "state")
-    assert str(raised.value) == (
-        f"state is on 'z1' {lazy.signature}, expected 'z1' {doubled.signature}"
-    )
+    assert str(raised.value) == f"state is on {lazy.name!r}, expected {doubled.name!r}"
     with pytest.raises(SpaceMismatch, match="^state is on 'z2', expected 'z1'$"):
         check_same_space(lattice_2d(), line(), "state")
+    check_same_space(lazy, lattice_quotient(1, 0).target, "state")
 
 
 class TestConsistencyCheck:
@@ -572,9 +572,10 @@ def test_jump_steps_must_be_integers(build, step):
 
 def test_numpy_jump_steps_are_accepted():
     jumps = [("R", np.int64(2)), ("L", np.int32(-1))]
-    assert line(jumps).signature == line([("R", 2), ("L", -1)]).signature
-    assert [type(d) for _, d in line(jumps).signature[1]] == [int, int]
-    assert circle(5, jumps).signature == circle(5, [("R", 2), ("L", -1)]).signature
+    assert line(jumps).name == line([("R", 2), ("L", -1)]).name == "z1(('R', 2), ('L', -1))"
+    assert [type(d.delta[0]) for d in line(jumps).displacements] == [int, int]
+    assert circle(5, jumps).name == circle(5, [("R", 2), ("L", -1)]).name
+    assert line([("R", np.int64(1)), ("L", np.int8(-1))]).name == "z1"
 
 
 @pytest.mark.parametrize("n", [0, -4, True, 2.5, 4.0])
@@ -698,8 +699,8 @@ _MAP_FIELDS = (line(), line(), _negate, _negate, {"R": 1, "L": -1}, _negate, Non
 RECORDS = [
     (Displacement, "label apply_array unapply_array delta reach",
      ("x", _negate, _negate, (2, -3), 3)),
-    (PositionSpace, "name dimension displacements contains signature positions",
-     ("z1", 1, line().displacements, _pred, ("z1",), None)),
+    (PositionSpace, "name dimension displacements contains positions",
+     ("z1", 1, line().displacements, _pred, None)),
     (BezoutPair, "u v", (2, -1)),
     (ProjectionMap, "source target rho_array sigma_array sigma_c section invert_rs name",
      _MAP_FIELDS),
@@ -709,7 +710,8 @@ RECORDS = [
     (StepPhase, "phi sigma_c", (0.5, {"R": 1, "L": -1})),
     (WalkSpec, "space coin phase", (line(), _COIN, None)),
     (HomogeneityReport, "passed classes witness", (False, 2, ((0,), (1,), 0.5))),
-    (CommutationReport, "steps residuals max_residual passed", (2, (0.0, 1e-3), 1e-3, False)),
+    (CommutationReport, "steps residuals max_residual passed psi0_norm",
+     (2, (0.0, 1e-3), 1e-3, False, 1.0)),
     (ScenarioDescriptor, "name walk pmap phi distinguished_states params",
      ("neg", WalkSpec(line(), _COIN), ProjectionMap(*_MAP_FIELDS), 0.0, {}, {"k": None})),
 ]
@@ -766,7 +768,7 @@ class TestRecords:
 def test_records_with_other_fields_differ():
     assert BezoutPair(2, -1) != BezoutPair(-1, 2)
     assert ConsistencyReport(True, 1, 0) != ConsistencyReport(True, 1, 1)
-    assert CommutationReport(1, (0.0,), 0.0, True) != HomogeneityReport(1, (0.0,), 0.0)
+    assert CommutationReport(1, (0.0,), 0.0, True, 1.0) != HomogeneityReport(1, (0.0,), 0.0)
 
 
 def test_record_defaults():
@@ -774,7 +776,7 @@ def test_record_defaults():
     assert HomogeneityReport(True, 1).witness is None
     assert CoinAssignment(2).matrix is None and CoinAssignment(2).matrix_fn is None
     assert WalkSpec(line(), _COIN).phase is None
-    assert PositionSpace("z1", 1, line().displacements, _pred, ("z1",)).positions is None
+    assert PositionSpace("z1", 1, line().displacements, _pred).positions is None
     pmap = ProjectionMap(line(), line(), _negate)
     assert (pmap.sigma_array, pmap.sigma_c, pmap.section, pmap.invert_rs, pmap.name) == (
         None, None, None, None, ""
