@@ -19,9 +19,11 @@ llattice_to_line        Hadamard coin on the         rho = x + y, standard line
 
 Every descriptor ships a few distinguished initial states ("origin",
 "offset", "pair"; the planar Grover scenarios add "trapped_plus" and
-"trapped_minus").  All of them project to nonzero states through the
-scenario's quotient, which is verified when the descriptor is built,
-together with a windowed consistency check of rho.
+"trapped_minus"), each built when it is called.  A scenario is built
+without running its states or any check: the consistency of each
+catalog rho with its displacements is a property of the constructors,
+and a state whose fibers cancel ("pair" under some phases) raises
+NullProjection only when it is projected.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ import numpy as np
 
 from .errors import InvalidParameter, StateOutsideSubspace, SubspaceNotInvariant
 from .hilbert import WalkState, state_new
-from .projection import project_state
 from .spaces import (
     PositionSpace,
     ProjectionMap,
     _Record,
     _is_integer,
-    check_rho_consistency,
     lattice_2d,
     lattice_quotient,
     line,
@@ -137,7 +137,6 @@ class ScenarioDescriptor(_Record):
     pmap: ProjectionMap
     phi: float
     distinguished_states: Mapping[str, Callable[[], WalkState]]
-    params: Mapping[str, object]
 
 
 _GENERIC4 = np.array([1.0, 1.0j, -1.0, -1.0j]) / 2.0
@@ -153,24 +152,6 @@ def _localized(space: PositionSpace, pos, coin) -> Callable[[], WalkState]:
 def _pair(space: PositionSpace, p0, p1, coin) -> Callable[[], WalkState]:
     inv = 1.0 / math.sqrt(2.0)
     return lambda: state_new(space, [(p0, coin * inv), (p1, coin * (1.0j * inv))])
-
-
-def _default_window(space: PositionSpace):
-    if space.dimension == 2:
-        return [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-    return [(i,) for i in range(-8, 9)]
-
-
-def _descriptor(name, walk, pmap, phi, states, params) -> ScenarioDescriptor:
-    report = check_rho_consistency(pmap, _default_window(pmap.source))
-    if not report.passed:
-        raise InvalidParameter(
-            f"scenario {name!r}: quotient fails consistency at {report.counterexample}"
-        )
-    for build in states.values():
-        # raises NullProjection if a distinguished state cancels
-        project_state(pmap, phi, build())
-    return ScenarioDescriptor(name, walk, pmap, phi, states, params)
 
 
 def scenario(
@@ -199,14 +180,10 @@ def scenario(
         walk = WalkSpec(space, CoinAssignment.homogeneous(grover_coin()))
         if name == "grover2d_to_lazy":
             pmap = lattice_quotient(1, 0)
-            params = {"k": 1, "l": 0}
         elif name == "lattice_to_jumps":
-            k_val = 2 if k is None else int(k)
-            pmap = lattice_quotient(k_val, 1)
-            params = {"k": k_val, "l": 1}
+            pmap = lattice_quotient(2 if k is None else k, 1)
         else:
             pmap = lattice_quotient(1, 1)
-            params = {"k": 1, "l": 1}
         states = {
             "origin": _localized(space, (0, 0), _GENERIC4),
             "offset": _localized(space, (2, -1), _OFFSET4),
@@ -214,18 +191,17 @@ def scenario(
             "trapped_plus": lambda: trapped_state(0, 0, +1),
             "trapped_minus": lambda: trapped_state(0, 0, -1),
         }
-        return _descriptor(name, walk, pmap, phi_val, states, params)
+        return ScenarioDescriptor(name, walk, pmap, phi_val, states)
     if name == "line_to_circle":
-        n_val = 4 if n_circle is None else int(n_circle)
         space = line()
         walk = WalkSpec(space, CoinAssignment.homogeneous(hadamard_coin()))
-        pmap = cyclic_quotient(n_val)
+        pmap = cyclic_quotient(4 if n_circle is None else n_circle)
         states = {
             "origin": _localized(space, (0,), _GENERIC2),
             "offset": _localized(space, (3,), _OFFSET2),
             "pair": _pair(space, (0,), (1,), _GENERIC2),
         }
-        return _descriptor(name, walk, pmap, phi_val, states, {"n": n_val})
+        return ScenarioDescriptor(name, walk, pmap, phi_val, states)
     if name == "llattice_to_line":
         space = llattice()
         walk = WalkSpec(space, CoinAssignment.homogeneous(hadamard_coin()))
@@ -235,7 +211,7 @@ def scenario(
             "offset": _localized(space, (1, 0), _OFFSET2),
             "pair": _pair(space, (0, 0), (1, 1), _GENERIC2),
         }
-        return _descriptor(name, walk, pmap, phi_val, states, {})
+        return ScenarioDescriptor(name, walk, pmap, phi_val, states)
     raise InvalidParameter(f"no scenario named {name!r}; known: {', '.join(SCENARIO_NAMES)}")
 
 
@@ -280,8 +256,7 @@ def restrict_to_three_coin(
         name=f"{spec.space.name}[:{dim - 1}]",
         dimension=spec.space.dimension,
         displacements=kept,
-        contains=spec.space.contains,
-        positions=spec.space.positions,
+        size=spec.space.size,
     )
     if spec.coin.is_homogeneous:
         coin = CoinAssignment.homogeneous(spec.coin.matrix[: dim - 1, : dim - 1])

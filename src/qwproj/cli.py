@@ -208,10 +208,9 @@ def cmd_run(args) -> int:
         print("error: run needs --out-state and/or --out-dist", file=sys.stderr)
         return EXIT_CONFIG
     desc = _scenario_from_args(args)
-    phi = desc.phi if args.phi is None else args.phi
     psi0 = _initial_state(desc, args)
-    projected = project_state(desc.pmap, phi, psi0, normalize=True)
-    spec = induced_walk(desc.walk, desc.pmap, phi)
+    projected = project_state(desc.pmap, desc.phi, psi0, normalize=True)
+    spec = induced_walk(desc.walk, desc.pmap, desc.phi)
     final = evolve(spec, projected, args.steps)
     _info(
         "ran %s for %d steps: %d support positions", desc.name, args.steps, len(final.coins)
@@ -225,9 +224,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     desc = _scenario_from_args(args)
-    phi = desc.phi if args.phi is None else args.phi
     psi0 = _initial_state(desc, args)
-    report = verify_commutation(desc.walk, desc.pmap, phi, psi0, args.steps, tol=args.tol)
+    report = verify_commutation(desc.walk, desc.pmap, desc.phi, psi0, args.steps, tol=args.tol)
     if args.out_report:
         _write_json(args.out_report, report.to_json_dict())
     status = "passed" if report.passed else "FAILED"

@@ -53,7 +53,8 @@ class WalkState:
     the packed layout.  Every position must belong to the space
     (InvalidPosition), every coin vector must have exactly one entry per
     displacement (DimensionMismatch, naming a position whose vector is
-    off), and all amplitudes must be finite (InvalidParameter).  Kernels
+    off), and all amplitudes must be finite numbers (InvalidParameter,
+    naming the position).  Kernels
     build states directly from blocks with :meth:`from_blocks`.  ``coords``,
     ``coins`` and ``support`` are read-only.  A site whose coin vector
     cancels to zero keeps an explicit zero row: no operation drops sites, so
@@ -72,7 +73,7 @@ class WalkState:
         vectors = [support[p] for p in positions]
         try:  # one bulk copy when every vector fits
             coins = np.array(vectors, dtype=np.complex128)
-        except ValueError:  # vectors of different lengths
+        except (TypeError, ValueError):  # vectors of different lengths, or not numbers
             coins = None
         if coins is None or coins.shape[1:] != (dim,):
             rows = [_coin_row(p, vec, dim) for p, vec in zip(positions, vectors)]
@@ -136,9 +137,12 @@ class WalkState:
 
 
 def _coin_row(pos: Position, vec: Iterable[complex], dim: int) -> np.ndarray:
-    """The coin vector at ``pos`` as a complex128 row; DimensionMismatch
-    unless it has ``dim`` entries."""
-    row = np.asarray(vec, dtype=np.complex128)
+    """The coin vector at ``pos`` as a complex128 row; InvalidParameter
+    unless its entries are numbers, DimensionMismatch unless it has ``dim``."""
+    try:
+        row = np.asarray(vec, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"coin vector at {pos} has an entry that is not a number: {exc}") from None
     if row.shape != (dim,):
         raise DimensionMismatch(f"coin vector at {pos} has length {row.size}, space needs {dim}")
     return row

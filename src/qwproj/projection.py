@@ -304,9 +304,9 @@ def induced_walk(
         )
     phase = None
     if phi != 0.0:
-        if pmap.sigma_c is None:
-            raise MissingSigma(f"projection {pmap.name!r} has no sigma weights")
-        phase = StepPhase(phi, dict(pmap.sigma_c))
+        if pmap.sigma_array is None:
+            raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+        phase = StepPhase(phi, pmap.sigma_c)
     return WalkSpec(pmap.target, coin, phase)
 
 

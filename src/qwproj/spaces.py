@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -248,19 +248,35 @@ class PositionSpace(_Record):
 
     The name is the space's identity, so the constructors name each space by
     its structure, its displacements included: states on spaces of one name
-    may be compared.  ``positions`` enumerates a finite space, else is ``None``.
+    may be compared.  Its positions are the tuples of ``dimension``
+    integers; a finite space, a cycle of ``size`` vertices, holds those
+    whose first coordinate is in ``0..size-1``.  ``size`` is ``None`` for an
+    infinite space.
     """
 
     name: str
     dimension: int
     displacements: tuple[Displacement, ...]
-    contains: Callable[[Position], bool]
-    positions: tuple[Position, ...] | None = None
+    size: int | None = None
 
     def __post_init__(self) -> None:
         labels = [d.label for d in self.displacements]
         if len(set(labels)) != len(labels):
             raise InvalidParameter(f"duplicate displacement labels: {labels}")
+        if self.size is not None and self.dimension != 1:
+            raise InvalidParameter(f"a finite space is a cycle: dimension 1, not {self.dimension}")
+
+    def contains(self, p: Position) -> bool:
+        return (
+            len(p) == self.dimension
+            and all(map(_is_integer, p))
+            and (self.size is None or 0 <= p[0] < self.size)
+        )
+
+    @property
+    def positions(self) -> tuple[Position, ...] | None:
+        """The positions of a finite space, enumerated on each read, else ``None``."""
+        return None if self.size is None else tuple((m,) for m in range(self.size))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -297,8 +313,9 @@ class ProjectionMap(_Record):
     ``rho`` maps source positions onto target positions; its fibers are the
     equivalence classes that get summed by the projection operator.  When the
     source carries a group structure, ``sigma`` is an additive integer weight
-    (``sigma(x . c) = sigma(x) + sigma_c[c]``) enabling phase-decorated
-    projections, and ``section`` picks one representative per fiber.
+    (``sigma(x . c) = sigma(x) + sigma_c[c]``, :attr:`sigma_c` read off
+    ``sigma`` at the origin) enabling phase-decorated projections, and
+    ``section`` picks one representative per fiber.
     ``rho_array`` and ``sigma_array`` define both on coordinate blocks (see
     the module docstring), returning ``(n, d')`` targets and ``(n,)`` weights;
     :meth:`rho` and :meth:`sigma` are the same maps on one position.
@@ -314,7 +331,6 @@ class ProjectionMap(_Record):
     target: PositionSpace
     rho_array: Callable[[np.ndarray], np.ndarray]
     sigma_array: Callable[[np.ndarray], np.ndarray] | None = None
-    sigma_c: Mapping[str, int] | None = None
     section: Callable[[Position], Position] | None = None
     invert_rs: Callable[[int, int], Position] | None = None
     name: str = ""
@@ -326,6 +342,18 @@ class ProjectionMap(_Record):
         if self.sigma_array is None:
             raise MissingSigma(f"projection {self.name!r} has no sigma homomorphism")
         return int(self.sigma_array(exact_block([p], len(p)))[0])
+
+    @property
+    def sigma_c(self) -> dict[str, int] | None:
+        """The step weights sigma(x . c) - sigma(x) by displacement label, read
+        at the origin in one ``sigma_array`` call, or None without sigma."""
+        if self.sigma_array is None:
+            return None
+        origin = np.zeros((1, self.source.dimension), dtype=np.int64)
+        disps = self.source.displacements
+        steps = np.concatenate([origin] + [d.apply_array(origin) for d in disps])
+        at_origin, *stepped = self.sigma_array(steps).tolist()
+        return {d.label: w - at_origin for d, w in zip(disps, stepped)}
 
 
 class ConsistencyReport(_Record):
@@ -343,10 +371,16 @@ def _translation(label: str, delta: tuple[int, ...]) -> Displacement:
     return Displacement(label, lambda c: c + arr, lambda c: c - arr, delta=d)
 
 
+def _residue(n: int, shift: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """The map c -> (c + shift) mod n on a coordinate block, taken in exact
+    Python integers when n is beyond the int64 range."""
+    if n > COORD_LIMIT:
+        return lambda c: (c.astype(object) + shift) % n
+    return lambda c: (c + shift) % n
+
+
 def _modular(label: str, delta: int, n: int) -> Displacement:
-    return Displacement(
-        label, lambda c: (c + delta) % n, lambda c: (c - delta) % n, reach=abs(delta)
-    )
+    return Displacement(label, _residue(n, delta), _residue(n, -delta), reach=abs(delta))
 
 
 def _integer_type(t: type) -> bool:
@@ -384,13 +418,6 @@ def _jump_family(base: str, jumps: Iterable[tuple[str, int]]) -> tuple[str, tupl
     return (base if jumps == _UNIT_JUMPS else f"{base}{jumps!r}"), jumps
 
 
-def _int_tuple_predicate(dim: int) -> Callable[[Position], bool]:
-    def contains(p: Position) -> bool:
-        return len(p) == dim and all(_is_integer(c) for c in p)
-
-    return contains
-
-
 def _linear_form(coeffs: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block, taken in
     exact Python integers where the value could leave the int64 range."""
@@ -411,7 +438,7 @@ def lattice_2d() -> PositionSpace:
         _translation("U", (0, 1)),
         _translation("D", (0, -1)),
     )
-    return PositionSpace("z2", 2, disp, _int_tuple_predicate(2))
+    return PositionSpace("z2", 2, disp)
 
 
 def line(jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSpace:
@@ -420,7 +447,7 @@ def line(jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSpace:
     e.g. ``z1(('R', 1), ('L', -1), ('U', 0), ('D', 0))``."""
     name, jumps = _jump_family("z1", jumps)
     disp = tuple(_translation(lbl, (d,)) for lbl, d in jumps)
-    return PositionSpace(name, 1, disp, _int_tuple_predicate(1))
+    return PositionSpace(name, 1, disp)
 
 
 def circle(n: int, jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSpace:
@@ -429,11 +456,7 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSp
     n = _count(n, "circle size", 1)
     name, jumps = _jump_family(f"circle{n}", jumps)
     disp = tuple(_modular(lbl, d, n) for lbl, d in jumps)
-
-    def contains(p: Position) -> bool:
-        return len(p) == 1 and _is_integer(p[0]) and 0 <= p[0] < n
-
-    return PositionSpace(name, 1, disp, contains, tuple((m,) for m in range(n)))
+    return PositionSpace(name, 1, disp, n)
 
 
 def _llattice_step(label: str, sign: int) -> Displacement:
@@ -468,7 +491,7 @@ def llattice() -> PositionSpace:
     computed here depends on identifying them.
     """
     steps = (_llattice_step("a", 1), _llattice_step("b", -1))
-    return PositionSpace("llattice", 2, steps, _int_tuple_predicate(2))
+    return PositionSpace("llattice", 2, steps)
 
 
 def displacement_apply(space: PositionSpace, x: Position, label: str) -> Position:
@@ -525,7 +548,6 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
         target=target,
         rho_array=lambda c: rho_form(c)[:, None],
         sigma_array=_linear_form((-v, u)),
-        sigma_c={"R": -v, "L": v, "U": u, "D": -u},
         section=lambda q: (u * q[0], v * q[0]),
         invert_rs=lambda r, s: (u * r - l * s, v * r + k * s),
         name=f"lattice(k={k},l={l})",
@@ -548,11 +570,10 @@ def cyclic_quotient(n: int, source: PositionSpace | None = None) -> ProjectionMa
     return ProjectionMap(
         source=src,
         target=target,
-        rho_array=lambda c: c % n,
+        rho_array=_residue(target.size),
         sigma_array=lambda c: c[:, 0],
-        sigma_c={lbl: d for lbl, d in jumps},
         section=lambda q: (q[0],),
-        name=f"mod{n}",
+        name=f"mod{target.size}",
     )
 
 
@@ -570,7 +591,6 @@ def llattice_quotient() -> ProjectionMap:
         target=target,
         rho_array=lambda c: diagonal(c)[:, None],
         sigma_array=diagonal,
-        sigma_c={"a": 1, "b": -1},
         section=lambda q: (q[0], 0),
         name="llattice-diag",
     )

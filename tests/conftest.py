@@ -36,8 +36,7 @@ def random_sparse_state(
     assignments = []
     for i in range(points):
         if space.name.startswith("circle"):
-            n = space.positions and len(space.positions)
-            pos = (int(rng.integers(0, n)),)
+            pos = (int(rng.integers(0, space.size)),)
         else:
             pos = tuple(
                 int(c) + o
@@ -92,7 +91,6 @@ def identity_map(space):
         target=space,
         rho_array=lambda c: c,
         sigma_array=lambda c: 0 * c[:, 0],
-        sigma_c={lbl: 0 for lbl in space.labels},
         section=lambda q: q,
         name=f"identity({space.name})",
     )

@@ -9,6 +9,7 @@ import pytest
 from qwproj import (
     CoinAssignment,
     InvalidParameter,
+    NullProjection,
     StateOutsideSubspace,
     SubspaceNotInvariant,
     WalkSpec,
@@ -29,8 +30,10 @@ from qwproj import (
     scenario,
     state_new,
     trapped_state,
+    verify_commutation,
     SCENARIO_NAMES,
 )
+from qwproj import catalog
 
 
 class TestGroverCoin:
@@ -132,11 +135,34 @@ class TestProjectedTrappedStates:
 
 class TestScenarios:
     def test_all_names_build(self):
-        for name in SCENARIO_NAMES:
-            desc = scenario(name)
-            assert desc.pmap is not None
+        builds = [(name, {}) for name in SCENARIO_NAMES]
+        builds += [("lattice_to_jumps", {"k": -1}), ("lattice_to_jumps", {"k": 3})]
+        for name, params in builds:
+            desc = scenario(name, **params)
+            window = (
+                [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+                if desc.pmap.source.dimension == 2
+                else [(i,) for i in range(-8, 9)]
+            )
+            assert check_rho_consistency(desc.pmap, window).passed, (name, params)
             for build in desc.distinguished_states.values():
                 project_state(desc.pmap, desc.phi, build())  # must not cancel
+
+    def test_building_runs_no_state(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a scenario built one of its states")
+
+        monkeypatch.setattr(catalog, "state_new", refuse)
+        for name in SCENARIO_NAMES:
+            scenario(name)
+
+    def test_a_cancelling_state_refuses_only_its_projection(self):
+        desc = scenario("line_to_circle", n_circle=1, phi=math.pi / 2)
+        psi0 = desc.distinguished_states["pair"]()
+        with pytest.raises(NullProjection):
+            project_state(desc.pmap, desc.phi, psi0)
+        origin = desc.distinguished_states["origin"]()
+        assert verify_commutation(desc.walk, desc.pmap, desc.phi, origin, 5).passed
 
     def test_lazy_displacements(self):
         desc = scenario("grover2d_to_lazy")
@@ -162,16 +188,6 @@ class TestScenarios:
         plain = project_state(desc.pmap, desc.phi, psi)
         assert max_abs_difference(twisted, plain) == 0.0
 
-    def test_consistency_on_default_window(self):
-        for name in SCENARIO_NAMES:
-            desc = scenario(name)
-            window = (
-                [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-                if desc.pmap.source.dimension == 2
-                else [(i,) for i in range(-8, 9)]
-            )
-            assert check_rho_consistency(desc.pmap, window).passed
-
     def test_unknown_scenario(self):
         with pytest.raises(InvalidParameter):
             scenario("hypercube_search")
@@ -195,7 +211,7 @@ class TestScenarios:
             scenario(name, **{param: value})
 
     def test_numpy_integer_parameters_accepted(self):
-        assert scenario("lattice_to_jumps", k=np.int64(3)).params == {"k": 3, "l": 1}
+        assert scenario("lattice_to_jumps", k=np.int64(3)).pmap.name == "lattice(k=3,l=1)"
         assert scenario("line_to_circle", n_circle=np.int32(5)).pmap.target.name == "circle5"
 
     @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "lattice_to_jumps"])

@@ -217,6 +217,25 @@ class TestVerifyCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "lattice_to_jumps", "--k", "-1", "--phi", "-pi/2"],
+            ["--scenario", "line_to_circle", "--n-circle", "1", "--phi", "pi/2"],
+        ],
+    )
+    def test_a_cancelling_unused_state_does_not_refuse(self, flags, capsys):
+        # The scenario's "pair" state cancels under these phases; only the
+        # state the command runs is projected.
+        assert main(["verify", *flags, "--steps", "5"]) == 0
+        assert "passed" in capsys.readouterr().out
+
+    def test_circle_beyond_int64(self, capsys):
+        n = str(2**70)
+        assert main(["verify", "--scenario", "line_to_circle", "--n-circle", n,
+                     "--phi", "0.3", "--steps", "3"]) == 0
+        assert "line_to_circle: passed" in capsys.readouterr().out
+
     def test_impossible_tolerance_fails(self, tmp_path):
         # the twisted circle has genuinely irrational amplitudes, so its
         # residual is small but nonzero and an absurd tolerance must fail

@@ -80,6 +80,16 @@ class TestStateNew:
         with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(2,\)"):
             WalkState(circle(4), {(1,): [1, 0], (2,): [0, math.inf]})
 
+    def test_non_numeric_coin_entry_is_named(self):
+        for build in (
+            lambda: WalkState(line(), {(0,): ["a", 0]}),
+            lambda: WalkState(line(), {(1,): [1, 0], (0,): [0, "1+"]}),
+            lambda: state_new(line(), [((0,), [1, 0]), ((0,), ["a", 0])]),
+            lambda: state_new(Z2, [((2, 3), [1, {}, 0, 0])]),
+        ):
+            with pytest.raises(InvalidParameter, match=r"coin vector at \(\d+,( \d+)?\) .* not a number"):
+                build()
+
     def test_norm_invariant_under_permutation(self, rng):
         assignments = [
             (tuple(rng.integers(-3, 4, size=2)), rng.normal(size=4) + 1j * rng.normal(size=4))

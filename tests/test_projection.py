@@ -437,7 +437,6 @@ def shifted_line_map(offset):
         target=line(),
         rho_array=lambda c: c.astype(object) + offset,  # exact, at any offset
         sigma_array=lambda c: 0 * c[:, 0],
-        sigma_c={"R": 0, "L": 0},
         section=lambda q: (q[0] - offset,),
         name=f"shift({offset})",
     )
@@ -649,17 +648,17 @@ class TestRepeatingInducedMerges:
         assert bits(report.residuals).tobytes() == bits(expected).tobytes()
 
     def test_sigma_leaving_the_table_falls_back_to_exp(self):
-        # sigma(x) = 3x while sigma_c says one per step: not additive, so
-        # the parent's sigma leaves the table after n/3 steps.
+        # sigma(x) = x**2 is not additive: its step weights, read at the
+        # origin, are one per step, so the table spans [-n, n] and the
+        # parent's sigma leaves it after sqrt(n) steps.
         base = cyclic_quotient(4)
         pm = ProjectionMap(
             source=base.source,
             target=base.target,
             rho_array=base.rho_array,
-            sigma_array=lambda c: 3 * c[:, 0],
-            sigma_c=base.sigma_c,
+            sigma_array=lambda c: c[:, 0] ** 2,
             section=base.section,
-            name="mod4-tripled-sigma",
+            name="mod4-squared-sigma",
         )
         phi, n = 0.7, 30
         psi = state_new(line(), [((0,), np.array([1, 1j]) / math.sqrt(2))])

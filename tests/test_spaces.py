@@ -29,16 +29,18 @@ from qwproj import (
     circle,
     cyclic_quotient,
     displacement_apply,
+    hadamard_coin,
     lattice_2d,
     lattice_quotient,
     line,
     llattice,
     llattice_quotient,
     reachable_window,
+    state_new,
 )
 from qwproj import spaces
 from qwproj.spaces import check_same_space, group_rows
-from conftest import identity_map
+from conftest import evolve_both, identity_map
 
 
 def square_window(r):
@@ -80,7 +82,7 @@ class TestDisplacementApply:
     def test_displacement_labels_must_differ(self):
         twice = 2 * line().displacements
         with pytest.raises(InvalidParameter, match="duplicate displacement labels"):
-            PositionSpace("z1", 1, twice, line().contains)
+            PositionSpace("z1", 1, twice)
 
     @pytest.mark.parametrize(
         "space, pos",
@@ -413,6 +415,27 @@ def test_sigma_additive_on_all_quotients(pmap, window):
             assert pmap.sigma(d.apply(p)) == pmap.sigma(p) + pmap.sigma_c[d.label]
 
 
+# The step weights in closed form: (-v, v, u, -u) from the Bezout pair (u, v)
+# on the lattice, the jumps on the line, +-1 along the diagonals.
+@pytest.mark.parametrize(
+    "pmap, weights",
+    [
+        (lattice_quotient(1, 0), {"R": 0, "L": 0, "U": 1, "D": -1}),
+        (lattice_quotient(1, 1), {"R": -1, "L": 1, "U": 0, "D": 0}),
+        (lattice_quotient(2, 1), {"R": -1, "L": 1, "U": 0, "D": 0}),
+        (lattice_quotient(3, 5), {"R": 1, "L": -1, "U": 2, "D": -2}),
+        (lattice_quotient(-1, 1), {"R": -1, "L": 1, "U": 0, "D": 0}),
+        (cyclic_quotient(4), {"R": 1, "L": -1}),
+        (llattice_quotient(), {"a": 1, "b": -1}),
+        (identity_map(lattice_2d()), {"R": 0, "L": 0, "U": 0, "D": 0}),
+    ],
+    ids=lambda x: getattr(x, "name", ""),
+)
+def test_step_weights_are_derived_from_sigma(pmap, weights):
+    assert pmap.sigma_c == weights
+    assert all(type(w) is int for w in pmap.sigma_c.values())
+
+
 class TestLLatticeQuotient:
     def test_generator_images(self):
         pm = llattice_quotient()
@@ -584,8 +607,44 @@ def test_circle_refuses_a_bad_size(n):
         circle(n)
 
 
+def test_a_finite_space_is_a_cycle():
+    with pytest.raises(InvalidParameter, match="a finite space is a cycle"):
+        PositionSpace("torus", 2, lattice_2d().displacements, 4)
+    assert circle(3).positions == ((0,), (1,), (2,))
+
 
 TOP = spaces.COORD_LIMIT  # 2**63 - 1
+_HUGE_SIZES = [10**18, TOP, TOP + 1, 2**70]
+
+
+class TestHugeCircles:
+    """A circle is its size: any size builds at once, and its modular steps
+    take exact Python integers once the size is beyond int64."""
+
+    @pytest.mark.parametrize("n", _HUGE_SIZES)
+    def test_membership_is_the_size(self, n):
+        space = circle(n)
+        assert space.size == n and space.name == f"circle{n}"
+        assert space.contains((0,)) and space.contains((n - 1,))
+        assert not space.contains((n,)) and not space.contains((-1,))
+
+    @pytest.mark.parametrize("n", _HUGE_SIZES)
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_evolve_matches_the_recurrence(self, n, end):
+        spec = WalkSpec(circle(n), CoinAssignment.homogeneous(hadamard_coin()))
+        start = (0,) if end == "first" else (n - 1,)
+        psi = state_new(spec.space, [(start, np.array([1, 1j]) / math.sqrt(2))])
+        final = evolve_both(spec, psi, 3)
+        expected = {(start[0] + s) % n for s in (-3, -1, 1, 3)}
+        assert set(x for (x,) in final.support) == expected
+
+    @pytest.mark.parametrize("n", _HUGE_SIZES)
+    def test_cyclic_quotient_folds_exactly(self, n):
+        pm = cyclic_quotient(n)
+        assert pm.rho((-1,)) == (n - 1,) and pm.rho((n + 5,)) == (5,)
+        assert pm.rho_array(np.array([[-1], [TOP]], dtype=np.int64)).tolist() == [[n - 1], [TOP % n]]
+
+
 
 
 @st.composite
@@ -683,27 +742,21 @@ def _negate(c):
     return -c
 
 
-def _pred(p):
-    return True
-
-
 def _hadamard_at(p):
     return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
 _COIN = CoinAssignment(2, None, _hadamard_at)
-_MAP_FIELDS = (line(), line(), _negate, _negate, {"R": 1, "L": -1}, _negate, None, "neg")
+_MAP_FIELDS = (line(), line(), _negate, _negate, _negate, None, "neg")
 
 # One record of every public record class: its fields in constructor order
 # and a value for each.
 RECORDS = [
     (Displacement, "label apply_array unapply_array delta reach",
      ("x", _negate, _negate, (2, -3), 3)),
-    (PositionSpace, "name dimension displacements contains positions",
-     ("z1", 1, line().displacements, _pred, None)),
+    (PositionSpace, "name dimension displacements size", ("circle5", 1, circle(5).displacements, 5)),
     (BezoutPair, "u v", (2, -1)),
-    (ProjectionMap, "source target rho_array sigma_array sigma_c section invert_rs name",
-     _MAP_FIELDS),
+    (ProjectionMap, "source target rho_array sigma_array section invert_rs name", _MAP_FIELDS),
     (ConsistencyReport, "passed positions pairs counterexample",
      (False, 3, 3, ((0,), (1,), "R", "forward"))),
     (CoinAssignment, "dimension matrix matrix_fn", (2, None, _hadamard_at)),
@@ -712,8 +765,8 @@ RECORDS = [
     (HomogeneityReport, "passed classes witness", (False, 2, ((0,), (1,), 0.5))),
     (CommutationReport, "steps residuals max_residual passed psi0_norm",
      (2, (0.0, 1e-3), 1e-3, False, 1.0)),
-    (ScenarioDescriptor, "name walk pmap phi distinguished_states params",
-     ("neg", WalkSpec(line(), _COIN), ProjectionMap(*_MAP_FIELDS), 0.0, {}, {"k": None})),
+    (ScenarioDescriptor, "name walk pmap phi distinguished_states",
+     ("neg", WalkSpec(line(), _COIN), ProjectionMap(*_MAP_FIELDS), 0.0, {})),
 ]
 
 
@@ -776,7 +829,8 @@ def test_record_defaults():
     assert HomogeneityReport(True, 1).witness is None
     assert CoinAssignment(2).matrix is None and CoinAssignment(2).matrix_fn is None
     assert WalkSpec(line(), _COIN).phase is None
-    assert PositionSpace("z1", 1, line().displacements, _pred).positions is None
+    space = PositionSpace("z1", 1, line().displacements)
+    assert space.size is None and space.positions is None
     pmap = ProjectionMap(line(), line(), _negate)
     assert (pmap.sigma_array, pmap.sigma_c, pmap.section, pmap.invert_rs, pmap.name) == (
         None, None, None, None, ""
