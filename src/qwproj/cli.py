@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, hilbert, reconstruction
-from .errors import NullProjection, QwprojError
+from .errors import InvalidParameter, NullProjection, QwprojError
 from .projection import induced_walk, project_state, verify_commutation
 from .spaces import lattice_quotient, reachable_window
 from .walk import evolve
@@ -107,11 +107,13 @@ def _info(msg: str, *args) -> None:
 
 
 def _load_initial_state(space, text: str):
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-    else:
-        data = json.loads(Path(text).read_text())
-    return hilbert.from_json_dict(space, data)
+    if not text.lstrip().startswith("{"):
+        text = Path(text).read_text()
+    # Reading and checking a document recurse once per nesting level.
+    try:
+        return hilbert.from_json_dict(space, json.loads(text))
+    except RecursionError:
+        raise InvalidParameter("--init nests too deeply to be read as a state dump") from None
 
 
 def _write_text(path: str, content: str) -> None:

@@ -166,7 +166,35 @@ def state_new(
 
 def norm(state: WalkState) -> float:
     """The 2-norm, sqrt of the summed squared moduli of all amplitudes."""
-    return math.sqrt(float(np.vdot(state.coins, state.coins).real))
+    return _norm(state.coins)
+
+
+# A sum of squares below this may have lost more than a rounding of itself
+# to squares that underflowed, so the norm is then taken from the rescaled
+# block instead.
+_SMALL_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_LARGE_SUM = np.finfo(np.float64).max
+
+
+def _norm(block: np.ndarray) -> float:
+    """The 2-norm of a complex block, at any scale of its entries.
+
+    The sum of squares gives it where that sum is neither small enough to
+    have lost squares to underflow nor overflowed.  Otherwise the moduli
+    are divided by the largest of them first, so that their sum of squares
+    lies between 1 and the entry count, and the norm is that modulus times
+    the root (the safe scaling of Blue, ACM TOMS 4 (1978), and Anderson,
+    Algorithm 978, ACM TOMS 44 (2017)).  A block holding inf or NaN has
+    norm inf or NaN.
+    """
+    total = float(np.vdot(block, block).real)
+    if _SMALL_SUM <= total <= _LARGE_SUM:
+        return math.sqrt(total)
+    moduli = np.abs(block)
+    big = float(moduli.max(initial=0.0))
+    if not 0.0 < big < math.inf:
+        return big
+    return big * math.sqrt(float(np.square(moduli / big).sum()))
 
 
 def inner(a: WalkState, b: WalkState) -> complex:
@@ -217,8 +245,7 @@ def _difference(a: WalkState, b: WalkState) -> np.ndarray:
 
 def diff_norm(a: WalkState, b: WalkState) -> float:
     """2-norm of the difference a - b."""
-    diff = _difference(a, b)
-    return math.sqrt(float(np.vdot(diff, diff).real))
+    return _norm(_difference(a, b))
 
 
 def max_abs_difference(a: WalkState, b: WalkState) -> float:
@@ -238,8 +265,9 @@ def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
     """Rebuild a state on ``space`` from its dump; the space name must match.
 
     A dump that is not an object, or whose support is not a list of
-    ``{"pos": [...], "coin": [[re, im], ...]}`` entries, is refused with
-    InvalidParameter naming the first bad entry.  Unlike :func:`state_new`,
+    ``{"pos": [...], "coin": [[re, im], ...]}`` entries with numbers for
+    ``re`` and ``im`` (a bool is not one) inside the float range, is refused
+    with InvalidParameter naming the first bad entry.  Unlike :func:`state_new`,
     which sums repeated positions, a dump listing a position twice is
     refused with InvalidPosition naming it.
     """
@@ -255,16 +283,27 @@ def from_json_dict(space: PositionSpace, data: Mapping) -> WalkState:
     for i, entry in enumerate(data["support"]):
         try:
             pos = tuple(entry["pos"])
-            vec = [complex(re, im) for re, im in entry["coin"]]
+            vec = [_amplitude(re, im) for re, im in entry["coin"]]
             repeated = pos in support  # TypeError for a coordinate that is a list
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(
                 f'dump entry {i} is not {{"pos": [...], "coin": [[re, im], ...]}}: {exc}'
             ) from None
+        except OverflowError:
+            raise InvalidParameter(f"dump entry {i} has an amplitude beyond the float range") from None
         if repeated:
             raise InvalidPosition(f"position {pos} appears more than once in the dump")
         support[pos] = vec
     return WalkState(space, support)
+
+
+def _amplitude(re, im) -> complex:
+    """``complex(re, im)``, with TypeError for a bool part: JSON ``true`` is
+    not the number 1 here, as it is not a coordinate or a count."""
+    for part in (re, im):
+        if isinstance(part, bool):
+            raise TypeError(f"amplitude part {json.dumps(part)} is a bool, not a number")
+    return complex(re, im)
 
 
 # A string the writer puts where a state goes, and its JSON token.

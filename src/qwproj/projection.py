@@ -33,7 +33,7 @@ from .errors import (
     NullProjection,
     SpaceMismatch,
 )
-from .hilbert import WalkState, norm, scale
+from .hilbert import WalkState, _norm, norm, scale
 from .spaces import (
     COORD_LIMIT,
     Position,
@@ -183,10 +183,17 @@ def _phase_weights(
     values for sigma = lo, lo + 1, ...; a block inside it is read off the
     table, bitwise equal to what np.exp returns, and any other block is
     computed directly.  A block of exact Python integers is taken in
-    float64, which rounds it as the int64 path rounds its own entries.
+    float64, which rounds it as the int64 path rounds its own entries; one
+    beyond the float range is refused with InvalidParameter.
     """
     if sigma.dtype == object:
-        sigma = sigma.astype(np.float64)
+        try:
+            sigma = sigma.astype(np.float64)
+        except OverflowError:
+            raise InvalidParameter(
+                "sigma is beyond the float range at a site, so its phase "
+                f"exp(i*phi*sigma) at phi = {phi!r} cannot be taken"
+            ) from None
     elif table is not None:
         lo, values = table
         if sigma.min() >= lo and sigma.max() < lo + len(values):
@@ -222,7 +229,7 @@ def _phase_table(
 def _check_not_null(pmap: ProjectionMap, coins: np.ndarray, source_norm: float) -> None:
     """Raise NullProjection when the projected coin block's norm is at most
     ``NULL_TOL`` times the norm of the state it was projected from."""
-    total = math.sqrt(float(np.vdot(coins, coins).real))
+    total = _norm(coins)
     if total <= NULL_TOL * source_norm:
         raise NullProjection(
             f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
@@ -368,7 +375,7 @@ def verify_commutation(
         _check_not_null(pmap, diff, norm(upper))
         # The induced state holds each site once, so no index repeats.
         diff[inverse[len(targets) :]] -= coins
-        residuals.append(math.sqrt(float(np.vdot(diff, diff).real)))
+        residuals.append(_norm(diff))
     max_residual = max(residuals, default=0.0)
     psi0_norm = norm(psi0)
     passed = max_residual < tol * psi0_norm

@@ -2,8 +2,9 @@
 
 Two engines advance a state by one step:
 
-* :func:`evolve` works on the packed blocks of the state: the coin is one
-  matrix product over the coin block, and the step moves the coordinate
+* :func:`evolve` works on the packed blocks of the state: the coin is a
+  matrix product over the coin block, taken in row panels small enough
+  for BLAS to keep on one thread, and the step moves the coordinate
   block along every displacement at once, merges coinciding images with
   :func:`~qwproj.spaces.group_rows` (one int64 key per row over a dense
   bounding box, else a ``lexsort``) and scatters each coin component to
@@ -185,11 +186,34 @@ def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:
     return state.with_coins(_coin_block(spec.coin, state.coords, state.coins))
 
 
+# OpenBLAS runs a complex matrix product m x k by k x n on its thread pool
+# once m*n*k reaches this size, and every pool thread then touches its own
+# work buffers, so the peak memory of a long walk grows with the thread
+# count rather than with the state.
+_THREADED_MNK = 65_536
+
+
 def _coin_block(coin: CoinAssignment, coords: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """The coin on packed blocks: the ``(..., n, dim)`` coin block after the
-    coin, for the ``(n, d)`` coordinate block it sits on."""
+    coin, for the ``(n, d)`` coordinate block it sits on.
+
+    A homogeneous coin is applied in panels of rows, each one product small
+    enough for BLAS to run it on the calling thread, written into one
+    output block.  The bits are those of a single product: each output row
+    depends on its own input row and the matrix alone.  The panels are the
+    fewest that fit and of near-equal height, so none is a single row,
+    which numpy would hand to a matrix-vector product that rounds
+    differently.
+    """
     if coin.is_homogeneous:
-        return coins @ coin.matrix.T
+        mat = coin.matrix.T
+        n = coins.shape[-2]
+        panels = -(-n // max(1, (_THREADED_MNK - 1) // coin.dimension**2))
+        out = np.empty(coins.shape, dtype=np.complex128)
+        for i in range(panels):
+            rows = slice(i * n // panels, (i + 1) * n // panels)
+            np.matmul(coins[..., rows, :], mat, out=out[..., rows, :])
+        return out
     positions = list(map(tuple, coords.tolist()))
     mats = _check_unitaries(list(map(coin.matrix_fn, positions)), coin.dimension, positions)
     return (mats @ coins[..., None])[..., 0]

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour, exit codes, and artifact formats."""
 
+import contextlib
+import io
 import json
 import logging
 import math
@@ -7,10 +9,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwproj.cli import main, parse_phi
 
@@ -308,6 +313,13 @@ class TestMalformedInput:
             (None, "JSON object"),  # a file holding a JSON list
             ('{"space":"z1","support":[{"pos":[5],"coin":[[NaN,0],[0,0]]}]}',
              "non-finite amplitude at (5,)"),
+            pytest.param('{"space":"z1","support":[{"pos":[5],"coin":[[1%s,0],[0,0]]}]}'
+                         % ("0" * 400), "entry 0 has an amplitude beyond the float range",
+                         id="amplitude-10**400"),
+            ('{"space":"z1","support":[{"pos":[5],"coin":[[true,0],[0,0]]}]}',
+             "amplitude part true is a bool"),
+            pytest.param('{"space":"z1","support":%s}' % ("[" * 5000 + "]" * 5000),
+                         "--init nests too deeply", id="nested-5000-deep"),
         ],
     )
     def test_malformed_init(self, tmp_path, capsys, init, where):
@@ -442,6 +454,142 @@ class TestReconstructCommand:
         # scaling the initial state keeps both verdicts
         assert reconstruct(factor * coin, 1e-10) == 0
         assert reconstruct(factor * coin, unit_error / 10) == 4
+
+
+class TestInitAtAnyScale:
+    """A one-site --init far from unit norm neither underflows nor
+    overflows the norms the verdicts are judged against."""
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+    @pytest.mark.parametrize("command, error", [
+        (["verify", "--scenario", "grover2d_to_lazy", "--steps", "8"], "max_residual"),
+        (["reconstruct", "--k", "2", "--l", "1", "--steps", "8"], "max_error"),
+    ], ids=["verify", "reconstruct"])
+    def test_single_site_passes(self, tmp_path, command, error, amplitude):
+        out = tmp_path / "report.json"
+        init = json.dumps({"space": "z2", "support": [
+            {"pos": [0, 0], "coin": [[amplitude, 0], [0, 0], [0, 0], [0, 0]]}]})
+        assert main([*command, "--init", init, "--out-report", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["passed"] and data["psi0_norm"] == amplitude
+        assert data[error] < 1e-14 * amplitude
+
+
+# Numbers of every magnitude a dump can carry: floats from the subnormal
+# 1e-320 up to the float maximum, exact integers up to 10**400, and the
+# non-finite floats json reads.
+_MAGNITUDES = st.one_of(
+    st.builds(lambda k, sign: sign * 10.0**k, st.integers(-320, 308), st.sampled_from([1, -1])),
+    st.builds(lambda k, sign: sign * 10**k, st.integers(0, 400), st.sampled_from([1, -1])),
+    st.integers(-3, 3),
+    st.floats(),
+)
+# A value that stands for as many nested lists as the test's depth.
+_DEEP = "\x00deep"
+_DEPTHS = st.sampled_from([1, 50, 900, 950, 980, 990, 1000, 1100, 5000])
+_KEYS = st.sampled_from(["space", "support", "pos", "coin", "z1", "z2"]) | st.text(max_size=3)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.text(max_size=4), _MAGNITUDES, st.just(_DEEP))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _dump(space: str, dim: int):
+    """A valid dump on a space of ``dim`` coordinates and ``dim`` * 2 coin entries."""
+    entry = st.fixed_dictionaries({
+        "pos": st.lists(st.integers(-4, 4), min_size=dim, max_size=dim),
+        "coin": st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+                         min_size=2 * dim, max_size=2 * dim),
+    })
+    return st.fixed_dictionaries({"space": st.just(space), "support": st.lists(entry, max_size=3)})
+
+
+def _slots(node, depth=0):
+    """Every (depth, container, key) triple of a JSON tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    else:
+        items = list(enumerate(node)) if isinstance(node, list) else []
+    for key, child in items:
+        yield depth, node, key
+        yield from _slots(child, depth + 1)
+
+
+@st.composite
+def _mutated(draw, valid):
+    """A valid dump with a few of its values replaced, wrapped in a list,
+    unwrapped, dropped, renamed or nested deeply."""
+    doc = draw(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        # Deepest first, as hypothesis draws early items most: the numbers.
+        slots = sorted(_slots(doc), key=lambda slot: -slot[0])
+        if not slots:
+            break
+        _, parent, key = draw(st.sampled_from(slots))
+        node = parent[key]
+        kind = draw(st.sampled_from(["magnitude", "value", "wrap", "unwrap", "drop", "rename",
+                                     "deep"]))
+        if kind == "value":
+            parent[key] = draw(_JSON)
+        elif kind == "magnitude":
+            parent[key] = draw(_MAGNITUDES)
+        elif kind == "wrap":
+            parent[key] = [node]
+        elif kind == "unwrap" and isinstance(node, list) and node:
+            parent[key] = node[0]
+        elif kind == "drop":
+            del parent[key]
+        elif kind == "rename" and isinstance(parent, dict):
+            parent[draw(_KEYS)] = parent.pop(key)
+        elif kind == "deep":
+            parent[key] = _DEEP
+    return doc
+
+
+def _init_text(doc, depth: int) -> str:
+    return json.dumps(doc).replace(json.dumps(_DEEP), "[" * depth + "0" + "]" * depth)
+
+
+_COMMANDS = {
+    "z1": ["verify", "--scenario", "line_to_circle", "--n-circle", "4", "--phi", "pi/3",
+           "--steps", "2"],
+    "z2": ["verify", "--scenario", "grover2d_to_lazy", "--steps", "2"],
+    "reconstruct": ["reconstruct", "--k", "2", "--l", "1", "--steps", "2"],
+}
+
+
+class TestInitBoundary:
+    """Whatever --init holds, verify and reconstruct end with an exit code
+    and, on a refusal, one error line: never with an exception."""
+
+    @staticmethod
+    def check(command: str, text: str) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        # Amplitudes near the float maximum can overflow in the arithmetic:
+        # numpy warns, as it does on the command line, and the verdict
+        # reads FAILED.
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([*_COMMANDS[command], "--init", text])
+        assert code in (0, 2, 3, 4), (code, err.getvalue())
+        if code in (2, 3):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), doc=st.dictionaries(_KEYS, _JSON),
+           space=st.sampled_from(["z1", "z2"]), depth=_DEPTHS)
+    def test_recursive_documents(self, command, doc, space, depth):
+        doc.setdefault("space", space)
+        self.check(command, _init_text(doc, depth))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data(), depth=_DEPTHS)
+    def test_mutated_dumps(self, command, data, depth):
+        valid = _dump("z1", 1) if command == "z1" else _dump("z2", 2)
+        self.check(command, _init_text(data.draw(_mutated(valid)), depth))
 
 
 class TestReportsCarryTheInitialNorm:

@@ -17,6 +17,7 @@ from qwproj import (
     InvalidPosition,
     SpaceMismatch,
     add,
+    diff_norm,
     distribution_csv,
     from_json_dict,
     inner,
@@ -108,6 +109,26 @@ class TestNormAndInner:
             Z2, [((0, 0), np.array(R4) / math.sqrt(2)), ((1, 1), np.array(R4) / math.sqrt(2))]
         )
         assert norm(two_site) == pytest.approx(1.0, abs=1e-15)
+
+    def test_norm_at_any_scale(self, rng):
+        psi = random_sparse_state(Z2, rng, points=6)
+        # an ordinary sum of squares gives the norm as it is
+        assert norm(psi) == math.sqrt(float(np.vdot(psi.coins, psi.coins).real))
+        for k in range(-300, 301, 25):
+            c = 10.0**k
+            assert norm(scale(c, psi)) == pytest.approx(c, rel=1e-14)
+            assert diff_norm(scale(c, psi), scale(-c, psi)) == pytest.approx(2 * c, rel=1e-14)
+
+    def test_norm_of_extreme_entries(self):
+        def at_origin(*coin):
+            return state_new(Z1, [((0,), coin)])
+
+        for z in (1e-320, 1e-200, 1e200, 1.5e308):
+            assert norm(at_origin(z, 0)) == z
+        assert norm(at_origin(3e-320, 4e-320)) == pytest.approx(5e-320, rel=1e-3)
+        assert norm(at_origin(3e200, 4e200)) == pytest.approx(5e200, rel=1e-15)
+        assert norm(at_origin(1.5e308, 1.5e308)) == math.inf
+        assert norm(at_origin(0, 0)) == 0.0
 
     def test_inner_orthogonal_positions(self):
         a = state_new(Z1, [((0,), (1, 0))])
@@ -221,6 +242,13 @@ class TestSerialization:
             ({"space": "z1", "support": [{"pos": [5], "coin": [["x", 0], [0, 0]]}]}, "entry 0"),
             ({"space": "z1", "support": [{"pos": [5], "coin": [[1, 0, 0], [0, 0]]}]}, "entry 0"),
             ({"space": "z1", "support": [{"coin": [[1, 0], [0, 0]]}]}, "entry 0"),
+            # JSON true is not the amplitude 1, as it is not a coordinate 1
+            ({"space": "z1", "support": [{"pos": [5], "coin": [[True, 0], [0, 0]]}]},
+             "entry 0 .*amplitude part true is a bool"),
+            ({"space": "z1", "support": [{"pos": [5], "coin": [[1, 0], [0, False]]}]},
+             "entry 0 .*amplitude part false is a bool"),
+            ({"space": "z1", "support": [{"pos": [5], "coin": [[10**400, 0], [0, 0]]}]},
+             "entry 0 has an amplitude beyond the float range"),
         ],
     )
     def test_malformed_dump_rejected(self, data, where):

@@ -102,6 +102,13 @@ class TestProjectState:
         with pytest.raises(NullProjection):
             project_state(pm, 0.0, state_new(Z2, []))
 
+    def test_phase_beyond_the_float_range_is_refused(self):
+        pm = lattice_quotient(2, 1)
+        far = state_new(Z2, [((10**400, 0), GENERIC4)])
+        assert len(project_state(pm, 0.0, far).coins) == 1
+        with pytest.raises(InvalidParameter, match="sigma is beyond the float range"):
+            project_state(pm, 0.7, far)
+
     @pytest.mark.parametrize("phi", [0.0, 0.7])
     def test_projection_past_int64_is_exact(self, phi):
         edge = 2**62
@@ -401,6 +408,18 @@ class TestScaleRelativeTolerance:
                 HADAMARD_LINE, pm, math.pi / 3, scale(factor, psi), 12, tol=tol
             )
             assert scaled.passed == base.passed == (tol == 1e-10)
+
+
+    @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+    def test_verdict_and_relative_residual_at_any_scale(self, name):
+        desc = catalog.scenario(name)
+        psi = random_sparse_state(desc.walk.space, np.random.default_rng(7), points=3, radius=3)
+        unit = verify_commutation(desc.walk, desc.pmap, math.pi / 3, psi, 12)
+        for k in range(-300, 301, 50):
+            report = verify_commutation(desc.walk, desc.pmap, math.pi / 3, scale(10.0**k, psi), 12)
+            assert report.passed == unit.passed
+            assert report.max_residual / report.psi0_norm == pytest.approx(
+                unit.max_residual / unit.psi0_norm, rel=0, abs=1e-12)
 
 
 class TestNormBehaviour:

@@ -1,10 +1,15 @@
 """Coin/step operators, the two evolution engines, and dense oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qwproj import walk
 from qwproj import (
     CoinAssignment,
     DimensionMismatch,
@@ -34,7 +39,7 @@ from qwproj import (
     state_to_vector,
 )
 from qwproj.spaces import group_rows
-from conftest import evolve_both, random_sparse_state, walk_zoo
+from conftest import evolve_both, haar_unitary, random_sparse_state, walk_zoo
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -103,6 +108,55 @@ class TestCoinOperator:
     def test_step_phase_needs_every_sigma_weight(self):
         with pytest.raises(MissingSigma, match=r"\['L'\]"):
             WalkSpec(line(), CoinAssignment.homogeneous(hadamard_coin()), StepPhase(0.5, {"R": 1}))
+
+
+def _bits(block: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(block).view(np.uint64)
+
+
+# The growth of the peak RSS over one 200-step commutation check of the
+# planar Grover walk, measured in the child after its imports.
+_PEAK_CHILD = """
+import sys
+from qwproj import catalog, verify_commutation
+
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmHWM"))
+
+desc = catalog.scenario("grover2d_to_lazy")
+psi0 = desc.distinguished_states["origin"]()
+before = peak_kb()
+assert verify_commutation(desc.walk, desc.pmap, desc.phi, psi0, 200).passed
+print((peak_kb() - before) / 1024)
+"""
+
+
+class TestCoinPanels:
+    """A homogeneous coin runs in row panels that BLAS keeps on the calling
+    thread, with the bits of one product over the whole block."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_panels_match_one_product_bitwise(self, dim, rng):
+        coin = CoinAssignment.homogeneous(haar_unitary(dim, rng))
+        panel = (walk._THREADED_MNK - 1) // dim**2
+        for n in (panel - 1, panel, panel + 1, 3 * panel + 5):
+            for shape in ((n, dim), (3, n, dim)):
+                block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for coins in (block, np.asfortranarray(block)):
+                    got = walk._coin_block(coin, None, coins)
+                    want = coins @ coin.matrix.T
+                    assert got.shape == want.shape
+                    assert np.array_equal(_bits(got), _bits(want)), (n, shape)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_peak_memory_follows_the_state(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", _PEAK_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 25.0
 
 
 class TestStepOperator:
