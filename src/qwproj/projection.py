@@ -51,7 +51,7 @@ from .walk import (
     StepPhase,
     WalkSpec,
     _walk_blocks,
-    evolve,
+    _walk_states,
 )
 
 NULL_TOL = 1e-12
@@ -113,7 +113,14 @@ def project_state(
     sites, out = _project_phases(pmap, (phi,), state)
     projected = WalkState.from_blocks(pmap.target, sites, out[0])
     if normalize:
-        projected = scale(1.0 / norm(projected), projected)
+        size = norm(projected)
+        if 1.0 / size == math.inf:
+            # A subnormal norm has no finite reciprocal: bring it into
+            # [0.5, 1) first by a power of two, which moves no bit.
+            parts = np.ldexp(projected.coins.view(np.float64), -math.frexp(size)[1])
+            projected = projected.with_coins(parts.view(np.complex128))
+            size = norm(projected)
+        projected = scale(1.0 / size, projected)
     return projected
 
 
@@ -338,7 +345,10 @@ def verify_commutation(
     A NullProjection on the initial state propagates to the caller; later
     projections cannot vanish because the induced evolution is unitary.
 
-    The parent steps through :func:`~qwproj.walk.evolve`.  The induced walk
+    The parent steps as :func:`~qwproj.walk.evolve` does, through
+    :func:`~qwproj.walk.apply_coin` and :func:`~qwproj.walk.apply_step`,
+    and each parent state is let go at the end of its step, so that a step
+    holds one parent state, its coined block and one merge.  The induced walk
     steps on bare coordinate and coin blocks through the walk module's one
     block loop, which reuses a step's merge when the supports repeat, as
     they soon do on a finite quotient.  Each induced step is taken after
@@ -362,9 +372,7 @@ def verify_commutation(
     table = _phase_table(pmap, phi, psi0, n)
     lower = _walk_blocks(induced, projected.coords, projected.coins, n, induced.step_phases())
     residuals = []
-    upper = psi0
-    for _ in range(n):
-        upper = evolve(walk, upper, 1)
+    for upper in _walk_states(walk, psi0, n):
         coords, coins = next(lower)
         targets = pmap.rho_array(upper.coords)
         sigma = pmap.sigma_array(upper.coords) if phi != 0.0 else None
@@ -376,6 +384,7 @@ def verify_commutation(
         # The induced state holds each site once, so no index repeats.
         diff[inverse[len(targets) :]] -= coins
         residuals.append(_norm(diff))
+        del upper  # so that the next step frees its coin block
     max_residual = max(residuals, default=0.0)
     psi0_norm = norm(psi0)
     passed = max_residual < tol * psi0_norm

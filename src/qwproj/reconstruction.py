@@ -199,13 +199,29 @@ def _fiber_stacks(
     is (1/M) sum_j exp(-2i*pi*t*j/M) times the coin vector at position f in
     the j-th state.  One FFT along the phase axis keeps the reduction order
     fixed and numerically stable.
+
+    The FFT sums M terms before it divides by M, and the real or imaginary
+    part of each term is at most twice the block's largest part.  A block
+    whose 2M-fold largest part could pass the float maximum is therefore
+    scaled down by a power of two before the FFT and back up after: that
+    moves no bit while nothing over- or underflows, and on such a block the
+    unscaled sums would overflow.
     """
     m = len(states)
     sites, inverse = group_rows(np.concatenate([st.coords for st in states]))
     block = np.zeros((m, len(sites), dim), dtype=np.complex128)
     member = np.repeat(np.arange(m), [len(st.coins) for st in states])
     block[member, inverse] = np.concatenate([st.coins for st in states])
-    return sites, np.fft.fft(block, axis=0) / m
+    parts = block.view(np.float64)
+    big = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    shift = max(0, math.frexp(big)[1] + (2 * m).bit_length() - 1023)
+    if shift:
+        parts *= 2.0**-shift
+    bins = np.fft.fft(block, axis=0) / m
+    if shift:
+        parts = bins.view(np.float64)
+        parts *= 2.0**shift
+    return sites, bins
 
 
 def reconstruct(

@@ -108,6 +108,12 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sparse box, which includes every box too large for an int64 key, or of
     exact Python integers) is grouped by a ``lexsort`` and a run-boundary
     diff.
+
+    The box branch holds the block only until the keys are built, which
+    serves the lifetime rule of a walk step (the state it makes, the coined
+    block and one merge): a caller that hands over its only reference, as
+    a step's merge hands over its image block, has the block freed before
+    the grouping allocates its own arrays.
     """
     m, d = rows.shape
     if m >= _DENSE_MIN_ROWS and rows.dtype != object:
@@ -116,6 +122,7 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lows = [int(c.min()) for c in cols]
         spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
         if math.prod(spans) <= _DENSE_BOX_PER_ROW * m:
+            del rows  # the column views hold the block now, until they are keyed
             return _group_in_box(cols, lows, spans)
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
@@ -131,20 +138,28 @@ def _group_in_box(
     cols: list[np.ndarray], lows: list[int], spans: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`group_rows` for a block whose box (``lows``, ``spans`` per
-    column) has few cells: key each row by its row-major offset in the box."""
+    column) has few cells: key each row by its row-major offset in the box.
+
+    The column views are taken over: the list is emptied once the keys are
+    built, and the box arrays and the keys go before the sites are
+    unravelled, so each stage holds only the arrays it still reads.
+    """
     key = cols[0] - lows[0]
-    for c, lo, span in zip(cols[1:], lows[1:], spans[1:]):
-        key *= span
-        key += c
-        key -= lo
+    for j in range(1, len(cols)):
+        key *= spans[j]
+        key += cols[j]
+        key -= lows[j]
+    cols.clear()
     occupied = np.zeros(math.prod(spans), dtype=bool)
     occupied[key] = True
     distinct = occupied.nonzero()[0]
     rank = np.empty(len(occupied), dtype=np.intp)
+    del occupied
     rank[distinct] = np.arange(len(distinct))
     inverse = rank[key]
-    sites = np.empty((len(distinct), len(cols)), dtype=np.int64)
-    for j in range(len(cols) - 1, 0, -1):
+    del rank, key
+    sites = np.empty((len(distinct), len(lows)), dtype=np.int64)
+    for j in range(len(lows) - 1, 0, -1):
         distinct, offset = np.divmod(distinct, spans[j])
         sites[:, j] = offset + lows[j]
     sites[:, 0] = distinct + lows[0]

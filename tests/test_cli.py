@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour, exit codes, and artifact formats."""
 
+import cmath
 import contextlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwproj import catalog, hilbert, state_new
 from qwproj.cli import main, parse_phi
+from qwproj.projection import NULL_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -474,6 +478,42 @@ class TestInitAtAnyScale:
         assert data["passed"] and data["psi0_norm"] == amplitude
         assert data[error] < 1e-14 * amplitude
 
+    def test_subnormal_projected_norm_normalizes(self, tmp_path):
+        # 1 / norm overflows for a subnormal norm; the distribution is still
+        # finite and sums to one, without a RuntimeWarning (an error here)
+        dist = tmp_path / "d.csv"
+        init = json.dumps({"space": "z1", "support": [{"pos": [0], "coin": [[1e-320, 0], [0, 0]]}]})
+        assert main(["run", "--scenario", "line_to_circle", "--n-circle", "4", "--steps", "3",
+                     "--out-dist", str(dist), "--init", init]) == 0
+        probs = [float(row.split(",")[1]) for row in dist.read_text().splitlines()[1:]]
+        assert probs and all(map(math.isfinite, probs))
+        assert abs(sum(probs) - 1.0) < 1e-10
+
+    @staticmethod
+    def reconstruct_report(tmp_path, amplitude: float) -> dict:
+        out = tmp_path / "report.json"
+        init = json.dumps({"space": "z2", "support": [
+            {"pos": [0, 0], "coin": [[amplitude, 0], [0, 0], [0, 0], [0, 0]]}]})
+        assert main(["reconstruct", "--k", "2", "--l", "1", "--steps", "10", "--init", init,
+                     "--out-report", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_reconstruct_near_the_float_maximum(self, tmp_path):
+        # the phase sums of 7 samples of 1e308 pass the float maximum
+        data = self.reconstruct_report(tmp_path, 1e308)
+        assert data["passed"] and data["max_error"] < 1e-14 * 1e308
+
+    def test_scaled_phase_sums_move_no_bit(self, tmp_path):
+        # At 1e307 the phase sums are scaled by a power of two before the
+        # FFT; 2**8 below they are not, and the recovered amplitudes are the
+        # same bits, 2**8 apart.
+        big = self.reconstruct_report(tmp_path, 1e307)
+        small = self.reconstruct_report(tmp_path, 1e307 / 2**8)
+        amps = [np.array([e["coin"] for e in data["recovered_state"]["support"]])
+                for data in (big, small)]
+        assert np.array_equal(amps[0], amps[1] * 2**8)
+        assert big["max_error"] == small["max_error"] * 2**8
+
 
 # Numbers of every magnitude a dump can carry: floats from the subnormal
 # 1e-320 up to the float maximum, exact integers up to 10**400, and the
@@ -590,6 +630,111 @@ class TestInitBoundary:
     def test_mutated_dumps(self, command, data, depth):
         valid = _dump("z1", 1) if command == "z1" else _dump("z2", 2)
         self.check(command, _init_text(data.draw(_mutated(valid)), depth))
+
+
+# Phases of the null-projection property; each state drawn may add the
+# phase at which it cancels.
+_PHASES = (0.0, 0.4, math.pi / 3, math.pi / 2, math.pi, -math.pi / 4)
+_ENTRIES = (0, 1, -1, 1j, -1j, 0.5 + 0.5j)
+_NULL_STEPS = "3"
+
+
+@st.composite
+def _verify_case(draw):
+    """A verify call on a catalog scenario and an initial state: a
+    distinguished state, up to three sites with small entries, or a state
+    built to cancel in one fiber at the drawn phase.  Returns the CLI
+    arguments, the scenario descriptor, the phase and the --init text."""
+    name = draw(st.sampled_from(catalog.SCENARIO_NAMES))
+    params, flags = {}, []
+    if name == "lattice_to_jumps":
+        params["k"] = draw(st.sampled_from([-1, 1, 2, 3]))
+        flags.append(f"--k={params['k']}")
+    if name == "line_to_circle":
+        params["n_circle"] = draw(st.sampled_from([1, 2, 3, 4]))
+        flags.append(f"--n-circle={params['n_circle']}")
+    desc = catalog.scenario(name, **params)
+    pmap, space = desc.pmap, desc.walk.space
+    phased = pmap.sigma_array is not None
+    window = list(itertools.product(range(-3, 4), repeat=space.dimension))
+    kind = draw(st.sampled_from(["distinguished", "sites", "cancelling"]))
+    if kind == "distinguished":
+        state = desc.distinguished_states[draw(st.sampled_from(sorted(desc.distinguished_states)))]()
+        support = dict(state.support)
+        phis = list(_PHASES)
+        if phased and len(support) == 2:
+            # a two-site state in one fiber, as "pair" is under some maps,
+            # cancels where exp(i*phi*(sigma_1 - sigma_0)) turns the second
+            # site's share into minus the first's, if the two are parallel
+            (p0, v0), (p1, v1) = support.items()
+            block = np.array([p0, p1], dtype=np.int64)
+            (r0, r1), (s0, s1) = pmap.rho_array(block).tolist(), pmap.sigma_array(block).tolist()
+            if r0 == r1:
+                j = np.flatnonzero(v1)[0]
+                phis.append(cmath.phase(-v0[j] / v1[j]) / (s1 - s0))
+        phi = draw(st.sampled_from(phis)) if phased else 0.0
+    else:
+        phi = draw(st.sampled_from(_PHASES)) if phased else 0.0
+        sites = draw(st.lists(st.sampled_from(window), min_size=0 if kind == "sites" else 1,
+                              max_size=3, unique=True))
+        support = {p: np.array([draw(st.sampled_from(_ENTRIES)) for _ in range(space.coin_dimension)],
+                               dtype=complex) for p in sites}
+        if kind == "cancelling":
+            # one more site in the fiber of the first, carrying minus the
+            # first's share at this phase
+            first = sites[0]
+            block = np.array(window, dtype=np.int64)
+            targets = pmap.rho_array(block).tolist()
+            mates = [q for q, r in zip(window, targets)
+                     if r == targets[window.index(first)] and q not in support]
+            if mates:
+                q = draw(st.sampled_from(mates))
+                shift = 0.0
+                if phi != 0.0:
+                    s_first, s_q = pmap.sigma_array(np.array([first, q], dtype=np.int64)).tolist()
+                    shift = phi * (s_first - s_q)
+                support[q] = -support[first] * cmath.exp(1j * shift)
+    state = state_new(space, list(support.items()))
+    init = json.dumps(hilbert.to_json_dict(state))
+    argv = ["verify", "--scenario", name, *flags, f"--phi={phi!r}", "--steps", _NULL_STEPS,
+            "--init", init]
+    return argv, desc, phi, init
+
+
+def _cancels(desc, phi: float, init: str) -> bool:
+    """Whether the phi-weighted fiber sums of the dumped state, taken over its
+    support with cmath.exp, have norm at most NULL_TOL times its norm."""
+    space, pmap = desc.walk.space, desc.pmap
+    support = hilbert.from_json_dict(space, json.loads(init)).support
+    if not support:
+        return True
+    block = np.array(list(support), dtype=np.int64)
+    targets = map(tuple, pmap.rho_array(block).tolist())
+    sigmas = pmap.sigma_array(block).tolist() if phi != 0.0 else [0] * len(support)
+    sums = {}
+    for target, sigma, vec in zip(targets, sigmas, support.values()):
+        weight = cmath.exp(1j * phi * sigma)
+        old = sums.get(target, [0j] * len(vec))
+        sums[target] = [a + weight * complex(v) for a, v in zip(old, vec)]
+    projected = math.sqrt(sum(abs(a) ** 2 for vec in sums.values() for a in vec))
+    source = math.sqrt(sum(abs(complex(v)) ** 2 for vec in support.values() for v in vec))
+    return projected <= NULL_TOL * source
+
+
+class TestNullProjectionExit:
+    """verify exits 3 exactly where the initial projection cancels."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=_verify_case())
+    def test_exit_3_only_where_the_projection_cancels(self, case):
+        argv, desc, phi, init = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if _cancels(desc, phi, init):
+            assert code == 3, (argv, out.getvalue())
+        else:
+            assert code in (0, 4), (argv, err.getvalue())
 
 
 class TestReportsCarryTheInitialNorm:

@@ -1,15 +1,18 @@
 """Coin/step operators, the two evolution engines, and dense oracles."""
 
+import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwproj import walk
+from qwproj import catalog, walk
 from qwproj import (
     CoinAssignment,
     DimensionMismatch,
@@ -26,6 +29,7 @@ from qwproj import (
     dense_unitary,
     evolve,
     evolve_recurrence,
+    from_json_dict,
     grover_coin,
     hadamard_coin,
     induced_walk,
@@ -37,6 +41,7 @@ from qwproj import (
     scale,
     state_new,
     state_to_vector,
+    verify_commutation,
 )
 from qwproj.spaces import group_rows
 from conftest import evolve_both, haar_unitary, random_sparse_state, walk_zoo
@@ -157,6 +162,52 @@ class TestCoinPanels:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) < 25.0
+
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` above the memory traced before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """A step holds the state it makes, the coined block and one merge: the
+    previous state's coin block and the merge's image block are freed once
+    they are used."""
+
+    def test_commutation_check_peak(self, monkeypatch):
+        # plane_verify's call: 10 201 planar sites at the last step, where
+        # one state is 0.8 MB; holding the spent blocks took it to 3.7 MB
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+        spec.loader.exec_module(bench)
+        dump = json.loads(bench.initial_state(bench.WORKLOADS["plane_verify"], bench.DEFAULT_SEED))
+        desc = catalog.scenario("grover2d_to_lazy")
+        psi0 = from_json_dict(Z2, dump)
+        peak = _traced_peak(lambda: verify_commutation(desc.walk, desc.pmap, 0.0, psi0, 100))
+        assert peak < 3.0e6
+
+    def test_merge_peak_follows_its_result(self):
+        # the 100-step planar support: 10 000 sites, 40 000 image rows
+        t = 99
+        x, y = np.meshgrid(np.arange(-t, t + 1), np.arange(-t, t + 1), indexing="ij")
+        inside = (abs(x) + abs(y) <= t) & ((x + y - t) % 2 == 0)
+        coords = np.column_stack([x[inside], y[inside]]).astype(np.int64)
+        assert len(coords) == 10_000
+        merge = []
+        peak = _traced_peak(lambda: merge.append(walk._merge_images(Z2, coords)))
+        sites, inverse = merge[0]
+        assert peak <= 2.5 * (sites.nbytes + inverse.nbytes)
 
 
 class TestStepOperator:
