@@ -41,8 +41,9 @@ from .spaces import (
     _Record,
     _count,
     _debug,
+    _finite,
+    _position_block,
     check_same_space,
-    exact_block,
     group_rows,
     reachable_window,
 )
@@ -108,8 +109,9 @@ def project_state(
     cancellation (an all-zero or empty input always raises).
 
     The map acts on the state's coordinate block through its ``rho_array``
-    and ``sigma_array``.
+    and ``sigma_array``.  phi must be finite (InvalidParameter otherwise).
     """
+    _finite(phi, "phi")
     sites, out = _project_phases(pmap, (phi,), state)
     projected = WalkState.from_blocks(pmap.target, sites, out[0])
     if normalize:
@@ -249,20 +251,19 @@ def check_coin_homogeneity(
 ) -> HomogeneityReport:
     """Check that the coin matrix is constant on every rho-class of the window.
 
-    The window is a coordinate block or an iterable of position tuples; the
-    coin function and the report see positions as tuples of Python ints.
+    The window is a coordinate block or an iterable of position tuples of
+    the source space (InvalidPosition otherwise); the coin function and the
+    report see positions as tuples of Python ints.
     Positional coins are compared entrywise against the first representative
     seen in each class, with tolerance ``HOMOGENEITY_TOL``; the first
     violating pair is reported together with its largest entry deviation.
     """
-    if isinstance(window, np.ndarray):
-        window = window.tolist()
-    xs = sorted(set(map(tuple, window)))
-    targets = map(tuple, pmap.rho_array(exact_block(xs, pmap.source.dimension)).tolist())
+    coords = _position_block(window, pmap.source)
+    targets = map(tuple, pmap.rho_array(coords).tolist())
     if walk.coin.is_homogeneous:
         return HomogeneityReport(True, len(set(targets)))
     reps: dict[Position, tuple[Position, np.ndarray]] = {}
-    for pos, cls in zip(xs, targets):
+    for pos, cls in zip(map(tuple, coords.tolist()), targets):
         mat = walk.coin.at(pos)
         if cls not in reps:
             reps[cls] = (pos, mat)
@@ -285,13 +286,14 @@ def induced_walk(
     The induced displacements are those carried by the map's target space;
     the coin at a target position is the source coin at any fiber
     representative.  For phi != 0 the step picks up exp(i*phi*sigma_c)
-    phases per direction.
+    phases per direction; phi must be finite (InvalidParameter otherwise).
 
     A homogeneous coin descends unconditionally.  A positional coin needs a
     ``window`` of source positions (a block or position tuples) over which
     fiber-constancy is checked (InhomogeneousCoin on failure); pass the
     causally relevant region, e.g. the initial support's reachable window.
     """
+    _finite(phi, "phi")
     check_same_space(walk.space, pmap.source, "walk fed to the projection")
     if walk.coin.is_homogeneous:
         coin = walk.coin

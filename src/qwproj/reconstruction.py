@@ -57,7 +57,9 @@ from .errors import (
 )
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
-from .spaces import Position, ProjectionMap, _count, _debug, _integer, _position_block, group_rows
+from .spaces import (
+    Position, ProjectionMap, _count, _debug, _finite, _integer, _position_block, group_rows
+)
 from .walk import WalkSpec, _walk_blocks
 
 GRID_TOL = 1e-9
@@ -72,8 +74,9 @@ __all__ = [
 
 
 def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
-    """The uniform grid delta + 2*pi*j/samples for j = 0..samples-1."""
+    """The uniform grid delta + 2*pi*j/samples for j = 0..samples-1, delta finite."""
     samples = _count(samples, "phase sample count", 1)
+    _finite(delta, "grid offset delta")
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
 
 
@@ -113,7 +116,7 @@ def plan_reconstruction(
     """
     if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = _position_block(candidates, pmap.source.dimension)
+    coords = _position_block(candidates, pmap.source)
     if samples is None:
         fibers, fiber_of = group_rows(pmap.rho_array(coords))
         sigma = pmap.sigma_array(coords)
@@ -181,7 +184,7 @@ def _sorted_grid(
     m = len(ordered)
     step = 2.0 * math.pi / m
     for j in range(1, m):
-        if abs((ordered[j][0] - ordered[0][0]) - j * step) > GRID_TOL:
+        if not abs((ordered[j][0] - ordered[0][0]) - j * step) <= GRID_TOL:  # NaN too
             raise InconsistentGrid(
                 f"sample {j} at phi={ordered[j][0]:.12g} is off the uniform "
                 f"grid of spacing 2*pi/{m}"
@@ -273,7 +276,7 @@ def reconstruct_support(
     """
     if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = _position_block(candidates, pmap.source.dimension)
+    coords = _position_block(candidates, pmap.source)
     states = _sorted_grid(projections)
     targets, bin_of = _bins(pmap, coords, len(states))
     fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)

@@ -2,11 +2,13 @@
 
 A walking space is an (at most countable) set of positions together with an
 ordered family of injective displacements acting on it.  Each position rule
-is defined once, as an action on an ``(n, d)`` coordinate block: int64
-while every coordinate fits, or object-dtype Python integers
-(:func:`exact_block`), on which it is exact and unbounded and which its
-scalar form uses.  A block that could leave the int64 range takes the
-exact form before the arithmetic, so coordinates never wrap around.
+has one form, an action on an ``(n, d)`` coordinate block (one position is
+a one-row block): int64 while every coordinate fits, or object-dtype Python
+integers (:func:`exact_block`), on which it is exact and unbounded.  A
+block that could leave the int64 range takes the exact form before the
+arithmetic, so coordinates never wrap around.  One reader takes every
+window, refusing positions off the space, and one routine builds a block's
+images along every displacement, for a walk step and a window hop alike.
 Quotient constructors return :class:`ProjectionMap` objects bundling the
 surjection ``rho``, the optional additive weight ``sigma``, the induced
 displacement family on the quotient, and the bookkeeping needed to invert
@@ -22,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPosition, MissingSigma, SpaceMismatch
+from .errors import InvalidParameter, InvalidPosition, SpaceMismatch
 
 Position = tuple[int, ...]
 
@@ -49,16 +51,21 @@ def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray
     """The ``(len(positions), d)`` coordinate block of the positions (tuples or
     block rows), in their order: int64 when every coordinate is within
     +-COORD_LIMIT, else exact Python integers.  InvalidPosition names the
-    first position with a coordinate that :func:`_is_integer` refuses (any
-    in a float block)."""
-    if isinstance(positions, np.ndarray) and positions.dtype.kind != "i":
-        # checked entry by entry: a cast would truncate floats and wrap uint64
-        positions = positions.reshape(len(positions), d).tolist()
-    if not isinstance(positions, np.ndarray) and not all(
-        map(_integer_type, set(map(type, chain.from_iterable(positions))))
-    ):
-        bad = next(p for p in positions if not all(map(_is_integer, p)))
-        raise InvalidPosition(f"position {tuple(bad)} has a coordinate that is not an integer")
+    first position without ``d`` coordinates or with one that
+    :func:`_is_integer` refuses (any in a float block)."""
+    if isinstance(positions, np.ndarray):
+        if positions.ndim != 2:
+            raise InvalidPosition(f"a coordinate block has shape (n, {d}), not {positions.shape}")
+        if positions.dtype.kind != "i" or positions.shape[1] != d:
+            # checked entry by entry: a cast would truncate floats and wrap uint64
+            positions = positions.tolist()
+    if not isinstance(positions, np.ndarray):
+        bad = next((p for p in positions if len(p) != d), None)
+        if bad is not None:
+            raise InvalidPosition(f"position {tuple(bad)} has {len(bad)} coordinates, not {d}")
+        if not all(map(_integer_type, set(map(type, chain.from_iterable(positions))))):
+            bad = next(p for p in positions if not all(map(_is_integer, p)))
+            raise InvalidPosition(f"position {tuple(bad)} has a coordinate that is not an integer")
     try:
         coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
     except OverflowError:
@@ -66,22 +73,24 @@ def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray
     return _exact_beyond(coords, COORD_LIMIT)
 
 
-def _position_block(positions: np.ndarray | Iterable[Position], d: int) -> np.ndarray:
-    """The sorted, distinct ``(n, d)`` coordinate block of a coordinate block
-    or of position tuples."""
+def _position_block(positions: np.ndarray | Iterable[Position], space: PositionSpace) -> np.ndarray:
+    """The sorted, distinct block of a window of the space's positions (a block
+    or tuples).  InvalidPosition names a position :func:`pack_positions`
+    refuses, else the first or the last if off the space: a finite space is a
+    cycle, so its first coordinate bounds the rest."""
     if not isinstance(positions, np.ndarray):
         positions = [tuple(p) for p in positions]
-    return group_rows(pack_positions(positions, d))[0]
+    coords = group_rows(pack_positions(positions, space.dimension))[0]
+    for p in map(tuple, coords[[0, -1]].tolist() if len(coords) else []):
+        if not space.contains(p):
+            raise InvalidPosition(f"{p} is not a position of space {space.name!r}")
+    return coords
 
 
 def exact_block(positions: Iterable[Position], d: int) -> np.ndarray:
     """The ``(n, d)`` object-dtype block of the positions as Python integers."""
     rows = [[int(c) for c in p] for p in positions]
     return np.array(rows, dtype=object).reshape(len(rows), d)
-
-
-def _on_position(action: Callable[[np.ndarray], np.ndarray], p: Position) -> Position:
-    return tuple(action(exact_block([p], len(p)))[0].tolist())
 
 
 # group_rows keys a block by its bounding box when the block has at least
@@ -230,8 +239,8 @@ class Displacement(_Record):
     ``apply_array`` moves every row of an ``(n, d)`` coordinate block (int64
     or exact object dtype, see the module docstring) forward, and
     ``unapply_array`` is its inverse on the image (total for all catalog
-    spaces, whose displacements are bijections); :meth:`apply` and
-    :meth:`unapply` are the same maps on one position.
+    spaces, whose displacements are bijections); one position moves as a
+    one-row block (:func:`displacement_apply`).
     ``delta`` is set for pure integer translations.  ``reach`` bounds how far
     one application moves any coordinate; it defaults to the largest
     ``|delta|`` entry and must be given for displacements without a delta.
@@ -251,15 +260,9 @@ class Displacement(_Record):
                 )
             object.__setattr__(self, "reach", max(abs(v) for v in self.delta))
 
-    def apply(self, p: Position) -> Position:
-        return _on_position(self.apply_array, p)
-
-    def unapply(self, p: Position) -> Position:
-        return _on_position(self.unapply_array, p)
-
 
 class PositionSpace(_Record):
-    """A named position set with its ordered displacement family.
+    """A named position set with its ordered family of displacements, at least one.
 
     The name is the space's identity, so the constructors name each space by
     its structure, its displacements included: states on spaces of one name
@@ -276,6 +279,8 @@ class PositionSpace(_Record):
 
     def __post_init__(self) -> None:
         labels = [d.label for d in self.displacements]
+        if not labels:
+            raise InvalidParameter(f"space {self.name!r} has no displacements")
         if len(set(labels)) != len(labels):
             raise InvalidParameter(f"duplicate displacement labels: {labels}")
         if self.size is not None and self.dimension != 1:
@@ -333,7 +338,7 @@ class ProjectionMap(_Record):
     ``section`` picks one representative per fiber.
     ``rho_array`` and ``sigma_array`` define both on coordinate blocks (see
     the module docstring), returning ``(n, d')`` targets and ``(n,)`` weights;
-    :meth:`rho` and :meth:`sigma` are the same maps on one position.
+    one position maps as a one-row block.
     ``invert_rs`` recovers the unique source position from the value pair
     ``(rho, sigma)`` for maps where that pair is a bijective coordinate
     change (the planar lattice quotients).
@@ -350,14 +355,6 @@ class ProjectionMap(_Record):
     invert_rs: Callable[[int, int], Position] | None = None
     name: str = ""
 
-    def rho(self, p: Position) -> Position:
-        return _on_position(self.rho_array, p)
-
-    def sigma(self, p: Position) -> int:
-        if self.sigma_array is None:
-            raise MissingSigma(f"projection {self.name!r} has no sigma homomorphism")
-        return int(self.sigma_array(exact_block([p], len(p)))[0])
-
     @property
     def sigma_c(self) -> dict[str, int] | None:
         """The step weights sigma(x . c) - sigma(x) by displacement label, read
@@ -365,10 +362,9 @@ class ProjectionMap(_Record):
         if self.sigma_array is None:
             return None
         origin = np.zeros((1, self.source.dimension), dtype=np.int64)
-        disps = self.source.displacements
-        steps = np.concatenate([origin] + [d.apply_array(origin) for d in disps])
+        steps = np.concatenate([origin, _image_block(self.source, origin)])
         at_origin, *stepped = self.sigma_array(steps).tolist()
-        return {d.label: w - at_origin for d, w in zip(disps, stepped)}
+        return {d.label: w - at_origin for d, w in zip(self.source.displacements, stepped)}
 
 
 class ConsistencyReport(_Record):
@@ -411,6 +407,12 @@ def _integer(n, what: str) -> int:
     if not _is_integer(n):
         raise InvalidParameter(f"{what} must be an integer, got {n!r}")
     return int(n)
+
+
+def _finite(x, what: str) -> None:
+    """InvalidParameter unless x is a finite number."""
+    if not math.isfinite(x):
+        raise InvalidParameter(f"{what} must be finite, got {x!r}")
 
 
 def _count(n, what: str, least: int = 0) -> int:
@@ -513,12 +515,10 @@ def displacement_apply(space: PositionSpace, x: Position, label: str) -> Positio
     """Apply the displacement named ``label`` to position ``x``.
 
     Raises InvalidPosition if ``x`` is not in the space and
-    InvalidParameter if the label is not declared.
+    InvalidParameter if the label is not declared; the image is exact.
     """
-    x = tuple(x)
-    if not space.contains(x):
-        raise InvalidPosition(f"{x} is not a position of space {space.name!r}")
-    return space.displacement(label).apply(x)
+    block = _position_block([x], space).astype(object)
+    return tuple(space.displacement(label).apply_array(block)[0].tolist())
 
 
 def bezout(k: int, l: int) -> BezoutPair:
@@ -617,15 +617,17 @@ def check_rho_consistency(pmap: ProjectionMap, window: Iterable[Position]) -> Co
     Both implications are verified for every position pair in the window and
     every displacement of the source space; the first counterexample found
     is reported as (x, y, label, direction) where direction says which
-    implication broke.  Failure is a report, never an exception.
+    implication broke.  Failure is a report, never an exception; a window
+    position off the source space (a block row or a tuple) is InvalidPosition.
     """
-    xs = sorted(set(tuple(p) for p in window))
+    block = _position_block(window, pmap.source)
+    xs = list(map(tuple, block.tolist()))
     n = len(xs)
     pairs = n * (n - 1) // 2
-    block = exact_block(xs, pmap.source.dimension)
     rho_of = dict(zip(xs, map(tuple, pmap.rho_array(block).tolist())))
-    for disp in pmap.source.displacements:
-        img = dict(zip(xs, map(tuple, pmap.rho_array(disp.apply_array(block)).tolist())))
+    images = list(map(tuple, pmap.rho_array(_image_block(pmap.source, block)).tolist()))
+    for i, disp in enumerate(pmap.source.displacements):
+        img = dict(zip(xs, images[i * n : (i + 1) * n]))
         # forward: equal classes must keep equal image classes;
         # backward: equal image classes must come from equal classes.
         for direction, key, value in (("forward", rho_of, img), ("backward", img, rho_of)):
@@ -645,21 +647,35 @@ def reachable_window(
     ``start`` is a coordinate block or an iterable of position tuples.  The
     window comes back as the sorted, distinct ``(n, d)`` coordinate block
     that :attr:`~qwproj.hilbert.WalkState.coords` also is; test membership
-    on ``set(map(tuple, window.tolist()))``.
+    on ``set(map(tuple, window.tolist()))``.  A start position that is not
+    one of the space's raises InvalidPosition.
     """
-    disps = space.displacements
-    bound = COORD_LIMIT - max(d.reach for d in disps)
-    seen = _position_block(start, space.dimension)
+    seen = _position_block(start, space)
     frontier = seen
     for _ in range(_count(steps, "step count")):
         if not len(frontier):
             break
-        frontier = _exact_beyond(frontier, bound)
-        images = np.concatenate([d.apply_array(frontier) for d in disps])
-        merged, inverse = group_rows(np.concatenate([seen, images]))
+        merged, inverse = group_rows(np.concatenate([seen, _image_block(space, frontier)]))
         known = np.zeros(len(merged), dtype=bool)
         known[inverse[: len(seen)]] = True
         frontier = merged[~known]
         seen = merged
     return seen
 
+
+def _image_block(space: PositionSpace, coords: np.ndarray) -> np.ndarray:
+    """The images of an ``(n, d)`` coordinate block along every displacement,
+    stacked in displacement order, as exact Python integers if a hop could
+    leave the int64 range.  They are written into one block one at a time,
+    of the first image's dtype (a huge circle's images are exact even from
+    an int64 block)."""
+    disps = space.displacements
+    coords = _exact_beyond(coords, COORD_LIMIT - max(d.reach for d in disps))
+    n = len(coords)
+    image = disps[0].apply_array(coords)
+    block = np.empty((len(disps) * n,) + image.shape[1:], dtype=image.dtype)
+    block[:n] = image
+    del image
+    for i, disp in enumerate(disps[1:], 1):
+        block[i * n : (i + 1) * n] = disp.apply_array(coords)
+    return block

@@ -22,6 +22,15 @@ from qwproj import (
     max_abs_difference,
     state_new,
 )
+from qwproj.spaces import exact_block
+
+
+def on_position(action, p):
+    """A block action (such as ``apply_array``, ``rho_array`` or
+    ``sigma_array``) on the one position p, taken on a one-row exact block:
+    the image as a tuple of Python ints, or a weight as one Python int."""
+    image = action(exact_block([p], len(p)))[0]
+    return tuple(image.tolist()) if isinstance(image, np.ndarray) else image
 
 
 def random_sparse_state(

@@ -252,9 +252,9 @@ def test_criterion_6_consistency_checker():
     assert not rep.passed and rep.counterexample is not None
     x, y, label, _ = rep.counterexample
     disp = bad.source.displacement(label)
-    genuine = (bad.rho(x) == bad.rho(y)) != (
-        bad.rho(disp.apply(x)) == bad.rho(disp.apply(y))
-    )
+    before = bad.rho_array(np.array([x, y]))
+    after = bad.rho_array(disp.apply_array(np.array([x, y])))
+    genuine = (before[0] == before[1]).all() != (after[0] == after[1]).all()
     report(
         "criterion 6 consistency checker",
         genuine,

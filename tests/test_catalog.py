@@ -271,7 +271,8 @@ def _structure(space):
     """What tells two spaces apart: dimension, labels, and where each
     displacement takes the positions of a finite space or of a small box."""
     probe = space.positions or list(itertools.product(range(-2, 3), repeat=space.dimension))
-    images = tuple(tuple(d.apply(p) for p in probe) for d in space.displacements)
+    block = np.array(probe, dtype=np.int64)
+    images = tuple(tuple(map(tuple, d.apply_array(block).tolist())) for d in space.displacements)
     return space.dimension, space.labels, images
 
 

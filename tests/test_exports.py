@@ -48,7 +48,12 @@ SOURCES = sorted(Path(qwproj.__file__).parent.glob("*.py"))
 def referenced_names(path):
     """Every name a module's source refers to: bare names, attributes and
     imported names."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    return names_in(ast.parse(path.read_text()))
+
+
+def names_in(tree):
+    """Every name an AST node refers to, as :func:`referenced_names` reads them."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -63,6 +68,26 @@ def test_step_kernels_stay_in_walk(path):
     # that no second stepping loop grows outside walk.
     used = STEP_KERNELS & set(referenced_names(path))
     assert used == (STEP_KERNELS if path.name == "walk.py" else set())
+
+
+# The independent oracles move positions by their own code, so that the two
+# engines share no stepping code.
+IMAGE_ORACLES = {"_recurrence_step", "dense_unitary"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "spaces.py"], ids=lambda p: p.name
+)
+def test_images_are_built_in_spaces(path):
+    # Every other hop takes a block's images from spaces._image_block, so that
+    # no second image loop grows outside spaces.
+    tree = ast.parse(path.read_text())
+    users = {
+        node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ast.unparse(node)
+        for node in tree.body
+        if "apply_array" in set(names_in(node))
+    }
+    assert users <= IMAGE_ORACLES
 
 
 def test_cli_uses_public_names_only():

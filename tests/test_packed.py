@@ -18,7 +18,7 @@ from qwproj import (
     norm,
     state_new,
 )
-from conftest import evolve_both, haar_unitary, random_sparse_state, walk_zoo
+from conftest import evolve_both, haar_unitary, on_position, random_sparse_state, walk_zoo
 
 TOP = 2**63 - 1  # the int64 coordinate range is +-TOP
 # Offsets near the origin, far beyond int64, and at its edge, where a walk
@@ -91,7 +91,9 @@ class TestExplicitZeros:
         # Every site reached in exactly `steps` hops stays, whatever it holds.
         reached = set(psi.support)
         for _ in range(steps):
-            reached = {d.apply(p) for p in reached for d in spec.space.displacements}
+            reached = {
+                on_position(d.apply_array, p) for p in reached for d in spec.space.displacements
+            }
         assert set(evolved.support) == reached
         # Both engines keep every reached site, zero vectors included.  Which
         # slots cancel to an exact zero may differ between them by rounding.

@@ -43,7 +43,7 @@ from qwproj import (
 )
 from qwproj import projection as projection_module
 from qwproj import walk as walk_module
-from conftest import haar_unitary, identity_map, random_sparse_state
+from conftest import haar_unitary, identity_map, on_position, random_sparse_state
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -116,7 +116,7 @@ class TestProjectState:
         psi = state_new(Z2, [((edge, edge), GENERIC4)])
         out = project_state(pm, phi, psi)
         assert out.coords.tolist() == [[3 * edge]]
-        weight = np.exp(1j * phi * np.array([float(pm.sigma((edge, edge)))]))
+        weight = np.exp(1j * phi * np.array([float(on_position(pm.sigma_array, (edge, edge)))]))
         assert bits(out.coins).tobytes() == bits(GENERIC4 * weight).tobytes()
         pm = llattice_quotient()
         out = project_state(pm, phi, state_new(pm.source, [((edge, edge), (1, 0))]))
@@ -173,6 +173,10 @@ class TestProjectState:
         project_state(bare, 0.0, psi)  # fine without phases
         with pytest.raises(MissingSigma):
             project_state(bare, 0.5, psi)
+        walk = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
+        assert bare.sigma_c is None and induced_walk(walk, bare, 0.0).phase is None
+        with pytest.raises(MissingSigma):
+            induced_walk(walk, bare, 0.5)
 
     def test_normalize_flag(self, rng):
         psi = random_sparse_state(Z2, rng)
@@ -569,7 +573,9 @@ def test_positional_coins_constant_on_fibers_commute(name, seed, offset):
     space, pm = desc.walk.space, desc.pmap
     rng = np.random.default_rng(seed)
     mats = [haar_unitary(space.coin_dimension, rng) for _ in range(3)]
-    coin = CoinAssignment.positional(lambda p: mats[sum(pm.rho(p)) % 3], space.coin_dimension)
+    coin = CoinAssignment.positional(
+        lambda p: mats[sum(on_position(pm.rho_array, p)) % 3], space.coin_dimension
+    )
     psi = random_sparse_state(space, rng, points=3, radius=3, offset=offset)
     assert verify_commutation(WalkSpec(space, coin), pm, 0.0, psi, 8).passed
 

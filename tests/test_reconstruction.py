@@ -1,6 +1,7 @@
 """Phase-grid inversion: sigma bookkeeping, round trips, and failure modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ from qwproj import (
     reconstruct,
     reconstruct_support,
     state_new,
+    verify_commutation,
 )
 from qwproj.reconstruction import _fiber_stacks
-from conftest import random_sparse_state
+from conftest import on_position, random_sparse_state
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -48,7 +50,7 @@ def origin_state():
 
 def sigma_bounds(state, pmap):
     """Smallest and largest sigma over the state's support: a global window."""
-    sigmas = [pmap.sigma(pos) for pos in state.support]
+    sigmas = pmap.sigma_array(state.coords).tolist()
     return min(sigmas), max(sigmas)
 
 
@@ -93,16 +95,13 @@ class TestSigmaBounds:
         with pytest.raises(MissingSigma):
             reconstruct_support(family, bare, [(0, 0)])
 
-    def test_sigma_of_one_position_requires_sigma(self):
-        with pytest.raises(MissingSigma):
-            self.bare_map().sigma((0, 0))
-
 
 def widest_fiber(pmap, positions):
     """Loop oracle: the largest sigma span (max - min + 1) within one fiber."""
     fibers = {}
     for pos in positions:
-        fibers.setdefault(pmap.rho(pos), []).append(pmap.sigma(pos))
+        rho, sigma = on_position(pmap.rho_array, pos), on_position(pmap.sigma_array, pos)
+        fibers.setdefault(rho, []).append(sigma)
     return max(max(s) - min(s) + 1 for s in fibers.values())
 
 
@@ -171,6 +170,27 @@ class TestPlan:
             phase_grid(samples)
         with pytest.raises(InvalidParameter, match="phase sample count"):
             phase_projection_family(GROVER2D, pm, origin_state(), 2, samples)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_every_phase_input_refuses_a_non_finite_phase(self, phi):
+        # not NaN states, NaN step phases or a NaN-residual report
+        pm, psi = lattice_quotient(1, 0), origin_state()
+        named = re.escape(f"must be finite, got {phi!r}")
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            project_state(pm, phi, psi)
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            induced_walk(GROVER2D, pm, phi)
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            verify_commutation(GROVER2D, pm, phi, psi, 2)
+        with pytest.raises(InvalidParameter, match=f"^grid offset delta {named}"):
+            phase_grid(3, delta=phi)
+        with pytest.raises(InvalidParameter, match=f"^grid offset delta {named}"):
+            phase_projection_family(GROVER2D, pm, psi, 2, 3, delta=phi)
+        # a family built by hand at such a phase is off every uniform grid
+        family = phase_projection_family(GROVER2D, pm, psi, 2, 3)
+        family[1] = (phi, family[1][1])
+        with pytest.raises(InconsistentGrid):
+            reconstruct_support(family, pm, reachable_window(Z2, [(0, 0)], 2))
 
     @pytest.mark.parametrize("n", [-1, True, 2.5, 2.0])
     def test_family_refuses_a_bad_step_count(self, n):
@@ -398,7 +418,7 @@ class TestGridPhaseEquivariance:
         expected = WalkState(
             Z2,
             {
-                pos: np.exp(1j * pm.sigma(pos) * delta) * vec
+                pos: np.exp(1j * on_position(pm.sigma_array, pos) * delta) * vec
                 for pos, vec in evolved.support.items()
             },
         )
@@ -473,7 +493,7 @@ class TestFamilyProperties:
         expected = WalkState(
             Z2,
             {
-                pos: np.exp(1j * pm.sigma(pos) * delta) * vec
+                pos: np.exp(1j * on_position(pm.sigma_array, pos) * delta) * vec
                 for pos, vec in evolved.support.items()
             },
         )

@@ -25,6 +25,7 @@ from qwproj import (
     StepPhase,
     WalkSpec,
     bezout,
+    check_coin_homogeneity,
     check_rho_consistency,
     circle,
     cyclic_quotient,
@@ -35,16 +36,36 @@ from qwproj import (
     line,
     llattice,
     llattice_quotient,
+    plan_reconstruction,
     reachable_window,
+    reconstruct_support,
     state_new,
 )
 from qwproj import spaces
-from qwproj.spaces import check_same_space, group_rows
-from conftest import evolve_both, identity_map
+from qwproj.spaces import check_same_space, exact_block, group_rows
+from conftest import evolve_both, identity_map, on_position
 
 
 def square_window(r):
     return [(i, j) for i in range(-r, r + 1) for j in range(-r, r + 1)]
+
+
+def square_block(r):
+    return np.array(square_window(r), dtype=np.int64)
+
+
+def assert_sigma_additive(pmap, coords):
+    """sigma(x . c) = sigma(x) + sigma_c[c] on every row of the block."""
+    for d in pmap.source.displacements:
+        moved = pmap.sigma_array(d.apply_array(coords))
+        assert moved.tolist() == (pmap.sigma_array(coords) + pmap.sigma_c[d.label]).tolist()
+
+
+def assert_rho_homomorphic(pmap, coords):
+    """rho(x . c) = rho(x) . c on every row of the block, c the induced step."""
+    for d in pmap.source.displacements:
+        induced = pmap.target.displacement(d.label).apply_array(pmap.rho_array(coords))
+        assert pmap.rho_array(d.apply_array(coords)).tolist() == induced.tolist()
 
 
 class TestDisplacementApply:
@@ -64,9 +85,18 @@ class TestDisplacementApply:
         assert displacement_apply(sp, (0, 0), "b") == (-1, 0)
         assert displacement_apply(sp, (-1, 0), "b") == (-1, -1)
 
-    def test_invalid_position(self):
-        with pytest.raises(InvalidPosition):
-            displacement_apply(circle(4), (7,), "R")
+    @pytest.mark.parametrize(
+        "space, x", [(circle(4), (7,)), (circle(4), (-1,)), (line(), (0, 0))]
+    )
+    def test_invalid_position(self, space, x):
+        with pytest.raises(InvalidPosition, match=re.escape(f"{x} ")):
+            displacement_apply(space, x, space.labels[0])
+
+    def test_exact_past_int64(self):
+        top = 2**63 - 1
+        image = displacement_apply(line(), (top,), "R")
+        assert image == (top + 1,) and type(image[0]) is int
+        assert displacement_apply(circle(2**70), (2**70 - 1,), "R") == (0,)
 
     def test_unknown_label(self):
         with pytest.raises(InvalidParameter):
@@ -83,6 +113,14 @@ class TestDisplacementApply:
         twice = 2 * line().displacements
         with pytest.raises(InvalidParameter, match="duplicate displacement labels"):
             PositionSpace("z1", 1, twice)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: line(()), lambda: circle(4, ()), lambda: PositionSpace("z1", 1, ())]
+    )
+    def test_a_space_has_a_displacement(self, build):
+        # no walk steps on an empty family, and no hop has images
+        with pytest.raises(InvalidParameter, match="has no displacements"):
+            build()
 
     @pytest.mark.parametrize(
         "space, pos",
@@ -110,17 +148,17 @@ class TestDisplacementStructure:
         else:
             window = [(i,) for i in range(-8, 9)]
         for disp in space.displacements:
-            images = [disp.apply(p) for p in window]
-            assert len(set(images)) == len(images), disp.label
+            images = disp.apply_array(np.array(window, dtype=np.int64))
+            assert len(group_rows(images)[0]) == len(window), disp.label
 
     @pytest.mark.parametrize("space", [lattice_2d(), line(), circle(5), llattice()])
     def test_unapply_inverts(self, space):
         window = space.positions or (
             square_window(4) if space.dimension == 2 else [(i,) for i in range(-8, 9)]
         )
+        coords = np.array(window, dtype=np.int64)
         for disp in space.displacements:
-            for p in window:
-                assert disp.unapply(disp.apply(p)) == tuple(p)
+            np.testing.assert_array_equal(disp.unapply_array(disp.apply_array(coords)), coords)
 
     @pytest.mark.parametrize("space", [lattice_2d(), line(), circle(5), llattice()])
     def test_vectorized_action_matches(self, space):
@@ -128,9 +166,11 @@ class TestDisplacementStructure:
             square_window(3) if space.dimension == 2 else [(i,) for i in range(-5, 6)]
         )
         coords = np.array(window, dtype=np.int64)
+        exact = exact_block(window, space.dimension)
         for disp in space.displacements:
-            expected = np.array([disp.apply(p) for p in window], dtype=np.int64)
-            np.testing.assert_array_equal(disp.apply_array(coords), expected)
+            for act in (disp.apply_array, disp.unapply_array):
+                assert act(coords).dtype == np.int64
+                assert act(coords).tolist() == act(exact).tolist()
 
 
 B = 2**70  # far beyond int64, where only exact integer arithmetic is right
@@ -185,9 +225,9 @@ DISPLACEMENT_TABLE = [
 )
 def test_displacement_table(space, label, pos, image):
     disp = space.displacement(label)
-    assert disp.apply(pos) == image
-    assert disp.unapply(image) == pos
-    assert all(type(c) is int for c in disp.apply(pos) + disp.unapply(image))
+    forward, back = on_position(disp.apply_array, pos), on_position(disp.unapply_array, image)
+    assert forward == image and back == pos
+    assert all(type(c) is int for c in forward + back)
     if max(map(abs, pos)) < 2**31:
         block = disp.apply_array(np.array([pos], dtype=np.int64))
         assert block.dtype == np.int64 and block.tolist() == [list(image)]
@@ -213,8 +253,9 @@ UNBOUNDED_SPACES = [
 def test_every_displacement_round_trips_beyond_int64(space, far):
     pos = (far,) * space.dimension
     for disp in space.displacements:
-        image = disp.apply(pos)
-        assert disp.unapply(image) == pos and all(type(c) is int for c in image)
+        image = on_position(disp.apply_array, pos)
+        assert on_position(disp.unapply_array, image) == pos
+        assert all(type(c) is int for c in image)
         if disp.delta is not None:
             assert image == tuple(c + d for c, d in zip(pos, disp.delta))
 
@@ -256,8 +297,9 @@ MAP_TABLE = [
     ids=[f"{pm.name}-{i}" for i, (pm, _, _, _) in enumerate(MAP_TABLE)],
 )
 def test_map_table(pmap, pos, rho, sigma):
-    assert pmap.rho(pos) == rho and pmap.sigma(pos) == sigma
-    assert all(type(c) is int for c in pmap.rho(pos)) and type(pmap.sigma(pos)) is int
+    image, weight = on_position(pmap.rho_array, pos), on_position(pmap.sigma_array, pos)
+    assert image == rho and weight == sigma
+    assert all(type(c) is int for c in image) and type(weight) is int
     if max(map(abs, pos)) < 2**31:
         block = np.array([pos], dtype=np.int64)
         assert pmap.rho_array(block).tolist() == [list(rho)]
@@ -327,7 +369,7 @@ class TestLatticeQuotient:
 
     def test_projection_along_y(self):
         pm = lattice_quotient(1, 0)
-        assert pm.rho((7, -3)) == (7,)
+        assert on_position(pm.rho_array, (7, -3)) == (7,)
         assert [d.delta[0] for d in pm.target.displacements] == [1, -1, 0, 0]
 
     def test_jump_quotient(self):
@@ -344,37 +386,31 @@ class TestLatticeQuotient:
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (3, 5), (-2, 3)])
     def test_sigma_is_additive(self, k, l):
-        pm = lattice_quotient(k, l)
-        for p in square_window(3):
-            for d in pm.source.displacements:
-                assert pm.sigma(d.apply(p)) == pm.sigma(p) + pm.sigma_c[d.label]
+        assert_sigma_additive(lattice_quotient(k, l), square_block(3))
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (3, 5)])
     def test_rho_is_homomorphic_to_induced(self, k, l):
-        pm = lattice_quotient(k, l)
-        for p in square_window(3):
-            for d in pm.source.displacements:
-                assert pm.rho(d.apply(p)) == pm.target.displacement(d.label).apply(pm.rho(p))
+        assert_rho_homomorphic(lattice_quotient(k, l), square_block(3))
 
     @pytest.mark.parametrize("k,l", [(1, 0), (2, 1), (3, 5)])
     def test_section_and_inversion(self, k, l):
         pm = lattice_quotient(k, l)
         for r in range(-5, 6):
-            assert pm.rho(pm.section((r,))) == (r,)
+            assert on_position(pm.rho_array, pm.section((r,))) == (r,)
             for s in range(-5, 6):
                 p = pm.invert_rs(r, s)
-                assert pm.rho(p) == (r,) and pm.sigma(p) == s
+                assert on_position(pm.rho_array, p) == (r,)
+                assert on_position(pm.sigma_array, p) == s
 
 
 class TestCyclicQuotient:
     def test_mod_convention(self):
         pm = cyclic_quotient(4)
-        assert pm.rho((7,)) == (3,)
-        assert pm.rho((-1,)) == (3,)
+        assert pm.rho_array(np.array([[7], [-1]])).tolist() == [[3], [3]]
 
     def test_degenerate_single_vertex(self):
         pm = cyclic_quotient(1)
-        assert pm.rho((5,)) == (0,) and pm.rho((-9,)) == (0,)
+        assert pm.rho_array(np.array([[5], [-9]])).tolist() == [[0], [0]]
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidParameter):
@@ -392,14 +428,11 @@ class TestCyclicQuotient:
 
     def test_sigma_is_identity(self):
         pm = cyclic_quotient(4)
-        assert pm.sigma((-7,)) == -7
+        assert on_position(pm.sigma_array, (-7,)) == -7
         assert pm.sigma_c == {"R": 1, "L": -1}
 
     def test_rho_is_homomorphic_to_induced(self):
-        pm = cyclic_quotient(4)
-        for x in range(-9, 10):
-            for d in pm.source.displacements:
-                assert pm.rho(d.apply((x,))) == pm.target.displacement(d.label).apply(pm.rho((x,)))
+        assert_rho_homomorphic(cyclic_quotient(4), np.arange(-9, 10)[:, None])
 
 
 @pytest.mark.parametrize(
@@ -410,9 +443,7 @@ class TestCyclicQuotient:
     ],
 )
 def test_sigma_additive_on_all_quotients(pmap, window):
-    for p in window:
-        for d in pmap.source.displacements:
-            assert pmap.sigma(d.apply(p)) == pmap.sigma(p) + pmap.sigma_c[d.label]
+    assert_sigma_additive(pmap, np.array(window, dtype=np.int64))
 
 
 # The step weights in closed form: (-v, v, u, -u) from the Bezout pair (u, v)
@@ -440,15 +471,16 @@ class TestLLatticeQuotient:
     def test_generator_images(self):
         pm = llattice_quotient()
         sp = pm.source
-        assert pm.rho((0, 0)) == (0,)
-        assert pm.rho(displacement_apply(sp, (0, 0), "a")) == (1,)
-        assert pm.rho(displacement_apply(sp, (0, 0), "b")) == (-1,)
+        assert on_position(pm.rho_array, (0, 0)) == (0,)
+        assert on_position(pm.rho_array, displacement_apply(sp, (0, 0), "a")) == (1,)
+        assert on_position(pm.rho_array, displacement_apply(sp, (0, 0), "b")) == (-1,)
 
     def test_diagonal_shift_everywhere(self):
         pm = llattice_quotient()
-        for p in square_window(4):
-            assert pm.rho(pm.source.displacement("a").apply(p)) == (pm.rho(p)[0] + 1,)
-            assert pm.rho(pm.source.displacement("b").apply(p)) == (pm.rho(p)[0] - 1,)
+        coords = square_block(4)
+        for label, shift in (("a", 1), ("b", -1)):
+            moved = pm.rho_array(pm.source.displacement(label).apply_array(coords))
+            np.testing.assert_array_equal(moved, pm.rho_array(coords) + shift)
 
 
 def test_space_mismatch_names_both_lines():
@@ -480,9 +512,9 @@ class TestConsistencyCheck:
         x, y, label, direction = report.counterexample
         # replay the witness against the defining condition
         disp = bad.source.displacement(label)
-        same_before = bad.rho(x) == bad.rho(y)
-        same_after = bad.rho(disp.apply(x)) == bad.rho(disp.apply(y))
-        assert same_before != same_after
+        before = bad.rho_array(np.array([x, y]))
+        after = bad.rho_array(disp.apply_array(np.array([x, y])))
+        assert (before[0] == before[1]).all() != (after[0] == after[1]).all()
         assert direction in ("forward", "backward")
 
     def test_identity_passes(self):
@@ -520,7 +552,9 @@ class TestWindows:
         seen = set(start)
         frontier = set(seen)
         for _ in range(steps):
-            frontier = {d.apply(p) for p in frontier for d in space.displacements} - seen
+            frontier = {
+                on_position(d.apply_array, p) for p in frontier for d in space.displacements
+            } - seen
             seen |= frontier
         window = reachable_window(space, start, steps)
         assert window.dtype == np.int64 and window.shape == (len(seen), space.dimension)
@@ -586,6 +620,54 @@ class TestWindows:
         assert np.array_equal(reachable_window(line(), block, 2), by_tuples)
 
 
+def _plain_walk(space):
+    return WalkSpec(space, CoinAssignment.homogeneous(np.eye(space.coin_dimension)))
+
+
+# Every reader of a window of source positions, on a space with its identity map.
+WINDOW_READERS = {
+    "reachable_window": lambda space, window: reachable_window(space, window, 1),
+    "check_rho_consistency": lambda space, window: check_rho_consistency(
+        identity_map(space), window
+    ),
+    "check_coin_homogeneity": lambda space, window: check_coin_homogeneity(
+        _plain_walk(space), identity_map(space), window
+    ),
+    "plan_reconstruction": lambda space, window: plan_reconstruction(identity_map(space), window),
+    "reconstruct_support": lambda space, window: reconstruct_support(
+        [(0.0, state_new(space, [((0,) * space.dimension, np.eye(space.coin_dimension)[0])]))],
+        identity_map(space),
+        window,
+    ),
+}
+
+
+@pytest.mark.parametrize("read", WINDOW_READERS.values(), ids=WINDOW_READERS.keys())
+@pytest.mark.parametrize(
+    "space, window, named",
+    [
+        (lattice_2d(), [(0.5, 0), (0.7, 0)], (0.5, 0)),  # not truncated to (0, 0)
+        (line(), [(0,), (True,)], (True,)),
+        (lattice_2d(), [(0, 0), (1,)], (1,)),
+        (line(), [(0, 0)], (0, 0)),  # not a bare reshape error
+        (line(), np.array([[0, 0]]), (0, 0)),
+        (circle(4), [(7,)], (7,)),  # not a window around an off-circle position
+        (circle(4), [(2,), (-1,)], (-1,)),
+        (circle(4), np.array([[3], [4]]), (4,)),
+        (circle(2**70), [(2**70,)], (2**70,)),
+    ],
+    ids=lambda x: repr(x) if isinstance(x, (list, tuple)) else None,
+)
+def test_every_window_reader_refuses_a_position_off_the_space(read, space, window, named):
+    with pytest.raises(InvalidPosition, match=re.escape(f"{named} ")):
+        read(space, window)
+
+
+def test_a_window_block_has_two_axes():
+    with pytest.raises(InvalidPosition, match=re.escape("shape (n, 1), not (2,)")):
+        reachable_window(line(), np.array([0, 1]), 1)
+
+
 @pytest.mark.parametrize("step", [1.5, 1.0, True, "1"])
 @pytest.mark.parametrize("build", [line, lambda jumps: circle(4, jumps)])
 def test_jump_steps_must_be_integers(build, step):
@@ -641,7 +723,7 @@ class TestHugeCircles:
     @pytest.mark.parametrize("n", _HUGE_SIZES)
     def test_cyclic_quotient_folds_exactly(self, n):
         pm = cyclic_quotient(n)
-        assert pm.rho((-1,)) == (n - 1,) and pm.rho((n + 5,)) == (5,)
+        assert pm.rho_array(exact_block([(-1,), (n + 5,)], 1)).tolist() == [[n - 1], [5]]
         assert pm.rho_array(np.array([[-1], [TOP]], dtype=np.int64)).tolist() == [[n - 1], [TOP % n]]
 
 
