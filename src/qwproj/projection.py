@@ -112,7 +112,7 @@ def project_state(
     and ``sigma_array``.  phi must be finite (InvalidParameter otherwise).
     """
     _finite(phi, "phi")
-    sites, out = _project_phases(pmap, (phi,), state)
+    sites, out, _ = _project_phases(pmap, (phi,), state)
     projected = WalkState.from_blocks(pmap.target, sites, out[0])
     if normalize:
         size = norm(projected)
@@ -127,12 +127,19 @@ def project_state(
 
 
 def _project_phases(
-    pmap: ProjectionMap, phis: Sequence[float], state: WalkState
-) -> tuple[np.ndarray, np.ndarray]:
+    pmap: ProjectionMap, phis: Sequence[float], state: WalkState,
+    merge: np.ndarray | None = None, table: tuple[int, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`project_state` at each of M phases, grouping the fibers and
-    taking sigma once: the target sites and the ``(M, sites, dim)`` coin
-    block.  NullProjection is raised for the first phase, in the given
-    order, whose projection cancels."""
+    taking sigma once: the one routine that projects a state.
+
+    ``merge`` is None or target sites grouped with the rho-images, and
+    ``table`` the weights of a one-phase call (see :func:`_phase_weights`).
+    Returns the target sites, the ``(M, sites, dim)`` fiber sums on them
+    (zero at a merged site no fiber reaches) and the rows the merged sites
+    landed on.  NullProjection is raised for the first phase, in order,
+    whose projection's norm is at most ``NULL_TOL`` times the state's.
+    """
     check_same_space(state.space, pmap.source, "state fed to the projection")
     if pmap.target.coin_dimension != state.coin_dimension:
         raise SpaceMismatch(
@@ -142,23 +149,26 @@ def _project_phases(
     phased = any(phi != 0.0 for phi in phis)
     if phased and pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    sites, inverse = group_rows(pmap.rho_array(state.coords))
+    n = len(state.coins)
+    targets = pmap.rho_array(state.coords)
+    sites, inverse = group_rows(targets if merge is None else np.concatenate([targets, merge]))
     sigma = pmap.sigma_array(state.coords) if phased else None
     out = np.empty((len(phis), len(sites), pmap.target.coin_dimension), dtype=np.complex128)
     source_norm = norm(state)
     for j, phi in enumerate(phis):
-        out[j] = _fiber_sums(phi, state.coins, sigma, inverse, len(sites))
-        _check_not_null(pmap, out[j], source_norm)
-    return sites, out
+        out[j] = _fiber_sums(phi, state.coins, sigma, inverse[:n], len(sites), table)
+        total = _norm(out[j])
+        if total <= NULL_TOL * source_norm:
+            raise NullProjection(
+                f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
+                f"(input norm {source_norm:.3e})"
+            )
+    return sites, out, inverse[n:]
 
 
 def _fiber_sums(
-    phi: float,
-    coins: np.ndarray,
-    sigma: np.ndarray | None,
-    inverse: np.ndarray,
-    size: int,
-    table: tuple[int, np.ndarray] | None = None,
+    phi: float, coins: np.ndarray, sigma: np.ndarray | None, inverse: np.ndarray, size: int,
+    table: tuple[int, np.ndarray] | None,
 ) -> np.ndarray:
     """The ``(size, dim)`` fiber sums of an ``(n, dim)`` coin block at phase phi.
 
@@ -233,17 +243,6 @@ def _phase_table(
         return None
     lo, hi = max(lo - reach, -COORD_LIMIT), min(hi + reach, COORD_LIMIT)
     return lo, np.exp(1j * phi * (np.arange(hi - lo + 1) + lo))
-
-
-def _check_not_null(pmap: ProjectionMap, coins: np.ndarray, source_norm: float) -> None:
-    """Raise NullProjection when the projected coin block's norm is at most
-    ``NULL_TOL`` times the norm of the state it was projected from."""
-    total = _norm(coins)
-    if total <= NULL_TOL * source_norm:
-        raise NullProjection(
-            f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
-            f"(input norm {source_norm:.3e})"
-        )
 
 
 def check_coin_homogeneity(
@@ -343,9 +342,9 @@ def verify_commutation(
     computed incrementally (both branches advance one step per iteration).
     The check passes when the largest residual is below ``tol`` times the
     norm of psi0, so scaling psi0 does not change the verdict; ``tol`` must
-    be finite and > 0 (InvalidParameter otherwise).
-    A NullProjection on the initial state propagates to the caller; later
-    projections cannot vanish because the induced evolution is unitary.
+    be finite and > 0 (InvalidParameter otherwise).  Each projection, of
+    psi0 and of the parent after every step, raises NullProjection as
+    :func:`project_state` does when it cancels.
 
     The parent steps as :func:`~qwproj.walk.evolve` does, through
     :func:`~qwproj.walk.apply_coin` and :func:`~qwproj.walk.apply_step`,
@@ -356,9 +355,9 @@ def verify_commutation(
     they soon do on a finite quotient.  Each induced step is taken after
     the parent's, so an error either branch raises comes at the step where
     evolving that branch alone raises it.  Each step's projection and
-    residual share one merge: the parent's rho-images and the induced sites
-    are grouped together, the phase-weighted fiber sums are written onto
-    that union and the induced coins are subtracted there.  The parent's
+    residual share one merge: :func:`_project_phases` groups the induced
+    sites with the parent's rho-images, and the induced coins are
+    subtracted from the fiber sums there.  The parent's
     weights exp(i*phi*sigma) are read off one table of the same np.exp
     values over the sigma range the n steps can reach (see
     :func:`_phase_table`), and computed directly for a step whose sigma
@@ -366,8 +365,7 @@ def verify_commutation(
     followed by :func:`~qwproj.hilbert.diff_norm`.
     """
     n = _count(n, "step count")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameter(f"tol must be finite and > 0, got {tol!r}")
+    _finite(tol, "tol", positive=True)
     projected = project_state(pmap, phi, psi0)
     window = None if walk.coin.is_homogeneous else reachable_window(walk.space, psi0.coords, n)
     induced = induced_walk(walk, pmap, phi, window=window)
@@ -376,15 +374,9 @@ def verify_commutation(
     residuals = []
     for upper in _walk_states(walk, psi0, n):
         coords, coins = next(lower)
-        targets = pmap.rho_array(upper.coords)
-        sigma = pmap.sigma_array(upper.coords) if phi != 0.0 else None
-        sites, inverse = group_rows(np.concatenate([targets, coords]))
-        diff = _fiber_sums(phi, upper.coins, sigma, inverse[: len(targets)], len(sites), table)
-        # Rows that no parent site maps to hold exact zeros, so this is the
-        # norm of the projection.
-        _check_not_null(pmap, diff, norm(upper))
+        _, (diff,), landed = _project_phases(pmap, (phi,), upper, coords, table)
         # The induced state holds each site once, so no index repeats.
-        diff[inverse[len(targets) :]] -= coins
+        diff[landed] -= coins
         residuals.append(_norm(diff))
         del upper  # so that the next step frees its coin block
     max_residual = max(residuals, default=0.0)

@@ -58,7 +58,8 @@ from .errors import (
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
 from .spaces import (
-    Position, ProjectionMap, _count, _debug, _finite, _integer, _position_block, group_rows
+    Position, ProjectionMap, _count, _debug, _finite, _integer, _position_block,
+    check_same_space, group_rows,
 )
 from .walk import WalkSpec, _walk_blocks
 
@@ -150,8 +151,9 @@ def phase_projection_family(
 
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
-    differ only in their step phases.  psi0's fibers are therefore grouped
-    and its sigma taken once for all phases, and the walks advance together
+    differ only in their step phases exp(i*phi_j*sigma_c), taken in one
+    block from one induced walk's sigma_c.  psi0's fibers are grouped and
+    its sigma taken once for all phases, and the walks advance together
     as one ``(M, n, dim)`` coin block on one coordinate block through the
     walk module's block loop, which pays one shape comparison per step on a
     growing support; the returned states share that coordinate block.  Each
@@ -160,26 +162,29 @@ def phase_projection_family(
     """
     steps = _count(n, "step count")
     grid = phase_grid(samples, delta)
-    specs = [induced_walk(walk, pmap, phi) for phi in grid]
-    coords, block = _project_phases(pmap, grid, psi0)
+    # One induced walk holds every walk's step weights; it is built at a grid
+    # phase that is not zero, if there is one, so a phi = 0 grid needs no sigma.
+    spec = induced_walk(walk, pmap, max(grid, key=abs))
+    coords, block, _ = _project_phases(pmap, grid, psi0)
     space = pmap.target
-    # One (1, dim) phase row per walk, broadcast over its sites; the phi = 0
-    # walk has none, and a factor of one leaves its amplitudes unchanged.
-    free = np.ones(space.coin_dimension, dtype=np.complex128)
-    rows = [spec.step_phases() for spec in specs]
-    phases = np.stack([free if row is None else row for row in rows])[:, None, :]
-    for coords, block in _walk_blocks(specs[0], coords, block, steps, phases):
+    sigma_c = spec.phase.sigma_c if spec.phase else dict.fromkeys(space.labels, 0)
+    weights = np.array([sigma_c[d.label] for d in space.displacements])
+    phases = np.exp(1j * np.array(grid)[:, None] * weights)[:, None, :]
+    for coords, block in _walk_blocks(spec, coords, block, steps, phases):
         pass  # only the blocks after the last step are kept
     _debug(__name__, "built projection family: %d phases, %d steps", samples, steps)
     return [(phi, WalkState.from_blocks(space, coords, coins)) for phi, coins in zip(grid, block)]
 
 
 def _sorted_grid(
-    projections: Sequence[tuple[float, WalkState]],
+    projections: Sequence[tuple[float, WalkState]], pmap: ProjectionMap
 ) -> list[WalkState]:
-    """Validate uniform spacing 2*pi/M and return the states in grid order."""
+    """Validate uniform spacing 2*pi/M and members on the map's target
+    (SpaceMismatch otherwise), and return the states in grid order."""
     if not projections:
         raise InvalidParameter("empty projection family")
+    for _, state in projections:
+        check_same_space(state.space, pmap.target, "projection family member")
     ordered = sorted(projections, key=lambda pair: pair[0])
     m = len(ordered)
     step = 2.0 * math.pi / m
@@ -193,15 +198,15 @@ def _sorted_grid(
 
 
 def _fiber_stacks(
-    states: Sequence[WalkState], dim: int
+    states: Sequence[WalkState], targets: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The target positions of a family and the ``(M, F, dim)`` DFT bins.
+    """The ``(M, F, dim)`` DFT bins of a family and the column of each target.
 
-    Returns the ``(F, d)`` coordinate block of every position in any state
-    of the family (lexicographic order) and the block whose entry ``[t, f]``
-    is (1/M) sum_j exp(-2i*pi*t*j/M) times the coin vector at position f in
-    the j-th state.  One FFT along the phase axis keeps the reduction order
-    fixed and numerically stable.
+    The family's positions and the ``(m, d)`` block of ``targets`` are
+    grouped together into F sites; entry ``[t, f]`` is (1/M) sum_j
+    exp(-2i*pi*t*j/M) times the coin vector at site f in the j-th state,
+    zero at a site no state holds.  One FFT along the phase axis keeps the
+    reduction order fixed and numerically stable.
 
     The FFT sums M terms before it divides by M, and the real or imaginary
     part of each term is at most twice the block's largest part.  A block
@@ -211,10 +216,10 @@ def _fiber_stacks(
     unscaled sums would overflow.
     """
     m = len(states)
-    sites, inverse = group_rows(np.concatenate([st.coords for st in states]))
+    sites, inverse = group_rows(np.concatenate([*(st.coords for st in states), targets]))
     block = np.zeros((m, len(sites), dim), dtype=np.complex128)
     member = np.repeat(np.arange(m), [len(st.coins) for st in states])
-    block[member, inverse] = np.concatenate([st.coins for st in states])
+    block[member, inverse[: len(member)]] = np.concatenate([st.coins for st in states])
     parts = block.view(np.float64)
     big = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
     shift = max(0, math.frexp(big)[1] + (2 * m).bit_length() - 1023)
@@ -224,7 +229,7 @@ def _fiber_stacks(
     if shift:
         parts = bins.view(np.float64)
         parts *= 2.0**shift
-    return sites, bins
+    return bins, inverse[len(member) :]
 
 
 def reconstruct(
@@ -248,7 +253,11 @@ def reconstruct(
         raise InvalidParameter(
             f"projection {pmap.name!r} does not invert (rho, sigma) coordinates"
         )
-    window = range(_integer(bounds[0], "sigma bound"), _integer(bounds[1], "sigma bound") + 1)
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"sigma bounds must be two integers, got {bounds!r}") from None
+    window = range(_integer(lo, "sigma bound"), _integer(hi, "sigma bound") + 1)
     if not window:
         raise InvalidParameter(f"empty sigma window {bounds}")
     m = len(projections)
@@ -277,16 +286,10 @@ def reconstruct_support(
     if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     coords = _position_block(candidates, pmap.source)
-    states = _sorted_grid(projections)
+    states = _sorted_grid(projections, pmap)
     targets, bin_of = _bins(pmap, coords, len(states))
-    fibers, bins = _fiber_stacks(states, pmap.source.coin_dimension)
-    # Locate each candidate's fiber among the family's target positions.
-    _, where = group_rows(np.concatenate([fibers, targets]))
-    fiber_of = np.full(len(where), -1)
-    fiber_of[where[: len(fibers)]] = np.arange(len(fibers))
-    fiber_of = fiber_of[where[len(fibers) :]]
-    found = fiber_of >= 0
-    vecs = np.zeros((len(coords), pmap.source.coin_dimension), dtype=np.complex128)
-    vecs[found] = bins[bin_of[found], fiber_of[found]]
+    bins, fiber_of = _fiber_stacks(states, targets, pmap.source.coin_dimension)
+    # A fiber that no member holds is a zero column, so its candidates drop.
+    vecs = bins[bin_of, fiber_of]
     keep = vecs.any(axis=1)
     return WalkState.from_blocks(pmap.source, coords[keep], vecs[keep])

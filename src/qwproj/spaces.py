@@ -18,6 +18,7 @@ the ``(rho, sigma)`` coordinate pair where that is possible.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from itertools import chain
 from typing import Callable, Iterable
@@ -409,10 +410,13 @@ def _integer(n, what: str) -> int:
     return int(n)
 
 
-def _finite(x, what: str) -> None:
-    """InvalidParameter unless x is a finite number."""
-    if not math.isfinite(x):
-        raise InvalidParameter(f"{what} must be finite, got {x!r}")
+def _finite(x, what: str, positive: bool = False) -> None:
+    """InvalidParameter unless x is a real number, not a bool, finite and,
+    if ``positive``, > 0."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidParameter(f"{what} must be a real number, got {x!r}")
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        raise InvalidParameter(f"{what} must be finite{' and > 0' if positive else ''}, got {x!r}")
 
 
 def _count(n, what: str, least: int = 0) -> int:

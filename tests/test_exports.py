@@ -90,6 +90,19 @@ def test_images_are_built_in_spaces(path):
     assert users <= IMAGE_ORACLES
 
 
+def test_one_routine_projects_a_state():
+    # project_state, the commutation check and the phase family all project
+    # through projection._project_phases, so that the weights and the null
+    # check of a projection are written once.
+    users = {
+        (path.name, node.name if isinstance(node, ast.FunctionDef) else ast.unparse(node))
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if "_fiber_sums" in set(names_in(node))
+    }
+    assert users == {("projection.py", "_project_phases")}
+
+
 def test_cli_uses_public_names_only():
     # The command-line front end is a client of the library: it may refer to
     # private names it defines itself, and to dunders, but to no other.

@@ -705,10 +705,18 @@ class TestRepeatingInducedMerges:
         fibers, inverse = np.unique(pm.rho_array(psi.coords), axis=0, return_inverse=True)
         inverse = inverse.ravel()
         sigma = pm.sigma_array(psi.coords)
-        alone = projection_module._fiber_sums(phi, psi.coins, sigma, inverse, len(fibers))
-        sites, family = projection_module._project_phases(pm, (0.3, phi, 0.0), psi)
+        alone = projection_module._fiber_sums(phi, psi.coins, sigma, inverse, len(fibers), None)
+        project = projection_module._project_phases
+        sites, family, landed = project(pm, (0.3, phi, 0.0), psi)
         assert alone.shape == (len(fibers), 4) and np.array_equal(sites, fibers)
-        assert bits(alone).tobytes() == bits(family[1]).tobytes()
+        assert bits(alone).tobytes() == bits(family[1]).tobytes() and len(landed) == 0
         table = projection_module._phase_table(pm, phi, psi, 1)
-        tabled = projection_module._fiber_sums(phi, psi.coins, sigma, inverse, len(fibers), table)
+        _, (tabled,), _ = project(pm, (phi,), psi, table=table)
         assert bits(tabled).tobytes() == bits(alone).tobytes()
+        # Merged sites join the fibers: a site no fiber reaches sums to zero.
+        merge = np.array([[5], [1], [-2]])
+        sites, (merged,), landed = project(pm, (phi,), psi, merge, table)
+        assert sites.tolist() == [[-2], [0], [1], [2], [5]]
+        assert sites[landed].tolist() == merge.tolist()
+        assert bits(merged[1:4]).tobytes() == bits(alone).tobytes()
+        assert not merged[[0, 4]].any()

@@ -16,6 +16,8 @@ from qwproj import (
     InvalidPosition,
     MissingSigma,
     NullProjection,
+    ProjectionMap,
+    SpaceMismatch,
     WalkState,
     WalkSpec,
     add,
@@ -35,6 +37,7 @@ from qwproj import (
     state_new,
     verify_commutation,
 )
+import qwproj.reconstruction as reconstruction_module
 from qwproj.reconstruction import _fiber_stacks
 from conftest import on_position, random_sparse_state
 
@@ -81,8 +84,6 @@ class TestSigmaBounds:
 
     @staticmethod
     def bare_map():
-        from qwproj import ProjectionMap
-
         return ProjectionMap(
             source=Z2, target=lattice_quotient(1, 0).target, rho_array=lambda c: c[:, :1]
         )
@@ -94,6 +95,12 @@ class TestSigmaBounds:
         family = projection_family_direct(lattice_quotient(1, 0), origin_state(), 3)
         with pytest.raises(MissingSigma):
             reconstruct_support(family, bare, [(0, 0)])
+        # a phi = 0 grid alone needs no sigma
+        ((phi, state),) = phase_projection_family(GROVER2D, bare, origin_state(), 2, 1)
+        direct = evolve(induced_walk(GROVER2D, bare), project_state(bare, 0.0, origin_state()), 2)
+        assert phi == 0.0 and state.coins.tobytes() == direct.coins.tobytes()
+        with pytest.raises(MissingSigma):
+            phase_projection_family(GROVER2D, bare, origin_state(), 2, 3)
 
 
 def widest_fiber(pmap, positions):
@@ -191,6 +198,23 @@ class TestPlan:
         family[1] = (phi, family[1][1])
         with pytest.raises(InconsistentGrid):
             reconstruct_support(family, pm, reachable_window(Z2, [(0, 0)], 2))
+
+    @pytest.mark.parametrize("x", ["x", None, 1j, True, np.bool_(False)])
+    def test_every_real_input_refuses_a_non_real(self, x):
+        # a typed error, not TypeError from math.isfinite; a bool is no
+        # phase, as it is no count
+        pm, psi = lattice_quotient(1, 0), origin_state()
+        named = re.escape(f"must be a real number, got {x!r}")
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            project_state(pm, x, psi)
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            induced_walk(GROVER2D, pm, x)
+        with pytest.raises(InvalidParameter, match=f"^phi {named}"):
+            verify_commutation(GROVER2D, pm, x, psi, 2)
+        with pytest.raises(InvalidParameter, match=f"^grid offset delta {named}"):
+            phase_grid(3, x)
+        with pytest.raises(InvalidParameter, match=f"^tol {named}"):
+            verify_commutation(GROVER2D, pm, 0.0, psi, 2, tol=x)
 
     @pytest.mark.parametrize("n", [-1, True, 2.5, 2.0])
     def test_family_refuses_a_bad_step_count(self, n):
@@ -306,9 +330,9 @@ class TestRoundTrip:
         direct = reconstruct_support(family, pm, candidates)
         assert recovered.coords.tobytes() == direct.coords.tobytes()
         assert recovered.coins.tobytes() == direct.coins.tobytes()
-        targets, bins = _fiber_stacks([st for _, st in family], 4)
+        bins, columns = _fiber_stacks([st for _, st in family], np.array(fibers)[:, None], 4)
         loop = {}
-        for f, r in enumerate(targets[:, 0].tolist()):
+        for r, f in zip(fibers, columns.tolist()):
             for s in window:
                 if np.any(bins[s % samples, f]):
                     loop[pm.invert_rs(r, s)] = bins[s % samples, f]
@@ -389,6 +413,23 @@ class TestFailureModes:
         with pytest.raises(InvalidParameter, match="sigma bound must be an integer"):
             reconstruct(family, pm, bounds)
 
+    @pytest.mark.parametrize("bounds", [(3,), None, (-3, 3, 9), 5, ()])
+    def test_bounds_must_be_a_pair(self, bounds):
+        pm = lattice_quotient(1, 0)
+        family = projection_family_direct(pm, origin_state(), 7)
+        with pytest.raises(InvalidParameter, match="sigma bounds must be two integers"):
+            reconstruct(family, pm, bounds)
+
+    def test_family_on_another_space_refused(self):
+        # lattice_quotient(1, 0) and (2, 1) both project onto a line, but
+        # with other jumps: the family is not one of the (2, 1) map's.
+        family = phase_projection_family(GROVER2D, lattice_quotient(1, 0), origin_state(), 3, 9)
+        pm = lattice_quotient(2, 1)
+        with pytest.raises(SpaceMismatch, match="projection family member"):
+            reconstruct_support(family, pm, reachable_window(Z2, [(0, 0)], 3))
+        with pytest.raises(SpaceMismatch, match="projection family member"):
+            reconstruct(family, pm, (-4, 4))
+
     def test_numpy_bounds_accepted(self):
         pm = lattice_quotient(1, 0)
         family = projection_family_direct(pm, origin_state(), 5)
@@ -448,14 +489,18 @@ class TestBatchedFamily:
         states = [state for _, state in projection_family_direct(pm, evolved, 11)]
         # one member on fewer fibers: the missing ones count as zero vectors
         states[4] = WalkState(pm.target, dict(list(states[4].support.items())[::2]))
-        fibers, bins = _fiber_stacks(states, 4)
+        # and a target that no member holds is a zero column
         positions = sorted(set().union(*(state.support for state in states)))
-        assert [tuple(r) for r in fibers.tolist()] == positions
+        positions.append((positions[-1][0] + 1,))
+        targets = np.array(positions[::-1])
+        bins, columns = _fiber_stacks(states, targets, 4)
+        assert bins.shape == (len(states), len(positions), 4)
         zero = np.zeros(4, dtype=np.complex128)
-        for f, pos in enumerate(positions):
+        for f, pos in zip(columns.tolist(), map(tuple, targets.tolist())):
             stack = np.array([state.support.get(pos, zero) for state in states])
             expected = np.fft.fft(stack, axis=0) / len(states)
             assert bins[:, f].tobytes() == expected.tobytes()
+        assert sorted(columns.tolist()) == list(range(len(positions)))
 
 
 def coprime_pairs():
@@ -512,6 +557,29 @@ class TestFamilyProjection:
             alone = evolve(induced_walk(GROVER2D, pm, phi), project_state(pm, phi, psi), n)
             assert np.array_equal(state.coords, alone.coords)
             assert np.array_equal(state.coins, alone.coins)
+
+    def test_one_induced_walk_and_one_sigma_read(self, monkeypatch):
+        # The M walks differ only in their step phases, which come from one
+        # read of the step weights, not from M induced walks.
+        calls = {"induced_walk": 0, "sigma_c": 0}
+        build = reconstruction_module.induced_walk
+
+        def counted_walk(*args, **kwargs):
+            calls["induced_walk"] += 1
+            return build(*args, **kwargs)
+
+        read = ProjectionMap.sigma_c.fget
+
+        def counted_read(pmap):
+            calls["sigma_c"] += 1
+            return read(pmap)
+
+        monkeypatch.setattr(reconstruction_module, "induced_walk", counted_walk)
+        monkeypatch.setattr(ProjectionMap, "sigma_c", property(counted_read))
+        pm = lattice_quotient(2, 1)
+        family = phase_projection_family(GROVER2D, pm, origin_state(), 4, 33)
+        assert len(family) == 33
+        assert calls["induced_walk"] == 1 and calls["sigma_c"] <= 1
 
     def test_null_projection_names_the_first_cancelling_phase(self):
         # The fiber x = 0 holds g at sigma 0 and c*g at sigma 1, with c
