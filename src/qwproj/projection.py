@@ -162,8 +162,31 @@ def _project_phases(
             raise NullProjection(
                 f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
                 f"(input norm {source_norm:.3e})"
+                + _cancelled_fibers(state.coins, inverse[:n], sites, out[j])
             )
     return sites, out, inverse[n:]
+
+
+def _cancelled_fibers(
+    coins: np.ndarray, inverse: np.ndarray, sites: np.ndarray, sums: np.ndarray
+) -> str:
+    """The up to three fibers that cancelled most, for a NullProjection
+    message, or "" when none lost any norm.
+
+    A fiber is ranked by how far the norm of its sum, a row of ``sums``,
+    falls short of the summed norms of its terms, the coin vectors of its
+    sites; a phase weight has modulus 1, so it leaves a term's norm as it is.
+    """
+    terms = np.bincount(inverse, np.hypot.reduce(np.abs(coins), axis=1), len(sites))
+    kept = np.hypot.reduce(np.abs(sums), axis=1)
+    lost = terms - kept
+    ranked = [i for i in np.argsort(-lost, kind="stable")[:3].tolist() if lost[i] > 0]
+    if not ranked:
+        return ""
+    named = ", ".join(
+        f"{tuple(sites[i].tolist())} {terms[i]:.3e} -> {kept[i]:.3e}" for i in ranked
+    )
+    return f"; the fibers that cancelled most, sum of term norms -> norm of sum: {named}"
 
 
 def _fiber_sums(
@@ -178,19 +201,18 @@ def _fiber_sums(
     the sites' ``sigma`` block or its ``table`` (see :func:`_phase_weights`);
     at phi = 0 it is taken as it is.
     """
-    if phi != 0.0:
-        coins = coins * _phase_weights(phi, sigma, table)[:, None]
-    width = 2 * coins.shape[-1]
-    # One bin per (row, component, real or imaginary part) slot.  bincount
-    # sums each bin in input order, as np.add.at would, so the sums are
-    # bitwise the same; viewing the summed parts as complex keeps them
-    # unchanged, where re + 1j*im would add a signed zero to each.  The
-    # float view needs contiguous rows, which a state built from a
-    # Fortran-ordered block lacks.
-    parts = np.ascontiguousarray(coins).view(np.float64)
-    slots = (inverse[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(slots, parts.ravel(), size * width)
-    return sums.view(np.complex128).reshape(size, width // 2)
+    weights = _phase_weights(phi, sigma, table) if phi != 0.0 else None
+    out = np.empty((size, coins.shape[-1]), dtype=np.complex128)
+    parts = out.view(np.float64)
+    # One coin component at a time, its real and imaginary parts binned by
+    # row.  bincount sums each bin in input order, as np.add.at would, so
+    # the sums are bitwise the same; writing the parts into the float view
+    # keeps them unchanged, where re + 1j*im would add a signed zero to each.
+    for c in range(coins.shape[-1]):
+        column = coins[:, c] if weights is None else coins[:, c] * weights
+        parts[:, 2 * c] = np.bincount(inverse, column.real, size)
+        parts[:, 2 * c + 1] = np.bincount(inverse, column.imag, size)
+    return out
 
 
 def _phase_weights(

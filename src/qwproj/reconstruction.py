@@ -81,15 +81,14 @@ def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
 
 
-def _bins(pmap: ProjectionMap, coords: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The targets under rho of a sorted, distinct candidate block and every
-    candidate's sigma bin mod ``m``.
+def _bins(coords: np.ndarray, targets: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
+    """Every candidate's sigma bin mod ``m``, for a sorted, distinct candidate
+    block, its targets under rho and its sigma values.
 
     GridTooCoarse names the first candidate (in order) that shares its fiber
     and bin with an earlier one, and that earlier one.
     """
-    targets = pmap.rho_array(coords)
-    bin_of = (pmap.sigma_array(coords) % m).astype(np.intp)
+    bin_of = (sigma % m).astype(np.intp)
     keys, key_of = group_rows(np.column_stack([targets, bin_of]))
     if len(keys) < len(coords):
         _, first = np.unique(key_of, return_index=True)
@@ -100,7 +99,7 @@ def _bins(pmap: ProjectionMap, coords: np.ndarray, m: int) -> tuple[np.ndarray, 
             f"candidates {pair[0]} and {pair[1]} share fiber "
             f"{tuple(targets[clash].tolist())} and sigma bin {int(bin_of[clash])} of {m}"
         )
-    return targets, bin_of
+    return bin_of
 
 
 def plan_reconstruction(
@@ -118,9 +117,9 @@ def plan_reconstruction(
     if pmap.sigma_array is None:
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     coords = _position_block(candidates, pmap.source)
+    targets, sigma = pmap.rho_array(coords), pmap.sigma_array(coords)
     if samples is None:
-        fibers, fiber_of = group_rows(pmap.rho_array(coords))
-        sigma = pmap.sigma_array(coords)
+        fibers, fiber_of = group_rows(targets)
         low = np.empty(len(fibers), dtype=sigma.dtype)
         low[fiber_of] = sigma  # some sigma of each fiber
         high = low.copy()
@@ -129,7 +128,7 @@ def plan_reconstruction(
         samples = int((high - low).max()) + 1 if len(fibers) else 1
     else:
         samples = _count(samples, "phase sample count", 1)
-    _bins(pmap, coords, samples)
+    _bins(coords, targets, sigma, samples)
     return samples
 
 
@@ -243,9 +242,11 @@ def reconstruct(
     integers (InvalidParameter otherwise); every (r, s) with r a target
     position of the family and s in the window maps back to the unique
     source position with rho = r and sigma = s, and these positions are the
-    candidates handed to :func:`reconstruct_support`.  The window must fit
-    into the grid (GridTooCoarse when M < window width), and the family's
-    phases must be uniform with spacing 2*pi/M (InconsistentGrid otherwise).
+    candidates handed to :func:`reconstruct_support`.  The family is checked
+    first, as :func:`reconstruct_support` checks it (InvalidParameter when
+    empty, SpaceMismatch for a member off the map's target, InconsistentGrid
+    unless its phases are uniform with spacing 2*pi/M); then the window
+    must fit into the grid (GridTooCoarse when M < window width).
     Exactness additionally requires the source support's sigma values to lie
     inside the window; use :func:`reconstruct_support` when they do not.
     """
@@ -260,7 +261,7 @@ def reconstruct(
     window = range(_integer(lo, "sigma bound"), _integer(hi, "sigma bound") + 1)
     if not window:
         raise InvalidParameter(f"empty sigma window {bounds}")
-    m = len(projections)
+    m = len(_sorted_grid(projections, pmap))
     if m < len(window):
         raise GridTooCoarse(f"{m} samples cannot resolve a sigma span of {len(window)}")
     fibers = np.unique(np.concatenate([st.coords[:, 0] for _, st in projections]))
@@ -287,7 +288,8 @@ def reconstruct_support(
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     coords = _position_block(candidates, pmap.source)
     states = _sorted_grid(projections, pmap)
-    targets, bin_of = _bins(pmap, coords, len(states))
+    targets = pmap.rho_array(coords)
+    bin_of = _bins(coords, targets, pmap.sigma_array(coords), len(states))
     bins, fiber_of = _fiber_stacks(states, targets, pmap.source.coin_dimension)
     # A fiber that no member holds is a zero column, so its candidates drop.
     vecs = bins[bin_of, fiber_of]

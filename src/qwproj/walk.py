@@ -272,10 +272,12 @@ def _step_block(
     n, dim = coins.shape[-2:]
     sites, inverse = merge
     out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)
-    # Image rows are grouped by displacement, so entry [k, c] of this index
-    # is the image of site k under displacement c.  A displacement is
-    # injective, so every (site, component) slot receives one amplitude.
-    out[..., inverse.reshape(dim, n).T, np.arange(dim)] = coins
+    # Image rows are grouped by displacement, so the c-th run of n entries
+    # of the index holds the images of the sites under displacement c.  A
+    # displacement is injective, so every (site, component) slot receives
+    # one amplitude.
+    for c in range(dim):
+        out[..., inverse[c * n : (c + 1) * n], c] = coins[..., c]
     return sites, out
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwproj import (
     CoinAssignment,
+    catalog,
     ProjectionMap,
     WalkSpec,
     circle,
@@ -103,6 +105,26 @@ def identity_map(space):
         section=lambda q: q,
         name=f"identity({space.name})",
     )
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` above the memory traced before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def plane_state():
+    """The planar Grover walk of ``grover2d_to_lazy`` 100 steps from the
+    origin: 10 201 sites, as many as plane_verify's last step holds."""
+    desc = catalog.scenario("grover2d_to_lazy")
+    return evolve(desc.walk, desc.distinguished_states["origin"](), 100)
 
 
 @pytest.fixture

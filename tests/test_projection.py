@@ -43,7 +43,7 @@ from qwproj import (
 )
 from qwproj import projection as projection_module
 from qwproj import walk as walk_module
-from conftest import haar_unitary, identity_map, on_position, random_sparse_state
+from conftest import haar_unitary, identity_map, on_position, random_sparse_state, traced_peak
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -82,6 +82,22 @@ class TestProjectState:
         psi = state_new(Z2, [((0, 0), (1, 0, 0, 0)), ((0, 1), (-1, 0, 0, 0))])
         with pytest.raises(NullProjection):
             project_state(lattice_quotient(1, 0), 0.0, psi)
+
+    def test_null_projection_names_the_fibers_that_cancelled_most(self):
+        # Fibers x = 0 and x = 3 cancel, x = 3 with twice the norm; the
+        # one-site fiber x = 5 loses nothing, so it is not named.
+        psi = state_new(Z2, [
+            ((0, 0), GENERIC4), ((0, 1), -GENERIC4),
+            ((3, 0), 2 * GENERIC4), ((3, 2), -2 * GENERIC4),
+            ((5, 0), 1e-15 * GENERIC4),
+        ])
+        with pytest.raises(NullProjection) as raised:
+            project_state(lattice_quotient(1, 0), 0.0, psi)
+        assert str(raised.value) == (
+            "projection through 'lattice(k=1,l=0)' cancelled to norm 1.000e-15 "
+            "(input norm 3.162e+00); the fibers that cancelled most, sum of term "
+            "norms -> norm of sum: (3,) 4.000e+00 -> 0.000e+00, (0,) 2.000e+00 -> 0.000e+00"
+        )
 
     def test_null_test_is_scale_relative(self, rng):
         psi = scale(1e-13, random_sparse_state(Z2, rng))
@@ -196,6 +212,20 @@ class TestProjectState:
             scale(za, project_state(pm, phi, a)), scale(zb, project_state(pm, phi, b))
         )
         assert max_abs_difference(lhs, rhs) < 1e-12
+
+
+class TestProjectionMemory:
+    """The fiber sums bin one coin component at a time, so a projection holds
+    no index block over the (site, component) slots and no weighted copy of
+    the coin block."""
+
+    @pytest.mark.parametrize("phi, bound", [(0.0, 0.4e6), (0.7, 1.0e6)])
+    def test_projection_peak(self, plane_state, phi, bound):
+        # the 10 201-site coin block is 0.65 MB; the slot block took the
+        # peak to 1.50 MB at phi = 0 and 1.78 MB at phi = 0.7
+        pm = catalog.scenario("grover2d_to_lazy").pmap
+        peak = traced_peak(lambda: projection_module._project_phases(pm, (phi,), plane_state))
+        assert peak < bound
 
 
 class TestCoinHomogeneity:

@@ -132,6 +132,23 @@ class TestPlan:
         with pytest.raises(GridTooCoarse, match=f"sigma bin .* of {samples - 1}$"):
             plan_reconstruction(pm, window, samples - 1)
 
+    @pytest.mark.parametrize("samples", [None, 25])
+    def test_one_rho_and_one_sigma_read(self, samples):
+        base = lattice_quotient(2, 1)
+        calls = {"rho": 0, "sigma": 0}
+
+        def counted(name, action):
+            def read(coords):
+                calls[name] += 1
+                return action(coords)
+            return read
+
+        pm = ProjectionMap(**{**vars(base), "rho_array": counted("rho", base.rho_array),
+                              "sigma_array": counted("sigma", base.sigma_array)})
+        window = reachable_window(Z2, [(0, 0)], 12)
+        assert plan_reconstruction(pm, window, samples) == plan_reconstruction(base, window, samples)
+        assert calls == {"rho": 1, "sigma": 1}
+
     def test_global_span_would_be_wider(self):
         # the benchmark's call: 97 phases by the global span, 33 per fiber
         pm = lattice_quotient(2, 1)
@@ -429,6 +446,24 @@ class TestFailureModes:
             reconstruct_support(family, pm, reachable_window(Z2, [(0, 0)], 3))
         with pytest.raises(SpaceMismatch, match="projection family member"):
             reconstruct(family, pm, (-4, 4))
+
+    def test_empty_family_refused_as_empty(self):
+        with pytest.raises(InvalidParameter, match="empty projection family"):
+            reconstruct([], lattice_quotient(1, 0), (-2, 2))
+
+    def test_family_off_the_target_refused_before_any_candidate(self):
+        family = phase_projection_family(GROVER2D, lattice_quotient(1, 0), origin_state(), 3, 9)
+        base = lattice_quotient(2, 1)
+        calls = []
+
+        def counted(r, s):
+            calls.append((r, s))
+            return base.invert_rs(r, s)
+
+        pm = ProjectionMap(**{**vars(base), "invert_rs": counted})
+        with pytest.raises(SpaceMismatch, match="projection family member"):
+            reconstruct(family, pm, (-4, 4))
+        assert calls == []
 
     def test_numpy_bounds_accepted(self):
         pm = lattice_quotient(1, 0)

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from qwproj import (
     verify_commutation,
 )
 from qwproj.spaces import group_rows
-from conftest import evolve_both, haar_unitary, random_sparse_state, walk_zoo
+from conftest import evolve_both, haar_unitary, random_sparse_state, traced_peak, walk_zoo
 
 Z2 = lattice_2d()
 GROVER2D = WalkSpec(Z2, CoinAssignment.homogeneous(grover_coin()))
@@ -167,18 +166,6 @@ class TestCoinPanels:
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def _traced_peak(call) -> int:
-    """The tracemalloc peak of ``call()`` above the memory traced before it, in bytes."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestStepMemory:
     """A step holds the state it makes, the coined block and one merge: the
     previous state's coin block and the merge's image block are freed once
@@ -186,7 +173,8 @@ class TestStepMemory:
 
     def test_commutation_check_peak(self, monkeypatch):
         # plane_verify's call: 10 201 planar sites at the last step, where
-        # one state is 0.8 MB; holding the spent blocks took it to 3.7 MB
+        # one state is 0.8 MB; holding the spent blocks took it to 3.7 MB,
+        # and the step's and the projection's n*dim index blocks to 2.5 MB
         spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
         bench = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
@@ -194,8 +182,8 @@ class TestStepMemory:
         dump = json.loads(bench.initial_state(bench.WORKLOADS["plane_verify"], bench.DEFAULT_SEED))
         desc = catalog.scenario("grover2d_to_lazy")
         psi0 = from_json_dict(Z2, dump)
-        peak = _traced_peak(lambda: verify_commutation(desc.walk, desc.pmap, 0.0, psi0, 100))
-        assert peak < 3.0e6
+        peak = traced_peak(lambda: verify_commutation(desc.walk, desc.pmap, 0.0, psi0, 100))
+        assert peak < 2.3e6
 
     def test_merge_peak_follows_its_result(self):
         # the 100-step planar support: 10 000 sites, 40 000 image rows
@@ -205,9 +193,17 @@ class TestStepMemory:
         coords = np.column_stack([x[inside], y[inside]]).astype(np.int64)
         assert len(coords) == 10_000
         merge = []
-        peak = _traced_peak(lambda: merge.append(walk._merge_images(Z2, coords)))
+        peak = traced_peak(lambda: merge.append(walk._merge_images(Z2, coords)))
         sites, inverse = merge[0]
         assert peak <= 2.5 * (sites.nbytes + inverse.nbytes)
+
+    def test_step_peak_follows_its_output(self, plane_state):
+        # one coin component at a time: no (n, dim) index block beside the output
+        coined = apply_coin(GROVER2D, plane_state)
+        merge = walk._merge_images(Z2, coined.coords)
+        step = []
+        peak = traced_peak(lambda: step.append(walk._step_block(coined.coins, merge)))
+        assert peak < 1.1 * step[0][1].nbytes
 
 
 class TestStepOperator:
