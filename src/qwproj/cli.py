@@ -8,6 +8,7 @@ environment variable (off | info | debug, default off).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -298,8 +299,18 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
+    """The ``qwproj`` program: :func:`main`, then exit with its code.
+
+    Every object still alive is frozen first, so the interpreter's garbage
+    collection at shutdown passes over them: with numpy's objects that pass
+    took about 34 ms of each benchmark run on a 2-vCPU Xeon.  Only the
+    exiting process may do this: :func:`main` itself leaves the collector
+    as it found it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    console_entry()

@@ -9,8 +9,17 @@ like the space's displacement family, with rows in lexicographic order of
 the positions.  The coordinate block is int64, or exact Python integers
 (object dtype) once a coordinate leaves the int64 range; a block computed
 from an exact one stays exact.  :attr:`WalkState.support` is a read-only
-dict view from position tuples to the rows of the coin block, built on
-first use.
+dict view from position tuples to the coin vectors, built on first use.
+
+The engine stores a block one component at a time.  A coordinate block
+is the ``(n, d)`` view of a C-ordered ``(d, n)`` array, and the coin block
+a walk step makes is the ``(n, dim)`` view of a C-ordered ``(dim, n)``
+array, so that each coordinate and each coin component is one contiguous
+column.  A state accepts blocks of any layout, and every operation gives
+the same values for every layout, but for the norm of the state's own
+coin block (:func:`norm`, and what is compared with it): that sums the
+squares in the order the block is stored, so it may differ in its last
+bit.
 
 States are immutable values: every operation returns a new state and never
 mutates its inputs, so states can be shared freely across threads.
@@ -54,9 +63,9 @@ class WalkState:
     (InvalidPosition), every coin vector must have exactly one entry per
     displacement (DimensionMismatch, naming a position whose vector is
     off), and all amplitudes must be finite numbers (InvalidParameter,
-    naming the position).  Kernels
-    build states directly from blocks with :meth:`from_blocks`.  ``coords``,
-    ``coins`` and ``support`` are read-only.  A site whose coin vector
+    naming the position).  Kernels build states directly from blocks of
+    any layout with :meth:`from_blocks`.  ``coords``, ``coins`` and
+    ``support`` are read-only.  A site whose coin vector
     cancels to zero keeps an explicit zero row: no operation drops sites, so
     exact cancellations stay visible.  Compare states numerically
     (:func:`diff_norm`, :func:`max_abs_difference`), not with ``==``.
@@ -125,7 +134,11 @@ class WalkState:
     def support(self) -> Mapping[Position, np.ndarray]:
         if self._support is None:
             positions = map(tuple, self._coords.tolist())
-            self._support = MappingProxyType(dict(zip(positions, self._coins)))
+            # Contiguous vectors, so that a sum over one does not depend on
+            # the layout of the coin block.
+            rows = np.ascontiguousarray(self._coins)
+            rows.flags.writeable = False
+            self._support = MappingProxyType(dict(zip(positions, rows)))
         return self._support
 
     @property
@@ -177,7 +190,8 @@ _LARGE_SUM = np.finfo(np.float64).max
 
 
 def _norm(block: np.ndarray) -> float:
-    """The 2-norm of a complex block, at any scale of its entries.
+    """The 2-norm of a complex block, at any scale of its entries, its
+    squares summed in the order the block is stored.
 
     The sum of squares gives it where that sum is neither small enough to
     have lost squares to underflow nor overflowed.  Otherwise the moduli
@@ -187,7 +201,8 @@ def _norm(block: np.ndarray) -> float:
     Algorithm 978, ACM TOMS 44 (2017)).  A block holding inf or NaN has
     norm inf or NaN.
     """
-    total = float(np.vdot(block, block).real)
+    flat = block.ravel(order="K")  # no copy for a block stored contiguously
+    total = float(np.vdot(flat, flat).real)
     if _SMALL_SUM <= total <= _LARGE_SUM:
         return math.sqrt(total)
     moduli = np.abs(block)

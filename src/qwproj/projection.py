@@ -204,10 +204,11 @@ def _fiber_sums(
     weights = _phase_weights(phi, sigma, table) if phi != 0.0 else None
     out = np.empty((size, coins.shape[-1]), dtype=np.complex128)
     parts = out.view(np.float64)
-    # One coin component at a time, its real and imaginary parts binned by
-    # row.  bincount sums each bin in input order, as np.add.at would, so
-    # the sums are bitwise the same; writing the parts into the float view
-    # keeps them unchanged, where re + 1j*im would add a signed zero to each.
+    # One coin component at a time (a contiguous column of a component-major
+    # block), its real and imaginary parts binned by row.  bincount sums each
+    # bin in input order, as np.add.at would, so the sums are bitwise the
+    # same; writing the parts into the float view keeps them unchanged,
+    # where re + 1j*im would add a signed zero to each.
     for c in range(coins.shape[-1]):
         column = coins[:, c] if weights is None else coins[:, c] * weights
         parts[:, 2 * c] = np.bincount(inverse, column.real, size)

@@ -37,9 +37,9 @@ The family is computed as one batched block.  Projection keeps every fiber
 of the initial state at every phase, so the M induced walks share their
 target space, coin and support and differ only in their per-direction step
 phases exp(i*phi_j*sigma_c).  :func:`phase_projection_family` therefore
-advances them as one ``(M, n, dim)`` coin block on one ``(n, d)``
-coordinate block, and the inversion reads all fibers from one FFT along the
-phase axis of the stacked ``(M, F, dim)`` block.
+advances them as one ``(M, n, dim)`` coin block, stored ``(M, dim, n)``,
+on one ``(n, d)`` coordinate block, and the inversion reads all fibers from
+one FFT along the phase axis of the stacked ``(M, F, dim)`` block.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def phase_projection_family(
     its sigma taken once for all phases, and the walks advance together
     as one ``(M, n, dim)`` coin block on one coordinate block through the
     walk module's block loop, which pays one shape comparison per step on a
-    growing support; the returned states share that coordinate block.  Each
+    growing support; the returned states share that coordinate block, and
+    each holds the component-major ``(n, dim)`` view of its walk.  Each
     state equals, entry for entry, the separate evolution of its induced
     walk from :func:`~qwproj.projection.project_state`.
     """

@@ -6,7 +6,11 @@ has one form, an action on an ``(n, d)`` coordinate block (one position is
 a one-row block): int64 while every coordinate fits, or object-dtype Python
 integers (:func:`exact_block`), on which it is exact and unbounded.  A
 block that could leave the int64 range takes the exact form before the
-arithmetic, so coordinates never wrap around.  One reader takes every
+arithmetic, so coordinates never wrap around.  The blocks built here are
+stored one coordinate at a time: an ``(n, d)`` block is the transposed
+view of a C-ordered ``(d, n)`` array, so that every coordinate is one
+contiguous column for the rules, the grouping and the keys.  Every rule
+takes a block of any layout and gives the same values.  One reader takes every
 window, refusing positions off the space, and one routine builds a block's
 images along every displacement, for a walk step and a window hop alike.
 Quotient constructors return :class:`ProjectionMap` objects bundling the
@@ -50,7 +54,8 @@ def _exact_beyond(coords: np.ndarray, bound: int) -> np.ndarray:
 
 def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray:
     """The ``(len(positions), d)`` coordinate block of the positions (tuples or
-    block rows), in their order: int64 when every coordinate is within
+    block rows), in their order, stored a coordinate at a time (see the
+    module docstring): int64 when every coordinate is within
     +-COORD_LIMIT, else exact Python integers.  InvalidPosition names the
     first position without ``d`` coordinates or with one that
     :func:`_is_integer` refuses (any in a float block)."""
@@ -71,7 +76,7 @@ def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray
         coords = np.array(positions, dtype=np.int64).reshape(len(positions), d)
     except OverflowError:
         return exact_block(positions, d)
-    return _exact_beyond(coords, COORD_LIMIT)
+    return _exact_beyond(np.asfortranarray(coords), COORD_LIMIT)
 
 
 def _position_block(positions: np.ndarray | Iterable[Position], space: PositionSpace) -> np.ndarray:
@@ -89,9 +94,10 @@ def _position_block(positions: np.ndarray | Iterable[Position], space: PositionS
 
 
 def exact_block(positions: Iterable[Position], d: int) -> np.ndarray:
-    """The ``(n, d)`` object-dtype block of the positions as Python integers."""
+    """The ``(n, d)`` object-dtype block of the positions as Python integers,
+    stored a coordinate at a time."""
     rows = [[int(c) for c in p] for p in positions]
-    return np.array(rows, dtype=object).reshape(len(rows), d)
+    return np.asfortranarray(np.array(rows, dtype=object).reshape(len(rows), d))
 
 
 # group_rows keys a block by its bounding box when the block has at least
@@ -105,9 +111,10 @@ _DENSE_BOX_PER_ROW = 16
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an ``(m, d)`` coordinate block, and where each row went.
 
-    Returns the distinct rows in lexicographic order and, for every input
-    row, the ``intp`` index of its distinct row: what ``np.unique(rows,
-    axis=0, return_inverse=True)`` returns (with the inverse raveled).
+    Returns the distinct rows in lexicographic order, stored a coordinate
+    at a time, and, for every input row, the ``intp`` index of its distinct
+    row: what ``np.unique(rows, axis=0, return_inverse=True)`` returns (with
+    the inverse raveled).  Both branches read the block column by column.
 
     Two branches compute it; the block's row count and bounding box pick one.
     An int64 block of at least 128 rows whose box has at most 16 cells per
@@ -127,21 +134,21 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m, d = rows.shape
     if m >= _DENSE_MIN_ROWS and rows.dtype != object:
-        # Column by column: rows.min(axis=0) reduces a strided block far slower.
         cols = [rows[:, j] for j in range(d)]
         lows = [int(c.min()) for c in cols]
         spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
         if math.prod(spans) <= _DENSE_BOX_PER_ROW * m:
             del rows  # the column views hold the block now, until they are keyed
             return _group_in_box(cols, lows, spans)
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
+    cols = rows.T
+    order = np.lexsort(cols[::-1])
+    ranked = cols.take(order, axis=1)
+    starts = np.empty(m, dtype=bool)
     starts[:1] = True
-    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
+    np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
+    inverse = np.empty(m, dtype=np.intp)
     inverse[order] = np.add.accumulate(starts, dtype=np.intp) - 1
-    return ranked[starts], inverse
+    return ranked.compress(starts, axis=1).T, inverse
 
 
 def _group_in_box(
@@ -168,12 +175,12 @@ def _group_in_box(
     rank[distinct] = np.arange(len(distinct))
     inverse = rank[key]
     del rank, key
-    sites = np.empty((len(distinct), len(lows)), dtype=np.int64)
+    sites = np.empty((len(lows), len(distinct)), dtype=np.int64)
     for j in range(len(lows) - 1, 0, -1):
         distinct, offset = np.divmod(distinct, spans[j])
-        sites[:, j] = offset + lows[j]
-    sites[:, 0] = distinct + lows[0]
-    return sites, inverse
+        np.add(offset, lows[j], out=sites[j])
+    np.add(distinct, lows[0], out=sites[0])
+    return sites.T, inverse
 
 
 class _Record:
@@ -440,13 +447,18 @@ def _jump_family(base: str, jumps: Iterable[tuple[str, int]]) -> tuple[str, tupl
 
 
 def _linear_form(coeffs: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block, taken in
-    exact Python integers where the value could leave the int64 range."""
-    weights = np.asarray(coeffs, dtype=np.int64)
-    bound = COORD_LIMIT // max(1, sum(abs(a) for a in coeffs))
+    """The map c -> sum_i coeffs[i] * c[:, i] on a coordinate block, summed
+    column by column, and taken in exact Python integers where the value
+    could leave the int64 range."""
+    weights = np.asarray(coeffs, dtype=np.int64).tolist()
+    bound = COORD_LIMIT // max(1, sum(abs(a) for a in weights))
 
     def form(c: np.ndarray) -> np.ndarray:
-        return _exact_beyond(c, bound) @ weights
+        c = _exact_beyond(c, bound)
+        out = c[:, 0] * weights[0]
+        for j in range(1, len(weights)):
+            out += c[:, j] * weights[j]
+        return out
 
     return form
 
@@ -483,12 +495,18 @@ def circle(n: int, jumps: Iterable[tuple[str, int]] = _UNIT_JUMPS) -> PositionSp
 def _llattice_step(label: str, sign: int) -> Displacement:
     # Moves x+y by sign everywhere: along x at even parity, along y at odd
     # parity.  A step flips the parity, so unapply reads it off the image.
+    # The parity is the low bit of x+y, right for negative and exact Python
+    # integers alike (and for an int64 sum that wrapped around).
     def move(c: np.ndarray, by: int, x_parity: int) -> np.ndarray:
-        out = c.copy()
-        along_x = (c[:, 0] + c[:, 1]) % 2 == x_parity
-        out[along_x, 0] += by
-        out[~along_x, 1] += by
-        return out
+        along_x = c[:, 0] + c[:, 1]
+        along_x += 1 - x_parity
+        along_x &= 1
+        out = np.empty((2, len(c)), dtype=c.dtype)
+        np.multiply(along_x, by, out=out[0])
+        np.subtract(by, out[0], out=out[1])
+        out[0] += c[:, 0]
+        out[1] += c[:, 1]
+        return out.T
 
     return Displacement(
         label, lambda c: move(c, sign, 0), lambda c: move(c, -sign, 1), reach=1
@@ -660,9 +678,9 @@ def reachable_window(
         if not len(frontier):
             break
         merged, inverse = group_rows(np.concatenate([seen, _image_block(space, frontier)]))
-        known = np.zeros(len(merged), dtype=bool)
-        known[inverse[: len(seen)]] = True
-        frontier = merged[~known]
+        fresh = np.ones(len(merged), dtype=bool)
+        fresh[inverse[: len(seen)]] = False
+        frontier = merged.T.compress(fresh, axis=1).T
         seen = merged
     return seen
 
@@ -670,16 +688,16 @@ def reachable_window(
 def _image_block(space: PositionSpace, coords: np.ndarray) -> np.ndarray:
     """The images of an ``(n, d)`` coordinate block along every displacement,
     stacked in displacement order, as exact Python integers if a hop could
-    leave the int64 range.  They are written into one block one at a time,
-    of the first image's dtype (a huge circle's images are exact even from
-    an int64 block)."""
+    leave the int64 range.  They are written into one block, stored a
+    coordinate at a time, one image at a time, of the first image's dtype
+    (a huge circle's images are exact even from an int64 block)."""
     disps = space.displacements
     coords = _exact_beyond(coords, COORD_LIMIT - max(d.reach for d in disps))
     n = len(coords)
     image = disps[0].apply_array(coords)
-    block = np.empty((len(disps) * n,) + image.shape[1:], dtype=image.dtype)
-    block[:n] = image
+    block = np.empty((image.shape[1], len(disps) * n), dtype=image.dtype)
+    block[:, :n] = image.T
     del image
     for i, disp in enumerate(disps[1:], 1):
-        block[i * n : (i + 1) * n] = disp.apply_array(coords)
-    return block
+        block[:, i * n : (i + 1) * n] = disp.apply_array(coords).T
+    return block.T

@@ -3,15 +3,21 @@
 Two engines advance a state by one step:
 
 * :func:`evolve` works on the packed blocks of the state: the coin is a
-  matrix product over the coin block, taken in row panels small enough
-  for BLAS to keep on one thread, and the step moves the coordinate
-  block along every displacement at once, merges coinciding images with
+  matrix product over the coin block, taken in panels of sites small
+  enough for BLAS to keep on one thread and written row-major, as BLAS
+  computes it, and the step moves the coordinate block along every
+  displacement at once, merges coinciding images with
   :func:`~qwproj.spaces.group_rows` (one int64 key per row over a dense
   bounding box, else a ``lexsort``) and scatters each coin component to
-  its image (multiplying in the optional per-direction step phase).  The
-  step kernel also takes coin blocks with a leading batch axis, so a
-  family of walks that share one support and differ only in their step
-  phases advances in one call
+  its image (multiplying in the optional per-direction step phase).  A
+  step stores the blocks it makes one component at a time: the
+  coordinate block is the ``(n, d)`` view of a C-ordered ``(d, n)``
+  array and the coin block the ``(n, dim)`` view of a C-ordered
+  ``(dim, n)`` one, so each coin component lands in one contiguous row
+  and the projection reads it as one contiguous column.  The step kernel
+  also takes coin blocks with a leading batch axis, so a family of M
+  walks that share one support and differ only in their step phases
+  advances in one call, stored ``(M, dim, n)``
   (:func:`~qwproj.reconstruction.phase_projection_family`).  The coin
   and the step each have one block kernel; :func:`apply_coin` and
   :func:`apply_step` wrap them for states, and ``_walk_states`` steps a
@@ -199,7 +205,12 @@ _THREADED_MNK = 65_536
 
 def _coin_block(coin: CoinAssignment, coords: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """The coin on packed blocks: the ``(..., n, dim)`` coin block after the
-    coin, for the ``(n, d)`` coordinate block it sits on.
+    coin, for the ``(n, d)`` coordinate block it sits on.  ``coins`` may be
+    held in any layout; a component-major block goes into the product as
+    it is, and gives the bits of a row-major one.  The result is row-major,
+    as BLAS writes it: a product written component-major would be the
+    transposed product, which rounds differently.  The step scatters it
+    into the next component-major block.
 
     A homogeneous coin is applied in panels of rows, each one product small
     enough for BLAS to run it on the calling thread, written into one
@@ -263,22 +274,25 @@ def _step_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The step on packed blocks: the image coordinate and coin blocks.
 
-    ``coins`` is ``(..., n, dim)``: the coin block of one walk over an
-    ``(n, d)`` coordinate block, or with a leading batch axis, one block per
-    walk of a family sharing that support, with any step phases already
-    multiplied in.  ``merge`` is :func:`_merge_images` of the coordinate
-    block; it and the index arithmetic serve the whole batch.
+    ``coins`` is ``(n, dim)``, the coin block of one walk over an ``(n, d)``
+    coordinate block, or ``(M, n, dim)``, with a leading batch axis, one
+    block per walk of a family sharing that support, with any step phases
+    already multiplied in.  ``merge`` is :func:`_merge_images` of the
+    coordinate block; it and the index arithmetic serve the whole batch.
+    The new coin block is component-major: each coin component of each walk
+    is one contiguous row, and one scatter per component fills them all.
     """
-    n, dim = coins.shape[-2:]
+    *batch, n, dim = coins.shape
     sites, inverse = merge
-    out = np.zeros(coins.shape[:-2] + (len(sites), dim), dtype=np.complex128)
+    out = np.zeros((*batch, dim, len(sites)), dtype=np.complex128)
+    walks = (np.arange(batch[0])[:, None],) if batch else ()
     # Image rows are grouped by displacement, so the c-th run of n entries
     # of the index holds the images of the sites under displacement c.  A
-    # displacement is injective, so every (site, component) slot receives
-    # one amplitude.
+    # displacement is injective, so every (component, site) slot receives
+    # at most one amplitude.
     for c in range(dim):
-        out[..., inverse[c * n : (c + 1) * n], c] = coins[..., c]
-    return sites, out
+        out[(*walks, c, inverse[c * n : (c + 1) * n])] = coins[..., c]
+    return sites, out.swapaxes(-1, -2)
 
 
 def _walk_blocks(

@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -890,3 +891,31 @@ class TestNegativePhiToken:
         direct = tmp_path / "direct"
         assert main(argv + ["--phi", str(-math.pi / 4), outputs[0], str(direct)]) == 0
         assert direct.read_bytes() == written["token"][0]
+
+
+class TestExit:
+    """The program freezes the objects it leaves for the interpreter's
+    shutdown; an in-process call leaves the garbage collector alone."""
+
+    CASES = [
+        (["verify", "--scenario", "grover2d_to_lazy", "--steps", "4"], 0),
+        (["run", "--scenario", "line_to_circle"], 2),  # no output named
+    ]
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_main_freezes_nothing(self, capsys, argv, code):
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == code
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_console_entry_keeps_code_and_output(self, capsys, argv, code):
+        assert main(argv) == code
+        want = capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("QWPROJ_LOG", None)
+        run = subprocess.run(
+            [sys.executable, "-c", "from qwproj.cli import console_entry; console_entry()", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, want.out, want.err)

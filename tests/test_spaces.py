@@ -235,6 +235,34 @@ def test_displacement_table(space, label, pos, image):
         assert block.dtype == np.int64 and block.tolist() == [list(pos)]
 
 
+def _llattice_by_masks(c, by, x_parity):
+    """The L-lattice step as a mask over the parity classes, a reference for
+    the parity arithmetic the space uses."""
+    out = np.array(c, copy=True)
+    along_x = (c[:, 0] + c[:, 1]) % 2 == x_parity
+    out[along_x, 0] += by
+    out[~along_x, 1] += by
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0, 2**40, -(2**40), B, -B]),
+    order=st.sampled_from("CF"),
+)
+def test_llattice_step_matches_the_parity_masks(seed, offset, order):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-50, 51, size=(64, 2))
+    block = exact_block(values.tolist(), 2) + offset if abs(offset) > 2**62 else values + offset
+    block = np.asfortranarray(block) if order == "F" else np.ascontiguousarray(block)
+    for disp, sign in zip(llattice().displacements, (1, -1)):
+        image = disp.apply_array(block)
+        assert image.dtype == block.dtype
+        assert image.tolist() == _llattice_by_masks(block, sign, 0).tolist()
+        assert disp.unapply_array(image).tolist() == block.tolist()
+
+
 # Every catalog space on unbounded coordinates (a circle's positions are
 # 0..n-1, so it has none beyond int64).
 UNBOUNDED_SPACES = [
