@@ -233,23 +233,19 @@ def restrict_to_three_coin(
     if dim < 2:
         raise InvalidParameter("need at least two coin directions to restrict")
     if spec.coin.is_homogeneous:
-        mats = [spec.coin.matrix]
+        mats = spec.coin.matrix[None]
     else:
-        mats = [spec.coin.at(pos) for pos in sorted(state.support)]
-    for mat in mats:
-        leak = max(
-            float(np.max(np.abs(mat[dim - 1, : dim - 1]))),
-            float(np.max(np.abs(mat[: dim - 1, dim - 1]))),
-        )
-        if leak > tol:
-            raise SubspaceNotInvariant(
-                f"coin couples the last direction with leakage {leak:.3e}"
-            )
-    for pos, vec in state.support.items():
-        if abs(vec[dim - 1]) > tol:
-            raise StateOutsideSubspace(
-                f"state has |{spec.space.labels[dim - 1]}> amplitude at {pos}"
-            )
+        positions = map(tuple, state.coords.tolist())
+        mats = np.array([spec.coin.at(pos) for pos in positions]).reshape(-1, dim, dim)
+    # The witnesses are the first leaking matrix, then the first stray row.
+    leaks = np.abs(np.concatenate([mats[:, -1, :-1], mats[:, :-1, -1]], axis=1)).max(axis=1)
+    bad = np.flatnonzero(leaks > tol)
+    if bad.size:
+        raise SubspaceNotInvariant(f"coin couples the last direction with leakage {leaks[bad[0]]:.3e}")
+    stray = np.flatnonzero(np.abs(state.coins[:, dim - 1]) > tol)
+    if stray.size:
+        pos = tuple(state.coords[stray[0]].tolist())
+        raise StateOutsideSubspace(f"state has |{spec.space.labels[-1]}> amplitude at {pos}")
 
     kept = spec.space.displacements[: dim - 1]
     reduced_space = PositionSpace(
@@ -270,8 +266,7 @@ def restrict_to_three_coin(
         phase = StepPhase(
             spec.phase.phi, {d.label: spec.phase.sigma_c[d.label] for d in kept}
         )
-    reduced_state = WalkState(
-        reduced_space,
-        {pos: np.array(vec[: dim - 1]) for pos, vec in state.support.items()},
+    reduced_state = WalkState.from_blocks(
+        reduced_space, state.coords, state.coins[:, : dim - 1].copy()
     )
     return WalkSpec(reduced_space, coin, phase), reduced_state

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, InvalidPosition, SpaceMismatch
-from .spaces import Position, PositionSpace, check_same_space, group_rows, pack_positions
+from .spaces import Position, PositionSpace, _position_block, check_same_space, group_rows
 
 __all__ = [
     "WalkState",
@@ -59,25 +59,26 @@ class WalkState:
     """A finitely supported vector in the position (x) coin space.
 
     ``WalkState(space, {position: coin vector})`` copies the mapping into
-    the packed layout.  Every position must belong to the space
-    (InvalidPosition), every coin vector must have exactly one entry per
-    displacement (DimensionMismatch, naming a position whose vector is
-    off), and all amplitudes must be finite numbers (InvalidParameter,
-    naming the position).  Kernels build states directly from blocks of
-    any layout with :meth:`from_blocks`.  ``coords``, ``coins`` and
-    ``support`` are read-only.  A site whose coin vector
-    cancels to zero keeps an explicit zero row: no operation drops sites, so
-    exact cancellations stay visible.  Compare states numerically
+    the packed layout.  Its positions go through the reader of every
+    position window in :mod:`~qwproj.spaces`, which gives the coordinate
+    block, rows in lexicographic order, and refuses a position without
+    ``d`` integer coordinates or off the space (InvalidPosition).  Every
+    coin vector must have exactly one entry per displacement
+    (DimensionMismatch, naming a position whose vector is off), and all
+    amplitudes must be finite numbers (InvalidParameter, naming the
+    position); both are checked in that row order.  Kernels build states
+    directly from blocks of any layout with :meth:`from_blocks`.
+    ``coords``, ``coins`` and ``support`` are read-only.  A site whose coin
+    vector cancels to zero keeps an explicit zero row: no operation drops
+    sites, so exact cancellations stay visible.  Compare states numerically
     (:func:`diff_norm`, :func:`max_abs_difference`), not with ``==``.
     """
 
     __slots__ = ("_space", "_coins", "_coords", "_support")
 
     def __init__(self, space: PositionSpace, support: Mapping[Position, Iterable[complex]]):
-        for pos in support:
-            if not space.contains(pos):
-                raise InvalidPosition(f"{pos} is not a position of space {space.name!r}")
-        positions = sorted(support)
+        coords = _position_block(support, space)
+        positions = list(map(tuple, coords.tolist()))
         dim = space.coin_dimension
         vectors = [support[p] for p in positions]
         try:  # one bulk copy when every vector fits
@@ -90,7 +91,7 @@ class WalkState:
         finite = np.isfinite(coins).all(axis=1)
         if not finite.all():
             raise InvalidParameter(f"non-finite amplitude at {positions[finite.argmin()]}")
-        self._init(space, coins, pack_positions(positions, space.dimension))
+        self._init(space, coins, coords)
 
     def _init(self, space, coins, coords) -> None:
         coins.flags.writeable = False

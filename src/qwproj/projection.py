@@ -139,6 +139,10 @@ def _project_phases(
     (zero at a merged site no fiber reaches) and the rows the merged sites
     landed on.  NullProjection is raised for the first phase, in order,
     whose projection's norm is at most ``NULL_TOL`` times the state's.
+    Before that test, a state or a projection whose norm is beyond the float
+    range is refused with InvalidParameter for the first phase, naming the
+    first fiber whose sum overflowed: the sums, and a cancellation test on
+    them, no longer mean anything there.
     """
     check_same_space(state.space, pmap.source, "state fed to the projection")
     if pmap.target.coin_dimension != state.coin_dimension:
@@ -158,6 +162,12 @@ def _project_phases(
     for j, phi in enumerate(phis):
         out[j] = _fiber_sums(phi, state.coins, sigma, inverse[:n], len(sites), table)
         total = _norm(out[j])
+        if not (total < math.inf and source_norm < math.inf):  # NaN too
+            raise InvalidParameter(
+                f"projection through {pmap.name!r} at phi = {phi!r} is beyond the float "
+                f"range: norm {total:.3e} (input norm {source_norm:.3e})"
+                + _overflowed_fiber(sites, out[j])
+            )
         if total <= NULL_TOL * source_norm:
             raise NullProjection(
                 f"projection through {pmap.name!r} cancelled to norm {total:.3e} "
@@ -165,6 +175,14 @@ def _project_phases(
                 + _cancelled_fibers(state.coins, inverse[:n], sites, out[j])
             )
     return sites, out, inverse[n:]
+
+
+def _overflowed_fiber(sites: np.ndarray, sums: np.ndarray) -> str:
+    """The first fiber whose sum, a row of ``sums``, has a norm beyond the
+    float range, for an overflow message, or "" when none has."""
+    with np.errstate(over="ignore"):
+        rows = np.flatnonzero(~(np.hypot.reduce(np.abs(sums), axis=1) < math.inf))
+    return f"; the sum over fiber {tuple(sites[rows[0]].tolist())} overflows" if rows.size else ""
 
 
 def _cancelled_fibers(

@@ -36,10 +36,12 @@ at zero.
 The family is computed as one batched block.  Projection keeps every fiber
 of the initial state at every phase, so the M induced walks share their
 target space, coin and support and differ only in their per-direction step
-phases exp(i*phi_j*sigma_c).  :func:`phase_projection_family` therefore
-advances them as one ``(M, n, dim)`` coin block, stored ``(M, dim, n)``,
-on one ``(n, d)`` coordinate block, and the inversion reads all fibers from
-one FFT along the phase axis of the stacked ``(M, F, dim)`` block.
+phases exp(i*phi_j*sigma_c), which the walk module's one phase builder
+makes for a family as for a single walk.  :func:`phase_projection_family`
+therefore advances them as one ``(M, n, dim)`` coin block, stored
+``(M, dim, n)``, on one ``(n, d)`` coordinate block, and the inversion
+reads all fibers from one FFT along the phase axis of the stacked
+``(M, F, dim)`` block.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ from .errors import (
 from .hilbert import WalkState
 from .projection import _project_phases, induced_walk
 from .spaces import (
-    Position, ProjectionMap, _count, _debug, _finite, _integer, _position_block,
-    check_same_space, group_rows,
+    COORD_LIMIT, Position, ProjectionMap, _count, _debug, _finite, _integer,
+    _position_block, check_same_space, group_rows,
 )
-from .walk import WalkSpec, _walk_blocks
+from .walk import WalkSpec, _phase_factors, _walk_blocks
 
 GRID_TOL = 1e-9
 
@@ -76,9 +78,19 @@ __all__ = [
 
 def phase_grid(samples: int, delta: float = 0.0) -> tuple[float, ...]:
     """The uniform grid delta + 2*pi*j/samples for j = 0..samples-1, delta finite."""
-    samples = _count(samples, "phase sample count", 1)
+    samples = _count(samples, "phase sample count", 1, COORD_LIMIT)
     _finite(delta, "grid offset delta")
     return tuple(delta + 2.0 * math.pi * j / samples for j in range(samples))
+
+
+def _candidates(pmap: ProjectionMap, candidates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted, distinct block of a candidate region, its targets under
+    rho and its sigma values.  MissingSigma for a map without sigma comes
+    before InvalidPosition for a candidate off the source space."""
+    if pmap.sigma_array is None:
+        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
+    coords = _position_block(candidates, pmap.source)
+    return coords, pmap.rho_array(coords), pmap.sigma_array(coords)
 
 
 def _bins(coords: np.ndarray, targets: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
@@ -110,14 +122,13 @@ def plan_reconstruction(
     ``candidates`` is a coordinate block, such as a reachable window, or an
     iterable of position tuples.  The default is the largest per-fiber sigma
     span (max - min + 1 over the candidates of one fiber), and 1 for no
-    candidates.  Either grid is checked against the candidates here, so that
-    a caller can refuse it before evolving any walk: GridTooCoarse names two
-    candidates of one fiber that share a sigma bin.
+    candidates.  Either count must be at most 2**63 - 1, as sigma is binned
+    modulo it in int64 (InvalidParameter otherwise).  Either grid is checked
+    against the candidates here, so that a caller can refuse it before
+    evolving any walk: GridTooCoarse names two candidates of one fiber that
+    share a sigma bin.
     """
-    if pmap.sigma_array is None:
-        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = _position_block(candidates, pmap.source)
-    targets, sigma = pmap.rho_array(coords), pmap.sigma_array(coords)
+    coords, targets, sigma = _candidates(pmap, candidates)
     if samples is None:
         fibers, fiber_of = group_rows(targets)
         low = np.empty(len(fibers), dtype=sigma.dtype)
@@ -125,9 +136,9 @@ def plan_reconstruction(
         high = low.copy()
         np.minimum.at(low, fiber_of, sigma)
         np.maximum.at(high, fiber_of, sigma)
-        samples = int((high - low).max()) + 1 if len(fibers) else 1
-    else:
-        samples = _count(samples, "phase sample count", 1)
+        # in exact integers: an int64 span can pass the int64 range
+        samples = int((high.astype(object) - low).max()) + 1 if len(fibers) else 1
+    samples = _count(samples, "phase sample count", 1, COORD_LIMIT)
     _bins(coords, targets, sigma, samples)
     return samples
 
@@ -150,26 +161,30 @@ def phase_projection_family(
 
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
-    differ only in their step phases exp(i*phi_j*sigma_c), taken in one
-    block from one induced walk's sigma_c.  psi0's fibers are grouped and
-    its sigma taken once for all phases, and the walks advance together
-    as one ``(M, n, dim)`` coin block on one coordinate block through the
-    walk module's block loop, which pays one shape comparison per step on a
-    growing support; the returned states share that coordinate block, and
-    each holds the component-major ``(n, dim)`` view of its walk.  Each
-    state equals, entry for entry, the separate evolution of its induced
-    walk from :func:`~qwproj.projection.project_state`.
+    differ only in their step phases exp(i*phi_j*sigma_c).  One induced
+    walk, built at phi = 0, gives the coin, and the walk module's phase
+    builder turns the map's sigma_c, read once, into the phases of every
+    walk.  A map without sigma admits only the grid (0.0,), whose factors
+    exp(0) are multiplied in all the same, so every grid takes one path.
+    psi0's fibers are grouped and its sigma taken once for all phases, and
+    the walks advance together as one ``(M, n, dim)`` coin block on one
+    coordinate block through the walk module's block loop, which pays one
+    shape comparison per step on a growing support; the returned states
+    share that coordinate block, and each holds the component-major
+    ``(n, dim)`` view of its walk.  Each state equals, entry for entry, the
+    separate evolution of its induced walk from
+    :func:`~qwproj.projection.project_state`.
     """
     steps = _count(n, "step count")
     grid = phase_grid(samples, delta)
-    # One induced walk holds every walk's step weights; it is built at a grid
-    # phase that is not zero, if there is one, so a phi = 0 grid needs no sigma.
-    spec = induced_walk(walk, pmap, max(grid, key=abs))
+    spec = induced_walk(walk, pmap)  # for its coin
+    sigma_c = pmap.sigma_c
+    if sigma_c is None and any(grid):
+        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     coords, block, _ = _project_phases(pmap, grid, psi0)
     space = pmap.target
-    sigma_c = spec.phase.sigma_c if spec.phase else dict.fromkeys(space.labels, 0)
-    weights = np.array([sigma_c[d.label] for d in space.displacements])
-    phases = np.exp(1j * np.array(grid)[:, None] * weights)[:, None, :]
+    weights = sigma_c or dict.fromkeys(space.labels, 0)
+    phases = _phase_factors(space, weights, np.array(grid)[:, None])[:, None, :]
     for coords, block in _walk_blocks(spec, coords, block, steps, phases):
         pass  # only the blocks after the last step are kept
     _debug(__name__, "built projection family: %d phases, %d steps", samples, steps)
@@ -285,12 +300,9 @@ def reconstruct_support(
     therefore be much smaller than the global sigma span whenever sigma
     varies little within each fiber.
     """
-    if pmap.sigma_array is None:
-        raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
-    coords = _position_block(candidates, pmap.source)
+    coords, targets, sigma = _candidates(pmap, candidates)
     states = _sorted_grid(projections, pmap)
-    targets = pmap.rho_array(coords)
-    bin_of = _bins(coords, targets, pmap.sigma_array(coords), len(states))
+    bin_of = _bins(coords, targets, sigma, len(states))
     bins, fiber_of = _fiber_stacks(states, targets, pmap.source.coin_dimension)
     # A fiber that no member holds is a zero column, so its candidates drop.
     vecs = bins[bin_of, fiber_of]

@@ -426,11 +426,14 @@ def _finite(x, what: str, positive: bool = False) -> None:
         raise InvalidParameter(f"{what} must be finite{' and > 0' if positive else ''}, got {x!r}")
 
 
-def _count(n, what: str, least: int = 0) -> int:
-    """n as an int; InvalidParameter unless it is an integer, not a bool, >= least."""
+def _count(n, what: str, least: int = 0, most: int | None = None) -> int:
+    """n as an int; InvalidParameter unless it is an integer, not a bool,
+    >= least and, if ``most`` is given, <= most."""
     n = _integer(n, what)
     if n < least:
         raise InvalidParameter(f"{what} must be >= {least}, got {n}")
+    if most is not None and n > most:
+        raise InvalidParameter(f"{what} must be <= {most}, got {n}")
     return n
 
 

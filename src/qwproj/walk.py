@@ -9,15 +9,16 @@ Two engines advance a state by one step:
   displacement at once, merges coinciding images with
   :func:`~qwproj.spaces.group_rows` (one int64 key per row over a dense
   bounding box, else a ``lexsort``) and scatters each coin component to
-  its image (multiplying in the optional per-direction step phase).  A
-  step stores the blocks it makes one component at a time: the
-  coordinate block is the ``(n, d)`` view of a C-ordered ``(d, n)``
-  array and the coin block the ``(n, dim)`` view of a C-ordered
-  ``(dim, n)`` one, so each coin component lands in one contiguous row
-  and the projection reads it as one contiguous column.  The step kernel
-  also takes coin blocks with a leading batch axis, so a family of M
-  walks that share one support and differ only in their step phases
-  advances in one call, stored ``(M, dim, n)``
+  its image (multiplying in the optional per-direction step phase, which
+  ``_phase_factors`` builds from the weights sigma_c, for one walk and
+  for a family alike).  A step stores the blocks it makes one component
+  at a time: the coordinate block is the ``(n, d)`` view of a C-ordered
+  ``(d, n)`` array and the coin block the ``(n, dim)`` view of a
+  C-ordered ``(dim, n)`` one, so each coin component lands in one
+  contiguous row and the projection reads it as one contiguous column.
+  The step kernel also takes coin blocks with a leading batch axis, so a
+  family of M walks that share one support and differ only in their step
+  phases advances in one call, stored ``(M, dim, n)``
   (:func:`~qwproj.reconstruction.phase_projection_family`).  The coin
   and the step each have one block kernel; :func:`apply_coin` and
   :func:`apply_step` wrap them for states, and ``_walk_states`` steps a
@@ -95,10 +96,6 @@ def hadamard_coin() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def _check_unitary(mat: np.ndarray, dim: int) -> np.ndarray:
-    return _check_unitaries([mat], dim)[0]
-
-
 def _check_unitaries(mats, dim: int, positions=None) -> np.ndarray:
     """Stack dim x dim unitaries into one ``(n, dim, dim)`` block, checking
     all of them with one batched product.  Given the positions the matrices
@@ -132,7 +129,7 @@ class CoinAssignment(_Record):
     def homogeneous(matrix: np.ndarray) -> "CoinAssignment":
         matrix = np.asarray(matrix, dtype=np.complex128)
         dim = matrix.shape[0]
-        return CoinAssignment(dim, matrix=_check_unitary(matrix, dim))
+        return CoinAssignment(dim, matrix=_check_unitaries([matrix], dim)[0])
 
     @staticmethod
     def positional(fn: Callable[[Position], np.ndarray], dimension: int) -> "CoinAssignment":
@@ -146,7 +143,7 @@ class CoinAssignment(_Record):
         """The coin matrix acting at ``pos`` (validated for unitarity)."""
         if self.matrix is not None:
             return self.matrix
-        return _check_unitary(self.matrix_fn(pos), self.dimension)
+        return _check_unitaries([self.matrix_fn(pos)], self.dimension)[0]
 
 
 class StepPhase(_Record):
@@ -175,12 +172,16 @@ class WalkSpec(_Record):
 
     def step_phases(self) -> np.ndarray | None:
         """Phase factors in displacement order, or None when the walk is phase-free."""
-        if self.phase is None:
-            return None
-        phi = self.phase.phi
-        return np.array(
-            [np.exp(1j * phi * self.phase.sigma_c[d.label]) for d in self.space.displacements]
-        )
+        phase = self.phase
+        return None if phase is None else _phase_factors(self.space, phase.sigma_c, phase.phi)
+
+
+def _phase_factors(space: PositionSpace, sigma_c: Mapping[str, int], phi) -> np.ndarray:
+    """The step phases exp(i*phi*sigma_c) in the space's displacement order:
+    ``(dim,)`` for one phase phi, ``(M, dim)`` for an ``(M, 1)`` column of
+    phases.  The one place a step weight becomes a phase factor."""
+    weights = np.array([sigma_c[d.label] for d in space.displacements], dtype=np.float64)
+    return np.exp(1j * phi * weights)
 
 
 def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:

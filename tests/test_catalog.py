@@ -266,6 +266,34 @@ class TestThreeCoinRestriction:
         with pytest.raises(StateOutsideSubspace):
             restrict_to_three_coin(spec, psi)
 
+    def test_witnesses_are_the_first_in_row_order(self):
+        # A positional coin mixing R and D by sin = 0.6 at 2 and 0.3 at 1:
+        # the first matrix in row order, at 1, is named.
+        def mixing(pos):
+            s = {1: 0.3, 2: 0.6}.get(pos[0], 0.0)
+            c = math.sqrt(1 - s * s)
+            return np.array([[c, 0, 0, -s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
+
+        lazy = self.lazy_walk_with_block_coin().space
+        spec = WalkSpec(lazy, CoinAssignment.positional(mixing, 4))
+        psi = state_new(lazy, [((2,), (1, 0, 0, 0)), ((1,), (1, 0, 0, 0))])
+        with pytest.raises(SubspaceNotInvariant, match=r"leakage 3\.000e-01$"):
+            restrict_to_three_coin(spec, psi)
+        spec = self.lazy_walk_with_block_coin()
+        psi = state_new(lazy, [((5,), (0, 0, 0, 1)), ((3,), (0, 0, 0, 1j)), ((0,), (1, 0, 0, 0))])
+        with pytest.raises(StateOutsideSubspace, match=r"amplitude at \(3,\)$"):
+            restrict_to_three_coin(spec, psi)
+
+    def test_reduced_state_is_the_truncated_mapping(self):
+        spec = self.lazy_walk_with_block_coin()
+        psi = evolve(spec, state_new(spec.space, [((0,), (1, -0.0, 1j, 0))]), 4)
+        reduced_spec, reduced_psi = restrict_to_three_coin(spec, psi)
+        mapping = {pos: vec[:3] for pos, vec in psi.support.items()}
+        expected = catalog.WalkState(reduced_spec.space, mapping)
+        assert reduced_psi.coords.tolist() == expected.coords.tolist()
+        assert reduced_psi.coins.flags.c_contiguous
+        assert reduced_psi.coins.tobytes() == expected.coins.tobytes()
+
 
 def _structure(space):
     """What tells two spaces apart: dimension, labels, and where each

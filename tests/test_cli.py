@@ -440,6 +440,13 @@ class TestReconstructCommand:
         assert err.startswith("error: candidates (") and err.endswith("sigma bin 0 of 32\n")
         assert main([*args, "--phi-samples", "33"]) == 0
 
+    def test_sample_count_beyond_int64_is_refused(self, capsys):
+        args = ["reconstruct", "--k", "2", "--l", "1", "--steps", "3"]
+        assert main([*args, "--phi-samples", str(10**30)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: phase sample count must be <= {2**63 - 1}, got {10**30}\n"
+        )
+
     @pytest.mark.parametrize("factor", [1e-8, 1e8])
     def test_tolerance_relative_to_initial_norm(self, tmp_path, factor):
         report = tmp_path / "rec.json"
@@ -489,6 +496,33 @@ class TestInitAtAnyScale:
         probs = [float(row.split(",")[1]) for row in dist.read_text().splitlines()[1:]]
         assert probs and all(map(math.isfinite, probs))
         assert abs(sum(probs) - 1.0) < 1e-10
+
+    # A one-site state whose norm is beyond the float range, and two sites
+    # of one lazy-line fiber whose sum is.
+    OVERFLOWS = {
+        "one-site": [{"pos": [0, 0], "coin": [[1e308, 0]] * 4}],
+        "shared-fiber": [{"pos": [0, y], "coin": [[1e308, 0], [0, 0], [0, 0], [0, 0]]}
+                         for y in (0, 1)],
+    }
+
+    @pytest.mark.parametrize("support, command", [
+        ("one-site", "run"), ("one-site", "verify"), ("one-site", "reconstruct"),
+        ("shared-fiber", "run"), ("shared-fiber", "verify"),
+    ])
+    def test_overflow_is_a_configuration_error(self, tmp_path, capsys, support, command):
+        # Not a cancellation (exit 3), NaN amplitudes written (exit 0) or
+        # NaN residuals (exit 4).
+        out = tmp_path / "out.json"
+        args = {
+            "run": ["run", "--scenario", "grover2d_to_lazy", "--out-state", str(out)],
+            "verify": ["verify", "--scenario", "grover2d_to_lazy"],
+            "reconstruct": ["reconstruct", "--k", "2", "--l", "1"],
+        }[command]
+        init = json.dumps({"space": "z2", "support": self.OVERFLOWS[support]})
+        assert main([*args, "--steps", "3", "--init", init]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection through") and err.count("\n") == 1
+        assert "is beyond the float range" in err and not out.exists()
 
     @staticmethod
     def reconstruct_report(tmp_path, amplitude: float) -> dict:

@@ -103,6 +103,35 @@ def test_one_routine_projects_a_state():
     assert users == {("projection.py", "_project_phases")}
 
 
+def test_one_reader_asks_a_space_for_its_positions():
+    # A state's mapping, a window and a candidate region are all read by
+    # spaces._position_block, so that which tuples are positions of a space,
+    # and in what order they are stored, is decided once.
+    callers = {
+        (path.name, getattr(node, "name", None) or ast.unparse(node))
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if any(
+            isinstance(call, ast.Call) and "contains" in set(names_in(call.func))
+            for call in ast.walk(node)
+        )
+    }
+    assert callers == {("spaces.py", "_position_block")}
+
+
+def test_one_builder_turns_step_weights_into_phases():
+    # The step phases exp(i*phi*sigma_c) of a walk and of a phase family come
+    # from walk._phase_factors; projection._phase_table takes exp over the
+    # sigma range that the weights let n steps reach.
+    users = {
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and {"exp", "sigma_c"} <= set(names_in(node))
+    }
+    assert users == {("walk.py", "_phase_factors"), ("projection.py", "_phase_table")}
+
+
 def test_cli_uses_public_names_only():
     # The command-line front end is a client of the library: it may refer to
     # private names it defines itself, and to dunders, but to no other.

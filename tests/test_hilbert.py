@@ -34,6 +34,7 @@ from qwproj import (
     state_new,
     to_json_dict,
 )
+from qwproj.spaces import _position_block
 from conftest import random_sparse_state
 
 Z2 = lattice_2d()
@@ -41,6 +42,22 @@ Z1 = line()
 
 R4 = (1, 0, 0, 0)
 L4 = (0, 1, 0, 0)
+
+
+@st.composite
+def position_mappings(draw):
+    """A space and a mapping from some of its positions to coin vectors:
+    planar int64 positions, line positions up to +-2**70 or circle
+    positions, in any order, with finite amplitudes of either zero sign."""
+    space, coords = draw(st.sampled_from([
+        (Z2, st.integers(-(2**63 - 1), 2**63 - 1)),
+        (Z1, st.integers(-(2**70), 2**70)),
+        (circle(5), st.integers(0, 4)),
+    ]))
+    positions = draw(st.lists(st.tuples(*[coords] * space.dimension), max_size=8, unique=True))
+    parts = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=2 * space.coin_dimension, max_size=2 * space.coin_dimension)
+    return space, {p: np.array(draw(parts)).view(np.complex128) for p in positions}
 
 
 class TestStateNew:
@@ -80,6 +97,34 @@ class TestStateNew:
             WalkState(line(), {(0,): [[1, 0]]})
         with pytest.raises(InvalidParameter, match=r"non-finite amplitude at \(2,\)"):
             WalkState(circle(4), {(1,): [1, 0], (2,): [0, math.inf]})
+
+    def test_constructor_reads_positions_through_the_window_reader(self):
+        with pytest.raises(InvalidPosition, match=r"^position \(0\.5, 0\) has a coordinate that"):
+            WalkState(Z2, {(0, 0): R4, (0.5, 0): R4})
+        with pytest.raises(InvalidPosition, match=r"^position \(1, 2\) has 2 coordinates, not 1$"):
+            WalkState(line(), {(1, 2): [1, 0], (0,): [1, 0, 0]})
+        # Off a finite space, the reader names the first or the last position in order.
+        with pytest.raises(InvalidPosition, match=r"^\(-1,\) is not a position of space 'circle4'$"):
+            WalkState(circle(4), {(2,): [1, 0], (7,): [1, 0], (-1,): [1, 0]})
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(drawn=position_mappings())
+    def test_mapping_is_read_as_a_window(self, drawn):
+        # The constructor takes its coordinate block, and so its row order,
+        # from the reader of every window: bitwise the state from_blocks
+        # builds on the reader's block with the vectors in its row order.
+        space, mapping = drawn
+        state = WalkState(space, mapping)
+        coords = _position_block(mapping, space)
+        rows = [mapping[p] for p in map(tuple, coords.tolist())]
+        coins = np.array(rows, dtype=np.complex128).reshape(len(rows), space.coin_dimension)
+        expected = WalkState.from_blocks(space, coords, coins)
+        assert state.coords.dtype == expected.coords.dtype
+        assert state.coords.strides == expected.coords.strides
+        assert state.coords.tolist() == expected.coords.tolist()
+        assert state.coords.tolist() == [list(p) for p in sorted(mapping)]
+        assert state.coins.strides == expected.coins.strides
+        assert state.coins.tobytes() == expected.coins.tobytes()
 
     def test_non_numeric_coin_entry_is_named(self):
         for build in (

@@ -118,6 +118,24 @@ class TestProjectState:
         with pytest.raises(NullProjection):
             project_state(pm, 0.0, state_new(Z2, []))
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_overflow_is_refused_not_cancelled(self, phi):
+        # A state whose norm is beyond the float range, and two sites whose
+        # fiber sum is: neither is a cancellation, nor a projection with an
+        # infinite coin.  The error names the fiber whose sum overflowed.
+        pm = lattice_quotient(1, 0)
+        big = state_new(Z2, [((0, 0), (1e308,) * 4)])
+        shared = state_new(Z2, [((0, 0), (1e308, 0, 0, 0)), ((0, 1), (1e308, 0, 0, 0))])
+        # The state's norm and each fiber sum's are finite, the projection's is not.
+        wide = state_new(Z2, [((x, y), (0.6e308, 0, 0, 0)) for x in range(3) for y in (0, 1)])
+        for psi, where in ((big, "; the sum over fiber (0,) overflows"),
+                           (shared, "; the sum over fiber (0,) overflows"), (wide, "")):
+            with pytest.raises(InvalidParameter, match="is beyond the float range") as raised:
+                project_state(pm, phi, psi)
+            assert str(raised.value).endswith(")" + where)
+            with pytest.raises(InvalidParameter):
+                verify_commutation(GROVER2D, pm, phi, psi, 3)
+
     def test_phase_beyond_the_float_range_is_refused(self):
         pm = lattice_quotient(2, 1)
         far = state_new(Z2, [((10**400, 0), GENERIC4)])

@@ -102,6 +102,17 @@ class TestSigmaBounds:
         with pytest.raises(MissingSigma):
             phase_projection_family(GROVER2D, bare, origin_state(), 2, 3)
 
+    @pytest.mark.parametrize("coin", [GENERIC4, -1j * GENERIC4.real, np.array([-0.0, 0, 1j, -1j])])
+    def test_a_map_without_sigma_takes_the_one_phase_path(self, coin):
+        # The grid (0.0,) multiplies in exp(0) with or without sigma, so the
+        # family on the same rho is bitwise the same.
+        psi = state_new(Z2, [((0, 0), coin), ((1, 1), coin[::-1])])
+        for n in (0, 1, 5):
+            ((_, bare),) = phase_projection_family(GROVER2D, self.bare_map(), psi, n, 1)
+            ((_, full),) = phase_projection_family(GROVER2D, lattice_quotient(1, 0), psi, n, 1)
+            assert bare.coords.tolist() == full.coords.tolist()
+            assert bare.coins.tobytes() == full.coins.tobytes()
+
 
 def widest_fiber(pmap, positions):
     """Loop oracle: the largest sigma span (max - min + 1) within one fiber."""
@@ -184,7 +195,9 @@ class TestPlan:
         with pytest.raises(InvalidPosition, match=r"\(0\.7, 0\.2\)"):
             reconstruct_support(family, pm, candidates)
 
-    @pytest.mark.parametrize("samples", [0, -2, True, 2.5, 13.0, np.float64(11.0), "11"])
+    @pytest.mark.parametrize(
+        "samples", [0, -2, True, 2.5, 13.0, np.float64(11.0), "11", 2**63, 10**30]
+    )
     def test_sample_counts_follow_one_rule(self, samples):
         pm = lattice_quotient(1, 0)
         window = reachable_window(Z2, [(0, 0)], 5)
@@ -194,6 +207,17 @@ class TestPlan:
             phase_grid(samples)
         with pytest.raises(InvalidParameter, match="phase sample count"):
             phase_projection_family(GROVER2D, pm, origin_state(), 2, samples)
+
+    def test_sample_counts_up_to_int64_are_taken(self):
+        # sigma is binned modulo the count in int64
+        window = reachable_window(Z2, [(0, 0)], 2)
+        assert plan_reconstruction(lattice_quotient(2, 1), window, TOP) == TOP
+        pm = lattice_quotient(1, 0)
+        assert plan_reconstruction(pm, [(0, -TOP), (0, -1)]) == TOP
+        # a default span past int64, not wrapped around to a count of -1
+        for fiber, wide in (([(0, -TOP), (0, 0)], TOP + 1), ([(0, -TOP), (0, TOP)], 2 * TOP + 1)):
+            with pytest.raises(InvalidParameter, match=f"must be <= {TOP}, got {wide}$"):
+                plan_reconstruction(pm, fiber)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_every_phase_input_refuses_a_non_finite_phase(self, phi):
