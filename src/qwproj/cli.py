@@ -3,22 +3,27 @@
 Exit codes: 0 success, 2 configuration error, 3 null projection,
 4 verification failure.  Logging is controlled by the QWPROJ_LOG
 environment variable (off | info | debug, default off).
+
+Importing this module loads argparse, the catalog and the layers under it
+(spaces, hilbert, walk) and nothing else of qwproj.  Each command imports
+the layer it calls when it runs: ``run`` and ``verify`` import projection,
+``reconstruct`` imports reconstruction, so ``--help`` and a refused command
+line load neither.  json is imported when an ``--init`` state is read or a
+file written.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import re
 import sys
 from pathlib import Path
 
-from . import catalog, hilbert, reconstruction
+from . import catalog, hilbert
 from .errors import InvalidParameter, NullProjection, QwprojError
-from .projection import induced_walk, project_state, verify_commutation
 from .spaces import lattice_quotient, reachable_window
 from .walk import evolve
 
@@ -108,6 +113,8 @@ def _info(msg: str, *args) -> None:
 
 
 def _load_initial_state(space, text: str):
+    import json
+
     if not text.lstrip().startswith("{"):
         text = Path(text).read_text()
     # Reading and checking a document recurse once per nesting level.
@@ -210,6 +217,8 @@ def cmd_run(args) -> int:
     if args.out_state is None and args.out_dist is None:
         print("error: run needs --out-state and/or --out-dist", file=sys.stderr)
         return EXIT_CONFIG
+    from .projection import induced_walk, project_state
+
     desc = _scenario_from_args(args)
     psi0 = _initial_state(desc, args)
     projected = project_state(desc.pmap, desc.phi, psi0, normalize=True)
@@ -226,6 +235,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .projection import verify_commutation
+
     desc = _scenario_from_args(args)
     psi0 = _initial_state(desc, args)
     report = verify_commutation(desc.walk, desc.pmap, desc.phi, psi0, args.steps, tol=args.tol)
@@ -240,6 +251,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import reconstruction
+
     pmap = lattice_quotient(args.k, args.l)  # a non-coprime pair exits as a config error
     desc = catalog.scenario("grover2d_to_lazy")
     parent = desc.walk
@@ -293,7 +306,7 @@ def main(argv=None) -> int:
     except NullProjection as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NULL_PROJECTION
-    except (QwprojError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (QwprojError, OSError, KeyError, ValueError) as exc:  # json's decode error too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,7 +27,6 @@ mutates its inputs, so states can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -188,14 +187,23 @@ def norm(state: WalkState) -> float:
 # block instead.
 _SMALL_SUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 _LARGE_SUM = np.finfo(np.float64).max
+# Entries per np.vdot in a norm.  OpenBLAS, the BLAS of numpy's wheels,
+# splits a complex dot product of more than 10 000 entries between its
+# threads, whose partial sums then add up in an order set by the thread
+# count; a shorter one runs on the calling thread.  Another BLAS may split
+# at another length.
+_DOT_PIECE = 8192
 
 
 def _norm(block: np.ndarray) -> float:
     """The 2-norm of a complex block, at any scale of its entries, its
     squares summed in the order the block is stored.
 
-    The sum of squares gives it where that sum is neither small enough to
-    have lost squares to underflow nor overflowed.  Otherwise the moduli
+    The squares are summed by ``np.vdot`` over consecutive pieces of at most
+    :data:`_DOT_PIECE` entries, and the pieces' sums added in order, so the
+    bits do not depend on how many threads OpenBLAS runs.  The sum of squares
+    gives the norm where that sum is neither small enough to have lost
+    squares to underflow nor overflowed.  Otherwise the moduli
     are divided by the largest of them first, so that their sum of squares
     lies between 1 and the entry count, and the norm is that modulus times
     the root (the safe scaling of Blue, ACM TOMS 4 (1978), and Anderson,
@@ -203,7 +211,10 @@ def _norm(block: np.ndarray) -> float:
     norm inf or NaN.
     """
     flat = block.ravel(order="K")  # no copy for a block stored contiguously
-    total = float(np.vdot(flat, flat).real)
+    total = 0.0
+    for start in range(0, len(flat), _DOT_PIECE):
+        piece = flat[start : start + _DOT_PIECE]
+        total += float(np.vdot(piece, piece).real)
     if _SMALL_SUM <= total <= _LARGE_SUM:
         return math.sqrt(total)
     moduli = np.abs(block)
@@ -318,16 +329,18 @@ def _amplitude(re, im) -> complex:
     not the number 1 here, as it is not a coordinate or a count."""
     for part in (re, im):
         if isinstance(part, bool):
-            raise TypeError(f"amplitude part {json.dumps(part)} is a bool, not a number")
+            raise TypeError(f"amplitude part {str(part).lower()} is a bool, not a number")
     return complex(re, im)
 
 
 # A string the writer puts where a state goes, and its JSON token.
 _SLOT = "\x00"
-_SLOT_TOKEN = json.dumps(_SLOT)
+_SLOT_TOKEN = '"\\u0000"'
 
 
 def _indented(obj, default=None) -> str:
+    import json  # loaded by the first write, not by every import
+
     return json.dumps(obj, sort_keys=True, indent=2, default=default)
 
 
@@ -342,6 +355,8 @@ def _entry_tokens(state: WalkState, start: int, stop: int) -> tuple[str, ...]:
     writes it, entry by entry: re and im of each coin entry, then the
     position.  One call of json's C encoder renders them all, so each token
     is json's own repr (``-0.0``, ``NaN`` and ``Infinity`` included)."""
+    import json
+
     floats = np.ascontiguousarray(state.coins[start:stop]).view(np.float64).tolist()
     rows = json.dumps([c + p for c, p in zip(floats, state.coords[start:stop].tolist())])
     return tuple(rows[2:-2].replace("], [", ", ").split(", "))

@@ -366,6 +366,13 @@ def induced_walk(
     return WalkSpec(pmap.target, coin, phase)
 
 
+def _coin_window(walk: WalkSpec, psi0: WalkState, n: int) -> np.ndarray | None:
+    """The window on which :func:`induced_walk` checks a positional coin for a
+    run of n steps from psi0: every site psi0 reaches; None for a
+    homogeneous coin, which needs none."""
+    return None if walk.coin.is_homogeneous else reachable_window(walk.space, psi0.coords, n)
+
+
 def verify_commutation(
     walk: WalkSpec,
     pmap: ProjectionMap,
@@ -408,8 +415,7 @@ def verify_commutation(
     n = _count(n, "step count")
     _finite(tol, "tol", positive=True)
     projected = project_state(pmap, phi, psi0)
-    window = None if walk.coin.is_homogeneous else reachable_window(walk.space, psi0.coords, n)
-    induced = induced_walk(walk, pmap, phi, window=window)
+    induced = induced_walk(walk, pmap, phi, window=_coin_window(walk, psi0, n))
     table = _phase_table(pmap, phi, psi0, n)
     lower = _walk_blocks(induced, projected.coords, projected.coins, n, induced.step_phases())
     residuals = []

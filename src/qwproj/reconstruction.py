@@ -58,7 +58,7 @@ from .errors import (
     MissingSigma,
 )
 from .hilbert import WalkState
-from .projection import _project_phases, induced_walk
+from .projection import _coin_window, _project_phases, induced_walk
 from .spaces import (
     COORD_LIMIT, Position, ProjectionMap, _count, _debug, _finite, _integer,
     _position_block, check_same_space, group_rows,
@@ -162,10 +162,13 @@ def phase_projection_family(
     The induced walks share the target space, the coin and, since every
     fiber of psi0 survives projection at every phase, the support; they
     differ only in their step phases exp(i*phi_j*sigma_c).  One induced
-    walk, built at phi = 0, gives the coin, and the walk module's phase
-    builder turns the map's sigma_c, read once, into the phases of every
-    walk.  A map without sigma admits only the grid (0.0,), whose factors
-    exp(0) are multiplied in all the same, so every grid takes one path.
+    walk, built at phi = 0, gives the coin; a positional coin must be
+    constant on the fibers of the window psi0 reaches in n steps, as in the
+    commutation check (InhomogeneousCoin otherwise).  The walk module's
+    phase builder turns the map's sigma_c, read once, into the phases of
+    every walk.  A map without sigma admits only the grid (0.0,), whose
+    factors exp(0) are multiplied in all the same, so every grid takes one
+    path.
     psi0's fibers are grouped and its sigma taken once for all phases, and
     the walks advance together as one ``(M, n, dim)`` coin block on one
     coordinate block through the walk module's block loop, which pays one
@@ -177,7 +180,7 @@ def phase_projection_family(
     """
     steps = _count(n, "step count")
     grid = phase_grid(samples, delta)
-    spec = induced_walk(walk, pmap)  # for its coin
+    spec = induced_walk(walk, pmap, window=_coin_window(walk, psi0, steps))
     sigma_c = pmap.sigma_c
     if sigma_c is None and any(grid):
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")

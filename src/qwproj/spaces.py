@@ -81,16 +81,25 @@ def pack_positions(positions: list[Position] | np.ndarray, d: int) -> np.ndarray
 
 def _position_block(positions: np.ndarray | Iterable[Position], space: PositionSpace) -> np.ndarray:
     """The sorted, distinct block of a window of the space's positions (a block
-    or tuples).  InvalidPosition names a position :func:`pack_positions`
-    refuses, else the first or the last if off the space: a finite space is a
-    cycle, so its first coordinate bounds the rest."""
+    or tuples).  InvalidPosition names the first entry that is not a sequence
+    of coordinates, else a position :func:`pack_positions` refuses, else the
+    first or the last if off the space: a finite space is a cycle, so its
+    first coordinate bounds the rest."""
     if not isinstance(positions, np.ndarray):
-        positions = [tuple(p) for p in positions]
+        positions = list(map(_coordinate_tuple, positions))
     coords = group_rows(pack_positions(positions, space.dimension))[0]
     for p in map(tuple, coords[[0, -1]].tolist() if len(coords) else []):
         if not space.contains(p):
             raise InvalidPosition(f"{p} is not a position of space {space.name!r}")
     return coords
+
+
+def _coordinate_tuple(p) -> tuple:
+    """One entry of a window as a tuple, or InvalidPosition naming it."""
+    try:
+        return tuple(p)
+    except TypeError:
+        raise InvalidPosition(f"position {p!r} is not a sequence of coordinates") from None
 
 
 def exact_block(positions: Iterable[Position], d: int) -> np.ndarray:

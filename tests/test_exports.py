@@ -33,12 +33,62 @@ def test_module_all_resolves(module):
     assert not missing
 
 
+def defined_names(module):
+    """The names a submodule's top level defines itself, not imports."""
+    path = Path(qwproj.__file__).parent / f"{module}.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+# Names of a lazily exported module's __all__ that the package leaves in
+# the module: the tolerances are read as walk.UNITARY_TOL and the like.
+NOT_REEXPORTED = {"UNITARY_TOL", "NULL_TOL", "HOMOGENEITY_TOL"}
+
+
 def test_package_imports_resolve():
+    # Every name the package exports, eagerly imported or looked up on first
+    # use, is the object of the one submodule that defines it, and every
+    # submodule is exported as itself.
     imports = package_imports()
-    assert imports
-    for module, name in imports:
+    assert imports and {name for _, name in imports} <= set(qwproj.__all__)
+    # The lazy table re-exports each of its modules' __all__, so a name added
+    # there cannot be left out of the package unnoticed.
+    for module in set(qwproj._EXPORTS.values()):
+        listed = {name for name, owner in qwproj._EXPORTS.items() if owner == module}
         source = importlib.import_module(f"qwproj.{module}")
-        assert getattr(qwproj, name) is getattr(source, name, None), (module, name)
+        assert listed == set(source.__all__) - NOT_REEXPORTED, module
+    definers = {}
+    for module in MODULES:
+        for name in defined_names(module):
+            definers.setdefault(name, []).append(module)
+    for name in qwproj.__all__:
+        if name in MODULES:
+            assert getattr(qwproj, name) is importlib.import_module(f"qwproj.{name}")
+            continue
+        (module,) = definers[name]
+        source = importlib.import_module(f"qwproj.{module}")
+        assert getattr(qwproj, name) is getattr(source, name), (module, name)
+
+
+def test_star_import_and_dir_list_every_export():
+    # In a fresh interpreter, before any name has been looked up: a star
+    # import binds exactly __all__, dir() lists all of it, and a submodule
+    # reads as an attribute of the package alone.
+    code = (
+        "import qwproj\nlisted = set(dir(qwproj))\n"
+        "print(qwproj.reconstruction.reconstruct is qwproj.reconstruct)\nns = {}\n"
+        "exec('from qwproj import *', ns)\n"
+        "print(sorted(qwproj.__all__) == sorted(set(ns) - {'__builtins__'}),"
+        " listed >= set(qwproj.__all__))"
+    )
+    assert run_fresh(code).split() == ["True", "True", "True"]
+    assert set(MODULES) - {"cli"} <= set(qwproj.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qwproj.no_such_name
 
 
 STEP_KERNELS = {"_step_block", "_merge_images", "_coin_block"}
@@ -156,25 +206,65 @@ def test_cli_uses_public_names_only():
     assert private - defined == set()
 
 
-def loaded_modules(code):
-    """The modules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def run_fresh(code):
+    """The standard output of a fresh interpreter that runs ``code``."""
     env = dict(os.environ)
     src = str(Path(qwproj.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     run = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return set(run.stdout.split())
+    return run.stdout
+
+
+def loaded_modules(code):
+    """The modules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    return set(run_fresh(f"{code}\nimport sys\nprint(*sys.modules)").split())
 
 
 def test_import_loads_neither_dataclasses_nor_logging():
     # Generating dataclass methods and importing logging each cost every CLI
     # call milliseconds of start-up; the records and log lines need neither.
-    own = loaded_modules("import qwproj.cli") - loaded_modules("import numpy, argparse, json")
+    # The CLI loads projection and reconstruction only when a command runs,
+    # so they are imported here by name.
+    own = loaded_modules("import qwproj.cli, qwproj.reconstruction") - loaded_modules(
+        "import numpy, argparse, json"
+    )
     assert own & {"dataclasses", "logging"} == set()
+
+
+# Layers and standard modules that building a scenario never calls.
+DEFERRED = {"qwproj.projection", "qwproj.reconstruction", "json"}
+
+
+def test_building_a_scenario_loads_only_its_layers():
+    # Compiling projection and reconstruction and importing json cost a fresh
+    # process several ms of start-up, most of it recompiling sources where no
+    # bytecode is written.
+    loaded = loaded_modules(
+        "from qwproj import catalog, cli, spaces\n"
+        "for name in catalog.SCENARIO_NAMES:\n"
+        "    for make in catalog.scenario(name).distinguished_states.values():\n"
+        "        make()"
+    )
+    assert {"qwproj.catalog", "qwproj.cli"} <= loaded
+    assert loaded & DEFERRED == set()
+
+
+def test_verify_command_loads_no_reconstruction():
+    loaded = loaded_modules(
+        "import runpy, sys\n"
+        "sys.argv = ['qwproj', 'verify', '--scenario', 'line_to_circle', '--steps', '3']\n"
+        "try:\n"
+        "    runpy.run_module('qwproj.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    assert "qwproj.projection" in loaded
+    assert "qwproj.reconstruction" not in loaded
 
 
 def test_sources_parse_as_python_3_10():

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,8 @@ class TestStateNew:
             WalkState(Z2, {(0, 0): R4, (0.5, 0): R4})
         with pytest.raises(InvalidPosition, match=r"^position \(1, 2\) has 2 coordinates, not 1$"):
             WalkState(line(), {(1, 2): [1, 0], (0,): [1, 0, 0]})
+        with pytest.raises(InvalidPosition, match=r"^position 5 is not a sequence of coordinates$"):
+            WalkState(line(), {5: [1, 0]})
         # Off a finite space, the reader names the first or the last position in order.
         with pytest.raises(InvalidPosition, match=r"^\(-1,\) is not a position of space 'circle4'$"):
             WalkState(circle(4), {(2,): [1, 0], (7,): [1, 0], (-1,): [1, 0]})
@@ -174,6 +180,34 @@ class TestNormAndInner:
         assert norm(at_origin(3e200, 4e200)) == pytest.approx(5e200, rel=1e-15)
         assert norm(at_origin(1.5e308, 1.5e308)) == math.inf
         assert norm(at_origin(0, 0)) == 0.0
+
+    def test_norm_up_to_one_dot_piece_is_one_dot(self, rng):
+        # A block of at most 8 192 entries is one piece: the bits of a single np.vdot.
+        coins = rng.standard_normal((2048, 4)) + 1j * rng.standard_normal((2048, 4))
+        psi = WalkState.from_blocks(Z2, np.zeros((2048, 2), dtype=np.int64), coins)
+        assert norm(psi) == math.sqrt(float(np.vdot(coins, coins).real))
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+    def test_norm_does_not_depend_on_blas_threads(self, plane_state, tmp_path):
+        # OpenBLAS runs a complex dot product of more than 10 000 entries on
+        # all its threads, and the partial sums then round by thread count;
+        # the planar state's 40 804 entries showed it.
+        path = tmp_path / "coins.npy"
+        np.save(path, plane_state.coins)
+        code = (
+            "import numpy as np\nfrom qwproj.hilbert import _norm\n"
+            f"print(_norm(np.load({str(path)!r})).hex())"
+        )
+        path_entries = [str(Path(__file__).resolve().parent.parent / "src")]
+        path_entries += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        bits = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path_entries))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            bits.add(run.stdout.strip())
+        assert bits == {norm(plane_state).hex()}
 
     def test_inner_orthogonal_positions(self):
         a = state_new(Z1, [((0,), (1, 0))])

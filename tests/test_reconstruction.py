@@ -12,6 +12,7 @@ from qwproj import (
     CoinAssignment,
     GridTooCoarse,
     InconsistentGrid,
+    InhomogeneousCoin,
     InvalidParameter,
     InvalidPosition,
     MissingSigma,
@@ -435,10 +436,11 @@ class TestFailureModes:
         family = phase_projection_family(GROVER2D, pm, psi, 3, 5, delta=0.1)
         assert len(family) == 5
 
-    def test_positional_coin_needs_a_window(self):
-        coin = CoinAssignment.positional(lambda pos: grover_coin(), 4)
-        with pytest.raises(InvalidParameter):
-            phase_projection_family(WalkSpec(Z2, coin), lattice_quotient(2, 1), origin_state(), 2, 5)
+    def test_positional_coin_off_the_fibers_is_refused(self):
+        # The fibers of (1, 0) are the lines x = c; this coin changes along them.
+        coin = CoinAssignment.positional(lambda p: [grover_coin(), np.eye(4)][p[1] % 2], 4)
+        with pytest.raises(InhomogeneousCoin):
+            phase_projection_family(WalkSpec(Z2, coin), lattice_quotient(1, 0), origin_state(), 2, 5)
 
     def test_candidate_bin_collision_detected(self):
         pm = lattice_quotient(1, 0)
@@ -616,6 +618,23 @@ class TestFamilyProjection:
             alone = evolve(induced_walk(GROVER2D, pm, phi), project_state(pm, phi, psi), n)
             assert np.array_equal(state.coords, alone.coords)
             assert np.array_equal(state.coins, alone.coins)
+
+    @pytest.mark.parametrize("coin", [
+        lambda p: grover_coin(),
+        lambda p: [grover_coin(), np.diag([1, 1j, -1, -1j])][p[0] % 2],
+    ], ids=["constant", "by-fiber"])
+    def test_positional_coin_constant_on_fibers(self, rng, coin):
+        # The induced coin is checked on psi0's n-step window, as the
+        # commutation check checks it, and the family is each separate walk.
+        spec = WalkSpec(Z2, CoinAssignment.positional(coin, 4))
+        pm, n = lattice_quotient(1, 0), 5
+        psi = random_sparse_state(Z2, rng, points=3, radius=2)
+        window = reachable_window(Z2, psi.coords, n)
+        for phi, state in phase_projection_family(spec, pm, psi, n, 5, delta=0.3):
+            alone = evolve(induced_walk(spec, pm, phi, window=window), project_state(pm, phi, psi), n)
+            assert np.array_equal(state.coords, alone.coords)
+            assert np.array_equal(state.coins, alone.coins)
+        assert verify_commutation(spec, pm, 0.3, psi, n).passed
 
     def test_one_induced_walk_and_one_sigma_read(self, monkeypatch):
         # The M walks differ only in their step phases, which come from one
