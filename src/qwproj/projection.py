@@ -51,6 +51,7 @@ from .walk import (
     CoinAssignment,
     StepPhase,
     WalkSpec,
+    _check_phase_argument,
     _walk_blocks,
     _walk_states,
 )
@@ -237,14 +238,15 @@ def _fiber_sums(
 def _phase_weights(
     phi: float, sigma: np.ndarray, table: tuple[int, np.ndarray] | None
 ) -> np.ndarray:
-    """exp(i*phi*sigma) on a non-empty sigma block.
+    """exp(i*phi*sigma) on a sigma block.
 
     ``table`` is None or a pair ``(lo, values)`` holding the same np.exp
     values for sigma = lo, lo + 1, ...; a block inside it is read off the
     table, bitwise equal to what np.exp returns, and any other block is
     computed directly.  A block of exact Python integers is taken in
     float64, which rounds it as the int64 path rounds its own entries; one
-    beyond the float range is refused with InvalidParameter.
+    beyond the float range is refused with InvalidParameter, and so is a
+    block where phi*sigma is.
     """
     if sigma.dtype == object:
         try:
@@ -258,6 +260,8 @@ def _phase_weights(
         lo, values = table
         if sigma.min() >= lo and sigma.max() < lo + len(values):
             return values[sigma - lo]
+    if len(sigma):  # an empty state's projection takes no phase
+        _check_phase_argument(phi, max(sigma.min().item(), sigma.max().item(), key=abs))
     return np.exp(1j * phi * sigma)
 
 
@@ -270,8 +274,10 @@ def _phase_table(
     sigma is additive, so a step moves it by at most s = max |sigma_c|: the
     table spans [min sigma(psi0) - n*s, max sigma(psi0) + n*s], clipped to
     the int64 coordinate range.  It is built only when psi0's own sigma
-    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries, and
-    sigma is an int64 block.
+    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries,
+    sigma is an int64 block and phi*sigma stays within the float range
+    over the span; else each step's weights are computed directly, and a
+    step that reaches a phi*sigma beyond it is refused there.
     """
     if phi == 0.0:
         return None
@@ -283,6 +289,8 @@ def _phase_table(
     if hi - lo > 2 * reach:
         return None
     lo, hi = max(lo - reach, -COORD_LIMIT), min(hi + reach, COORD_LIMIT)
+    if not math.isfinite(phi * max(-lo, hi)):
+        return None
     return lo, np.exp(1j * phi * (np.arange(hi - lo + 1) + lo))
 
 

@@ -453,8 +453,12 @@ def _jump_family(base: str, jumps: Iterable[tuple[str, int]]) -> tuple[str, tupl
     """The name of a line or circle with these jumps, and their (label, step)
     pairs.  The name is ``base``, followed by the pairs unless they are the
     unit jumps, so no two families share one.  InvalidParameter names a
-    non-integral step."""
-    jumps = tuple((str(lbl), _integer(d, f"step of jump {lbl!r}")) for lbl, d in jumps)
+    step that is not an integer or is beyond +-COORD_LIMIT, where the
+    int64 blocks could not hold it."""
+    jumps = tuple(
+        (str(lbl), _count(d, f"step of jump {lbl!r}", -COORD_LIMIT, COORD_LIMIT))
+        for lbl, d in jumps
+    )
     return (base if jumps == _UNIT_JUMPS else f"{base}{jumps!r}"), jumps
 
 
@@ -584,9 +588,11 @@ def lattice_quotient(k: int, l: int) -> ProjectionMap:
     displacements induce line steps +k, -k, +l, -l under the same labels.
     The attached weight is sigma(x, y) = u*y - v*x with (u, v) the canonical
     Bezout pair, making (rho, sigma) a unimodular coordinate change whose
-    inverse is (x, y) = (u*r - l*s, v*r + k*s).
+    inverse is (x, y) = (u*r - l*s, v*r + k*s).  k and l are line steps, so
+    each must be within +-COORD_LIMIT (InvalidParameter otherwise).
     """
-    k, l = _integer(k, "k"), _integer(l, "l")
+    k = _count(k, "k", -COORD_LIMIT, COORD_LIMIT)
+    l = _count(l, "l", -COORD_LIMIT, COORD_LIMIT)
     pair = bezout(k, l)
     u, v = pair.u, pair.v
     source = lattice_2d()

@@ -180,8 +180,24 @@ def _phase_factors(space: PositionSpace, sigma_c: Mapping[str, int], phi) -> np.
     """The step phases exp(i*phi*sigma_c) in the space's displacement order:
     ``(dim,)`` for one phase phi, ``(M, dim)`` for an ``(M, 1)`` column of
     phases.  The one place a step weight becomes a phase factor."""
-    weights = np.array([sigma_c[d.label] for d in space.displacements], dtype=np.float64)
-    return np.exp(1j * phi * weights)
+    weights = [sigma_c[d.label] for d in space.displacements]
+    _check_phase_argument(max(np.ravel(phi).tolist(), key=abs), max(weights, key=abs))
+    return np.exp(1j * phi * np.array(weights, dtype=np.float64))
+
+
+def _check_phase_argument(phi: float, sigma) -> None:
+    """InvalidParameter unless phi*sigma, the argument of the phase
+    exp(i*phi*sigma), is within the float range, where numpy would warn and
+    return NaN; ``sigma`` is the weight of largest modulus it is taken at."""
+    try:
+        finite = math.isfinite(phi * float(sigma))
+    except OverflowError:  # a weight beyond the float range itself
+        finite = False
+    if not finite:
+        raise InvalidParameter(
+            f"phi*sigma is beyond the float range at phi = {phi!r}, sigma = {sigma}, "
+            "so the phase exp(i*phi*sigma) cannot be taken"
+        )
 
 
 def apply_coin(spec: WalkSpec, state: WalkState) -> WalkState:

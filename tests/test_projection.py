@@ -1,6 +1,7 @@
 """Projection operators, induced walks, and the intertwining identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qwproj import (
     NullProjection,
     ProjectionMap,
     SpaceMismatch,
+    StepPhase,
     WalkSpec,
     WalkState,
     add,
@@ -142,6 +144,42 @@ class TestProjectState:
         assert len(project_state(pm, 0.0, far).coins) == 1
         with pytest.raises(InvalidParameter, match="sigma is beyond the float range"):
             project_state(pm, 0.7, far)
+
+    @staticmethod
+    def phase_refusal(phi, sigma):
+        return "^" + re.escape(
+            f"phi*sigma is beyond the float range at phi = {phi!r}, sigma = {sigma}, "
+            "so the phase exp(i*phi*sigma) cannot be taken"
+        ) + "$"
+
+    @pytest.mark.parametrize("phi", [1e308, -1e308])
+    def test_phi_sigma_beyond_the_float_range_is_refused(self, phi):
+        # phi*sigma overflows at sigma = +-2 only, so a walk from sigma = 0
+        # runs one step and is refused at the second, without a warning
+        # (warnings are errors in this suite).
+        pm = cyclic_quotient(4)
+        psi0 = state_new(pm.source, [((0,), (1, 0))])
+        assert len(project_state(pm, phi, psi0).coins) == 1
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(phi, 2)):
+            project_state(pm, phi, state_new(pm.source, [((1,), (1, 0)), ((2,), (1, 0))]))
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(phi, -2)):
+            project_state(pm, phi, state_new(pm.source, [((-2,), (1, 0)), ((1,), (1, 0))]))
+        assert verify_commutation(HADAMARD_LINE, pm, phi, psi0, 1).passed
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(phi, -2)):
+            verify_commutation(HADAMARD_LINE, pm, phi, psi0, 2)
+
+    def test_step_phase_beyond_the_float_range_is_refused(self):
+        # the induced step weights of a jump-2 line folded onto a circle are +-2
+        pm = cyclic_quotient(4, line([("R", 2), ("L", -2)]))
+        walk = WalkSpec(pm.source, CoinAssignment.homogeneous(hadamard_coin()))
+        induced = induced_walk(walk, pm, 1e308)
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(1e308, 2)):
+            induced.step_phases()
+        assert induced_walk(walk, pm, 0.5e308).step_phases().shape == (2,)
+        # a weight that is itself beyond the float range
+        huge = WalkSpec(line(), walk.coin, StepPhase(0.5, {"R": 10**400, "L": -(10**400)}))
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(0.5, 10**400)):
+            huge.step_phases()
 
     @pytest.mark.parametrize("phi", [0.0, 0.7])
     def test_projection_past_int64_is_exact(self, phi):

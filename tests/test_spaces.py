@@ -755,6 +755,35 @@ class TestHugeCircles:
         assert pm.rho_array(np.array([[-1], [TOP]], dtype=np.int64)).tolist() == [[n - 1], [TOP % n]]
 
 
+class TestJumpsAtTheLimit:
+    """A step is an int64 entry of a coordinate block: one within
+    +-(2**63 - 1) moves exactly, and one beyond it is refused by name."""
+
+    @pytest.mark.parametrize("step", [TOP + 1, -TOP - 1, 2**64, -(2**70)])
+    @pytest.mark.parametrize("build", [line, lambda jumps: circle(4, jumps)])
+    def test_a_step_beyond_int64_is_refused(self, build, step):
+        with pytest.raises(InvalidParameter, match="step of jump 'R' must be "):
+            build([("L", -1), ("R", step)])
+
+    @pytest.mark.parametrize(
+        "k, l, named", [(2**64, 1, "k"), (TOP + 1, 1, "k"), (1, -TOP - 1, "l"), (-(2**70), 3, "k")]
+    )
+    def test_lattice_quotient_refuses_a_step_beyond_int64(self, k, l, named):
+        with pytest.raises(InvalidParameter, match=f"^{named} must be [<>]= "):
+            lattice_quotient(k, l)
+
+    def test_the_largest_steps_move_exactly(self):
+        spec = WalkSpec(line([("R", TOP), ("L", -TOP)]), CoinAssignment.homogeneous(hadamard_coin()))
+        psi = state_new(spec.space, [((1,), np.array([1, 1j]) / math.sqrt(2))])
+        final = evolve_both(spec, psi, 3)
+        assert set(x for (x,) in final.support) == {1 + s * TOP for s in (-3, -1, 1, 3)}
+
+    def test_lattice_quotient_at_the_largest_step(self):
+        pm = lattice_quotient(TOP, -TOP + 1)
+        assert [d.delta[0] for d in pm.target.displacements] == [TOP, -TOP, -TOP + 1, TOP - 1]
+        assert on_position(pm.rho_array, (1, 1)) == (1,)
+        assert on_position(pm.rho_array, (2, 0)) == (2 * TOP,)
+        assert_sigma_additive(pm, square_block(2))
 
 
 @st.composite
