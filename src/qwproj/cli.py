@@ -313,12 +313,9 @@ def main(argv=None) -> int:
 
 # glibc's mallopt parameters (malloc.h) and the values the program sets:
 # blocks below 4 MiB, where numpy starts asking for huge pages, come from
-# the heap, and up to 32 MiB of free memory stays at its top.  Over mmap
-# thresholds of 0.5-32 MiB and trim thresholds of 4 MiB-1 GiB, an mmap
-# threshold of 2-16 MiB with a trim threshold of 16-256 MiB kept the
-# planar verify's peak RSS within 0.1 MB of the defaults'; a trim threshold
-# of 8 MiB or less raised it by 0.3-0.4 MB, one of 1 GiB by 0.2-0.4 MB.
-# The reconstruction's rose 0.4 MB at every trim threshold from 16 MiB.
+# the heap, and up to 32 MiB of free memory stays at its top.  Of the
+# thresholds tried, this pair kept the peak RSS of a verify nearest the
+# defaults' (the sweep is in CHANGES.md).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD = 32 << 20
@@ -338,8 +335,8 @@ def _keep_heap() -> None:
     except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
         return
     # ctypes' default conversions, int arguments and an int result, are
-    # mallopt's signature.  Declaring them allocates objects of its own,
-    # which moved the heap layout: +1.4 % minor faults on the circle verify.
+    # mallopt's signature; declaring them would allocate objects of its own
+    # and move the heap layout the thresholds are set for.
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
@@ -356,14 +353,11 @@ def console_entry() -> None:  # pragma: no cover - thin wrapper
       serves each step's largest blocks from pages the kernel maps afresh:
       a mapping of its own above its moving mmap threshold, or heap it gave
       back at the last ``free``.  With the thresholds fixed, a step reuses
-      the blocks the step before it freed: a ``verify --scenario
-      grover2d_to_lazy --steps 100`` process made 5 370 minor page faults
-      instead of 12 473, and a ``reconstruct --k 2 --l 1 --steps 48``
-      process 5 338 instead of 8 251 (2-vCPU Xeon, glibc 2.36).
+      the blocks the step before it freed, so the process takes far fewer
+      minor page faults.
     - After :func:`main`, every object still alive is frozen, so the
-      interpreter's garbage collection at shutdown passes over them: on
-      the same host the process took 5-6 ms from the end of :func:`main`
-      to its exit, against 19 ms without the freeze.
+      interpreter's garbage collection at shutdown passes over them and
+      the process exits sooner.
     """
     _keep_heap()
     code = main()

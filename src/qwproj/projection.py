@@ -51,7 +51,7 @@ from .walk import (
     CoinAssignment,
     StepPhase,
     WalkSpec,
-    _check_phase_argument,
+    _phase_factors,
     _walk_blocks,
     _walk_states,
 )
@@ -135,7 +135,7 @@ def _project_phases(
     taking sigma once: the one routine that projects a state.
 
     ``merge`` is None or target sites grouped with the rho-images, and
-    ``table`` the weights of a one-phase call (see :func:`_phase_weights`).
+    ``table`` the weights of a one-phase call (see :func:`_phase_table`).
     Returns the target sites, the ``(M, sites, dim)`` fiber sums on them
     (zero at a merged site no fiber reaches) and the rows the merged sites
     landed on.  NullProjection is raised for the first phase, in order,
@@ -216,11 +216,20 @@ def _fiber_sums(
 
     ``inverse`` gives, for every site, the row of its rho-image among
     ``size`` target rows; a row that no site maps to sums to zero.  At
-    phi != 0 the term at a site is weighted by exp(i*phi*sigma), read off
-    the sites' ``sigma`` block or its ``table`` (see :func:`_phase_weights`);
-    at phi = 0 it is taken as it is.
+    phi != 0 the term at a site is weighted by exp(i*phi*sigma): read off
+    ``table`` (see :func:`_phase_table`) when the sites' int64 ``sigma``
+    block lies inside it, else made by the walk module's one phase builder,
+    which refuses a phi*sigma beyond the float range; at phi = 0 the term
+    is taken as it is.
     """
-    weights = _phase_weights(phi, sigma, table) if phi != 0.0 else None
+    if phi == 0.0:
+        weights = None
+    elif table is not None and sigma.dtype != object and (
+        table[0] <= sigma.min() and sigma.max() < table[0] + len(table[1])
+    ):
+        weights = table[1][sigma - table[0]]
+    else:
+        weights = _phase_factors(phi, sigma)
     out = np.empty((size, coins.shape[-1]), dtype=np.complex128)
     parts = out.view(np.float64)
     # One coin component at a time (a contiguous column of a component-major
@@ -235,49 +244,21 @@ def _fiber_sums(
     return out
 
 
-def _phase_weights(
-    phi: float, sigma: np.ndarray, table: tuple[int, np.ndarray] | None
-) -> np.ndarray:
-    """exp(i*phi*sigma) on a sigma block.
-
-    ``table`` is None or a pair ``(lo, values)`` holding the same np.exp
-    values for sigma = lo, lo + 1, ...; a block inside it is read off the
-    table, bitwise equal to what np.exp returns, and any other block is
-    computed directly.  A block of exact Python integers is taken in
-    float64, which rounds it as the int64 path rounds its own entries; one
-    beyond the float range is refused with InvalidParameter, and so is a
-    block where phi*sigma is.
-    """
-    if sigma.dtype == object:
-        try:
-            sigma = sigma.astype(np.float64)
-        except OverflowError:
-            raise InvalidParameter(
-                "sigma is beyond the float range at a site, so its phase "
-                f"exp(i*phi*sigma) at phi = {phi!r} cannot be taken"
-            ) from None
-    elif table is not None:
-        lo, values = table
-        if sigma.min() >= lo and sigma.max() < lo + len(values):
-            return values[sigma - lo]
-    if len(sigma):  # an empty state's projection takes no phase
-        _check_phase_argument(phi, max(sigma.min().item(), sigma.max().item(), key=abs))
-    return np.exp(1j * phi * sigma)
-
-
 def _phase_table(
     pmap: ProjectionMap, phi: float, psi0: WalkState, n: int
 ) -> tuple[int, np.ndarray] | None:
     """The weights exp(i*phi*sigma) over every sigma the n steps from psi0
-    can reach, for :func:`_phase_weights`, or None when there is no phase.
+    can reach, as a pair ``(lo, values)`` for sigma = lo, lo + 1, ..., or
+    None when there is no phase.  The values come from the walk module's
+    one phase builder, so a weight read off the table is bitwise the one it
+    would make.
 
     sigma is additive, so a step moves it by at most s = max |sigma_c|: the
     table spans [min sigma(psi0) - n*s, max sigma(psi0) + n*s], clipped to
-    the int64 coordinate range.  It is built only when psi0's own sigma
-    spread is at most 2*n*s, which keeps it within 4*n*s + 1 entries,
-    sigma is an int64 block and phi*sigma stays within the float range
-    over the span; else each step's weights are computed directly, and a
-    step that reaches a phi*sigma beyond it is refused there.
+    the int64 coordinate range.  It is built only when that span holds at
+    most 4*n + 1 entries, psi0's sigma is an int64 block and phi*sigma
+    stays within the float range over the span; else each step's weights
+    are made as the step reaches them, and refused there.
     """
     if phi == 0.0:
         return None
@@ -286,12 +267,13 @@ def _phase_table(
         return None
     reach = n * max(abs(int(v)) for v in pmap.sigma_c.values())
     lo, hi = int(sigma.min()), int(sigma.max())
-    if hi - lo > 2 * reach:
+    if hi - lo + 2 * reach > 4 * n:
         return None
     lo, hi = max(lo - reach, -COORD_LIMIT), min(hi + reach, COORD_LIMIT)
-    if not math.isfinite(phi * max(-lo, hi)):
+    try:
+        return lo, _phase_factors(phi, np.arange(hi - lo + 1) + lo)
+    except InvalidParameter:
         return None
-    return lo, np.exp(1j * phi * (np.arange(hi - lo + 1) + lo))
 
 
 def check_coin_homogeneity(
@@ -413,12 +395,13 @@ def verify_commutation(
     evolving that branch alone raises it.  Each step's projection and
     residual share one merge: :func:`_project_phases` groups the induced
     sites with the parent's rho-images, and the induced coins are
-    subtracted from the fiber sums there.  The parent's
-    weights exp(i*phi*sigma) are read off one table of the same np.exp
-    values over the sigma range the n steps can reach (see
-    :func:`_phase_table`), and computed directly for a step whose sigma
-    leaves it.  The residuals are bitwise those of :func:`project_state`
-    followed by :func:`~qwproj.hilbert.diff_norm`.
+    subtracted from the fiber sums there.  The parent's weights
+    exp(i*phi*sigma) come from the walk module's one phase builder: read
+    off one table it makes over the sigma range the n steps can reach,
+    when that range holds at most 4*n + 1 values (see :func:`_phase_table`),
+    else made for each step, as for a step whose sigma leaves the table.
+    The residuals are bitwise those of :func:`project_state` followed by
+    :func:`~qwproj.hilbert.diff_norm`.
     """
     n = _count(n, "step count")
     _finite(tol, "tol", positive=True)

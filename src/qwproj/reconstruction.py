@@ -36,12 +36,12 @@ at zero.
 The family is computed as one batched block.  Projection keeps every fiber
 of the initial state at every phase, so the M induced walks share their
 target space, coin and support and differ only in their per-direction step
-phases exp(i*phi_j*sigma_c), which the walk module's one phase builder
-makes for a family as for a single walk.  :func:`phase_projection_family`
-therefore advances them as one ``(M, n, dim)`` coin block, stored
-``(M, dim, n)``, on one ``(n, d)`` coordinate block, and the inversion
-reads all fibers from one FFT along the phase axis of the stacked
-``(M, F, dim)`` block.
+phases exp(i*phi_j*sigma_c), which the walk module's one phase builder,
+the one that also weighs the projection's sites, makes for a family as for
+a single walk.  :func:`phase_projection_family` therefore advances them as
+one ``(M, n, dim)`` coin block, stored ``(M, dim, n)``, on one ``(n, d)``
+coordinate block, and the inversion reads all fibers from one FFT along
+the phase axis of the stacked ``(M, F, dim)`` block.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def phase_projection_family(
     commutation check (InhomogeneousCoin otherwise).  The walk module's
     phase builder turns the map's sigma_c, read once, into the phases of
     every walk.  A map without sigma admits only the grid (0.0,), whose
-    factors exp(0) are multiplied in all the same, so every grid takes one
-    path.
+    factors exp(0), at weight 0 for every step, are multiplied in all the
+    same, so every grid takes one path.
     psi0's fibers are grouped and its sigma taken once for all phases, and
     the walks advance together as one ``(M, n, dim)`` coin block on one
     coordinate block through the walk module's block loop, which pays one
@@ -186,8 +186,8 @@ def phase_projection_family(
         raise MissingSigma(f"projection {pmap.name!r} has no sigma homomorphism")
     coords, block, _ = _project_phases(pmap, grid, psi0)
     space = pmap.target
-    weights = sigma_c or dict.fromkeys(space.labels, 0)
-    phases = _phase_factors(space, weights, np.array(grid)[:, None])[:, None, :]
+    weights = [sigma_c[d.label] if sigma_c else 0 for d in space.displacements]
+    phases = _phase_factors(np.array(grid)[:, None], weights)[:, None, :]
     for coords, block in _walk_blocks(spec, coords, block, steps, phases):
         pass  # only the blocks after the last step are kept
     _debug(__name__, "built projection family: %d phases, %d steps", samples, steps)

@@ -170,16 +170,26 @@ def test_one_reader_asks_a_space_for_its_positions():
 
 
 def test_one_builder_turns_step_weights_into_phases():
-    # The step phases exp(i*phi*sigma_c) of a walk and of a phase family come
-    # from walk._phase_factors; projection._phase_table takes exp over the
-    # sigma range that the weights let n steps reach.
-    users = {
-        (path.name, node.name)
+    # Every phase exp(i*phi*sigma), of a walk's steps, of a phase family, of
+    # a projection's sites and of the commutation check's table, comes from
+    # walk._phase_factors: the one call of exp, as np.exp, math.exp or
+    # cmath.exp, in the package.
+    def calls(node, where):
+        if isinstance(node, ast.Call) and "exp" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            yield where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, where)
+
+    sites = [
+        (path.name, where)
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and {"exp", "sigma_c"} <= set(names_in(node))
-    }
-    assert users == {("walk.py", "_phase_factors"), ("projection.py", "_phase_table")}
+        for where in calls(ast.parse(path.read_text()), None)
+    ]
+    assert sites == [("walk.py", "_phase_factors")]
 
 
 def test_cli_uses_public_names_only():

@@ -145,6 +145,13 @@ class TestProjectState:
         with pytest.raises(InvalidParameter, match="sigma is beyond the float range"):
             project_state(pm, 0.7, far)
 
+    def test_site_sigma_beyond_the_float_range_is_named(self):
+        # sigma(x, y) = -x for lattice_quotient(2, 1)
+        pm = lattice_quotient(2, 1)
+        far = state_new(Z2, [((10**400, 0), GENERIC4), ((1, 0), GENERIC4)])
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(0.7, -(10**400))):
+            project_state(pm, 0.7, far)
+
     @staticmethod
     def phase_refusal(phi, sigma):
         return "^" + re.escape(
@@ -169,16 +176,18 @@ class TestProjectState:
             verify_commutation(HADAMARD_LINE, pm, phi, psi0, 2)
 
     def test_step_phase_beyond_the_float_range_is_refused(self):
-        # the induced step weights of a jump-2 line folded onto a circle are +-2
+        # the induced step weights of a jump-2 line folded onto a circle are
+        # +-2; the refusal names the weight of largest modulus, the lower one
+        # on a tie, as it does for the sigma of a site
         pm = cyclic_quotient(4, line([("R", 2), ("L", -2)]))
         walk = WalkSpec(pm.source, CoinAssignment.homogeneous(hadamard_coin()))
         induced = induced_walk(walk, pm, 1e308)
-        with pytest.raises(InvalidParameter, match=self.phase_refusal(1e308, 2)):
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(1e308, -2)):
             induced.step_phases()
         assert induced_walk(walk, pm, 0.5e308).step_phases().shape == (2,)
         # a weight that is itself beyond the float range
         huge = WalkSpec(line(), walk.coin, StepPhase(0.5, {"R": 10**400, "L": -(10**400)}))
-        with pytest.raises(InvalidParameter, match=self.phase_refusal(0.5, 10**400)):
+        with pytest.raises(InvalidParameter, match=self.phase_refusal(0.5, -(10**400))):
             huge.step_phases()
 
     @pytest.mark.parametrize("phi", [0.0, 0.7])
@@ -741,13 +750,24 @@ class TestRepeatingInducedMerges:
         assert projection_module._phase_table(pm, 0.0, psi, 50) is None
 
     def test_weights_outside_the_table_are_computed(self):
+        # Each site is a fiber of its own with coin 1, so the fiber sums are
+        # the weights.  The table holds marked values, not exp's, so a block
+        # inside it shows that they were read off it; a block reaching out of
+        # it, or one of exact integers, has the phase builder make them.
         phi = 0.9
-        table = (-2, np.exp(1j * phi * np.arange(-2, 3)))
-        weights = projection_module._phase_weights
-        for sigma in ([-2, 2, 0], [-3, 0], [0, 3], [7]):
-            sigma = np.array(sigma)
-            expected = np.exp(1j * phi * sigma)
-            assert bits(weights(phi, sigma, table)).tobytes() == bits(expected).tobytes()
+        table = (-2, np.full(5, 0.5 - 0.25j))
+        for sigma, tabled in (
+            (np.array([-2, 2, 0]), True),
+            (np.array([-3, 0]), False),
+            (np.array([0, 3]), False),
+            (np.array([7]), False),
+            (np.array([-2, 2], dtype=object), False),
+        ):
+            n = len(sigma)
+            ones = np.ones((n, 1), dtype=np.complex128)
+            sums = projection_module._fiber_sums(phi, ones, sigma, np.arange(n), n, table)
+            expected = table[1][:n] if tabled else walk_module._phase_factors(phi, sigma)
+            assert bits(sums[:, 0]).tobytes() == bits(expected).tobytes()
 
     def test_wide_initial_sigma_builds_no_table(self):
         pm = cyclic_quotient(4)
@@ -757,6 +777,30 @@ class TestRepeatingInducedMerges:
         expected = reference_residuals(HADAMARD_LINE, pm, 1.0, psi, 10)
         report = verify_commutation(HADAMARD_LINE, pm, 1.0, psi, 10)
         assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+
+    def test_table_grows_with_the_walk_not_the_step_weight(self):
+        # A step of a jump line folded onto a circle moves sigma by the jump,
+        # so a table over everything n steps reach would hold 2*n*jump + 1
+        # entries; past 4*n + 1 the parent's weights are made step by step.
+        n, phi = 50, 0.7
+        for jump, size in ((1, 2 * n + 1), (2, 4 * n + 1), (10**4, None)):
+            pm = cyclic_quotient(4, line([("R", jump), ("L", -jump)]))
+            psi = state_new(pm.source, [((0,), (1, 0))])
+            table = projection_module._phase_table(pm, phi, psi, n)
+            assert (table and len(table[1])) == size
+        # The jump-10**7 walk reaches 101 sigma values, but its table would
+        # hold 10**9 + 1 entries.  It checks without one, and its
+        # residuals are those of the unfused definition.  It does not pass:
+        # the weights are taken in float64 from sigma up to 5*10**8, so they
+        # carry rounding far above the tolerance (absolute sigma, not this
+        # table).
+        pm = cyclic_quotient(4, line([("R", 10**7), ("L", -(10**7))]))
+        walk = WalkSpec(pm.source, CoinAssignment.homogeneous(hadamard_coin()))
+        psi = state_new(pm.source, [((0,), np.array([1, 1j]) / math.sqrt(2))])
+        report = verify_commutation(walk, pm, phi, psi, n)
+        expected = reference_residuals(walk, pm, phi, psi, n)
+        assert bits(report.residuals).tobytes() == bits(expected).tobytes()
+        assert not report.passed
 
     def test_sigma_leaving_the_table_falls_back_to_exp(self):
         # sigma(x) = x**2 is not additive: its step weights, read at the

@@ -399,6 +399,35 @@ class TestPhaseConventions:
         b = evolve(folded, psi, 9)
         assert max_abs_difference(a, b) < 1e-13
 
+    @pytest.mark.parametrize(
+        "phi", [0.7, -math.pi / 3, np.array([[0.0], [0.7], [-2.5]])], ids=["phi", "-pi/3", "column"]
+    )
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [1, -1, 0, 0],
+            np.arange(-50, 51),
+            np.array([2**70, -(2**70), 3], dtype=object),
+            np.array([10**300, -5], dtype=object),
+        ],
+        ids=["weights", "int64", "exact", "exact-near-the-float-edge"],
+    )
+    def test_phase_builder_is_exp_in_float64(self, phi, sigma):
+        expected = np.exp(1j * phi * np.asarray(sigma, dtype=np.float64))
+        got = walk._phase_factors(phi, sigma)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_phase_builder_refuses_once_and_checks_no_empty_block(self):
+        for empty in ([], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)):
+            assert walk._phase_factors(1e308, empty).shape == (0,)
+        # the phase and the weight of largest modulus, the lower one on a tie
+        column = np.array([[0.5], [-1e308], [1e308]])
+        with pytest.raises(InvalidParameter, match=r"at phi = -1e\+308, sigma = -3, "):
+            walk._phase_factors(column, np.array([3, 1, -3]))
+        with pytest.raises(InvalidParameter, match=r"at phi = 0\.5, sigma = 1" + "0" * 400):
+            walk._phase_factors(0.5, np.array([7, 10**400], dtype=object))
+
 
 class TestDenseOracle:
     def test_matrix_is_unitary(self):
